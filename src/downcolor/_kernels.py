@@ -1,7 +1,7 @@
 """Hot inner loops, compiled with numba when available.
 
 Three kernels carry most of the work on large digraphs: packed-bitset
-reachability closure, clique marking for the derived conflict graph, and
+reachability closure, clique union (the one conflict-graph builder), and
 greedy sequential coloring over a CSR adjacency.  Each has a numba
 ``@njit`` build and an equivalent pure-numpy build.  The active backend
 is chosen at import time from the ``DOWNCOLOR_NUMBA`` environment
@@ -23,7 +23,7 @@ try:
     from numba import njit
 
     HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # pragma: no cover - numba is an optional extra
     HAS_NUMBA = False
 
 
@@ -121,13 +121,36 @@ def closure_bits(n: int, indptr: np.ndarray, indices: np.ndarray,
 
 # ----------------------------------------------------------- clique union
 
-def _clique_union_np(bits, rows):
-    n, W = bits.shape
-    adj = np.zeros((n, W), dtype=np.uint64)
-    for r in rows:
-        row = bits[r]
-        members = row_ids(row)
-        adj[members] |= row
+def rows_csr(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode bitset rows into CSR: row ``i`` lists its set bit positions,
+    ascending, in ``indices[indptr[i]:indptr[i + 1]]``."""
+    rows = [row_ids(r) for r in bits]
+    indptr = np.cumsum([0] + [r.size for r in rows], dtype=np.int64)
+    return indptr, np.concatenate([np.empty(0, dtype=np.int64), *rows])
+
+
+def pack_rows(n: int, sets) -> np.ndarray:
+    """Bitset rows over ``n`` ids; row ``i`` holds the ids of ``sets[i]``."""
+    sizes = [len(s) for s in sets]
+    ids = np.fromiter((v for s in sets for v in s), np.int64, sum(sizes))
+    out = np.zeros((len(sizes), words_for(n)), dtype=np.uint64)
+    np.bitwise_or.at(out, (np.repeat(np.arange(len(sizes)), sizes), ids >> 6),
+                     np.uint64(1) << (ids & 63).astype(np.uint64))
+    return out
+
+
+def csr_edges(indptr: np.ndarray, indices: np.ndarray) -> list[tuple[int, int]]:
+    """Edges ``(u, v)`` with ``u < v`` of a symmetric CSR adjacency; sorted
+    when the rows are."""
+    src = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    up = src < indices
+    return list(zip(src[up].tolist(), indices[up].tolist()))
+
+
+def _clique_union_np(n, members):
+    adj = np.zeros((n, members.shape[1]), dtype=np.uint64)
+    for row in members:
+        adj[row_ids(row)] |= row
     ids = np.arange(n, dtype=np.uint64)
     adj[np.arange(n), ids >> np.uint64(6)] &= ~(np.uint64(1) << (ids & np.uint64(63)))
     return adj
@@ -157,6 +180,12 @@ if HAS_NUMBA:
         return adj
 
 
+def clique_union_csr(n: int, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted symmetric CSR adjacency, without self-loops, of the union of
+    cliques on ``n`` ids; each row of ``members`` packs one clique."""
+    return rows_csr(_clique_union_np(n, members))
+
+
 def clique_union_bits(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Symmetric adjacency bitsets of the union of cliques.
 
@@ -168,7 +197,7 @@ def clique_union_bits(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.uint64)
     if _BACKEND == "numba":
         return _clique_union_nb(bits, rows.astype(np.int64))
-    return _clique_union_np(bits, rows)
+    return _clique_union_np(n, bits[rows])
 
 
 # --------------------------------------------------------- greedy coloring

@@ -14,15 +14,14 @@ import os
 import sys
 
 from . import compact as compact_mod
-from .coloring import (coloring_from_json, coloring_to_json, down_coloring,
-                       exact_strong_chromatic, find_down_violation,
-                       greedy_strong_coloring)
+from .coloring import (bound_report, coloring_from_json, coloring_to_json,
+                       down_coloring, exact_strong_chromatic,
+                       find_down_violation, greedy_strong_coloring)
 from .designs import cor4_point, ds_bounds, hkm_design, build_field, affine_design
 from .digraph import (big_d, condense_to_acyclic, format_digraph, is_acyclic,
                       parse_digraph)
 from .errors import (CapExceededError, ColoringError, DowncolorError)
-from .hypergraph import (degeneracy, down_hypergraph, format_hypergraph,
-                         parse_hypergraph, up_digraph)
+from .hypergraph import format_hypergraph, parse_hypergraph, up_digraph
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,12 +76,10 @@ def cmd_analyze(args) -> int:
     out.append("acyclic = true")
     d = big_d(g)
     if g.edge_count == 0:
-        ind = 0
-        cor1 = d
+        ind, cor1 = 0, d
     else:
-        h = down_hypergraph(g, closed=False, simplify=True)
-        ind = degeneracy(h).value
-        cor1 = d if ind <= 1 else ind * (d - 2) + 1
+        rep = bound_report(g)
+        ind, cor1 = rep.ind_h, rep.cor1_bound
     out += [f"D = {d}", f"sigma = {max(d - 1, 0)}", f"ind = {ind}",
             f"cor1_bound = {cor1}", f"lower_bound = {d}"]
     _write(args.output, "".join(line + "\n" for line in out))

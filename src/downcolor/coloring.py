@@ -23,11 +23,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .digraph import (Digraph, UndirectedGraph, big_d, down_graph, down_set,
-                      max_vertices)
+from .digraph import Digraph, UndirectedGraph, big_d, max_vertices
 from .errors import CapExceededError, ColoringError
-from .hypergraph import (Hypergraph, clique_graph, degeneracy, down_hypergraph,
-                         graph_degeneracy)
+from .hypergraph import (Hypergraph, _peel, clique_graph, degeneracy,
+                         down_hypergraph)
 
 DEFAULT_EXACT_CAP = 30
 
@@ -94,23 +93,21 @@ def coloring_from_json(text: str) -> Coloring:
 
 # ------------------------------------------------------- greedy coloring
 
-def _greedy_graph_colors(g: UndirectedGraph) -> np.ndarray:
-    """First-fit along the reversed degeneracy elimination order.
-
-    Uses at most one more color than the graph's degeneracy.
-    """
-    order = np.array(list(reversed(graph_degeneracy(g).order)), dtype=np.int64)
-    indptr, indices = g._csr_arrays()
-    return _kernels.greedy_color(order, indptr, indices)
+def _greedy_colors(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """First-fit over a CSR graph along the reversed degeneracy order;
+    uses at most one more color than the graph's degeneracy."""
+    order = _peel(n, _kernels.csr_edges(indptr, indices)).order
+    return _kernels.greedy_color(np.array(order[::-1], dtype=np.int64),
+                                 indptr, indices)
 
 
 def greedy_strong_coloring(h: Hypergraph) -> Coloring:
     """Strong coloring via the clique graph; k <= its degeneracy + 1."""
-    g = clique_graph(h)
-    if g.n == 0:
+    if h.n == 0:
         return Coloring({}, 0, "greedy")
-    arr = _greedy_graph_colors(g)
-    return Coloring({g.label_of(u): int(arr[u]) for u in range(g.n)},
+    adj = _kernels.clique_union_csr(h.n, _kernels.pack_rows(h.n, h.edges))
+    arr = _greedy_colors(h.n, *adj)
+    return Coloring({h.label_of(u): int(arr[u]) for u in range(h.n)},
                     int(arr.max()), "greedy")
 
 
@@ -162,7 +159,7 @@ def exact_chromatic(g: UndirectedGraph, cap: int | None = None,
         adj[b] |= 1 << a
     deg = [adj[v].bit_count() for v in range(n)]
 
-    ub_arr = _greedy_graph_colors(g)
+    ub_arr = _greedy_colors(n, *g._csr_arrays())
     best_k = int(ub_arr.max())
     best = [int(c) for c in ub_arr]
     clique = _greedy_clique(n, adj)
@@ -246,8 +243,10 @@ def exact_strong_chromatic(h: Hypergraph, cap: int | None = None,
 def _extend_to_maximal(g: Digraph, colors: dict[str, int]) -> dict[str, int]:
     # ascending label order; each maximal vertex conflicts exactly with
     # its open down-set, no two maximal vertices ever share a down-set
+    bits = g._closure_bits()
     for w in sorted(max_vertices(g), key=g.label_of):
-        used = {colors[g.label_of(v)] for v in down_set(g, w, closed=False)}
+        used = {colors[g.label_of(int(v))] for v in _kernels.row_ids(bits[w])
+                if v != w}
         c = 1
         while c in used:
             c += 1
@@ -297,20 +296,25 @@ def _check_total(g: Digraph, c: Coloring) -> None:
 
 
 def find_down_violation(g: Digraph, c: Coloring) -> tuple[str, str, str] | None:
-    """First same-colored pair inside a closed down-set, with the witness
-    ancestor, or None when the coloring is a valid down-coloring."""
+    """Smallest same-colored id pair inside a closed down-set, with the
+    smallest-id maximal witness whose closure row holds both, or None when
+    every maximal vertex's closure row is rainbow (a valid down-coloring)."""
     _check_total(g, c)
-    dg = down_graph(g)
     bits = g._closure_bits()
-    maxes = sorted(max_vertices(g))
-    for u, v in dg.edges():
-        if c.colors[g.label_of(u)] == c.colors[g.label_of(v)]:
-            for w in maxes:
-                row = bits[w]
-                if (int(row[u >> 6]) >> (u & 63)) & 1 and \
-                        (int(row[v >> 6]) >> (v & 63)) & 1:
-                    return (g.label_of(u), g.label_of(v), g.label_of(w))
-    return None
+    maxes = np.fromiter(sorted(max_vertices(g)), dtype=np.int64)
+    indptr, ids = _kernels.rows_csr(bits[maxes])
+    color = np.array([c.colors[lab] for lab in g.labels], dtype=np.int64)[ids]
+    row = np.repeat(np.arange(maxes.size), np.diff(indptr))
+    order = np.lexsort((ids, color, row))
+    row, color, ids = row[order], color[order], ids[order]
+    # within a (row, color) run, consecutive ids include the run's
+    # smallest pair, so the smallest clash is among consecutive ones
+    clash = np.nonzero((row[1:] == row[:-1]) & (color[1:] == color[:-1]))[0]
+    if clash.size == 0:
+        return None
+    # stable: among equal pairs the first clash sits in the smallest row
+    i = clash[np.lexsort((ids[clash + 1], ids[clash]))[0]]
+    return tuple(g.label_of(int(x)) for x in (ids[i], ids[i + 1], maxes[row[i]]))
 
 
 def verify_down_coloring(g: Digraph, c: Coloring) -> bool:

@@ -271,9 +271,6 @@ class UndirectedGraph:
             comps.append(sorted(comp))
         return comps
 
-    def is_forest(self) -> bool:
-        return self.edge_count == self.n - len(self.connected_components())
-
     def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if self._csr is None:
             indptr = np.zeros(self.n + 1, dtype=np.int64)
@@ -359,17 +356,8 @@ def down_set(g: Digraph, u: int, closed: bool = True) -> frozenset[int]:
     g.topological_order()  # acyclicity gate
     if not 0 <= u < g.n:
         raise ValueError(f"vertex id {u} out of range")
-    seen = {u}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for v in g.children(x):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    if not closed:
-        seen.discard(u)
-    return frozenset(seen)
+    return frozenset(int(v) for v in _kernels.row_ids(g._closure_bits()[u])
+                     if closed or v != u)
 
 
 def max_vertices(g: Digraph) -> frozenset[int]:
@@ -493,12 +481,6 @@ def down_graph(g: Digraph) -> UndirectedGraph:
     Only maximal vertices need scanning, since every closed down-set is
     contained in a maximal one.
     """
-    bits = g._closure_bits()
     rows = np.fromiter(sorted(max_vertices(g)), dtype=np.int64)
-    adj = _kernels.clique_union_bits(bits, rows)
-    pairs: list[tuple[int, int]] = []
-    for u in range(g.n):
-        for v in _kernels.row_ids(adj[u]):
-            if int(v) > u:
-                pairs.append((u, int(v)))
-    return UndirectedGraph(g.labels, pairs)
+    adj = _kernels.clique_union_csr(g.n, g._closure_bits()[rows])
+    return UndirectedGraph(g.labels, _kernels.csr_edges(*adj))

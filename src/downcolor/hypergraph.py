@@ -11,6 +11,9 @@ closed) down-sets of the maximal vertices, ``up_digraph`` goes back by
 hanging a fresh top vertex over every hyperedge.  On simple hypergraphs
 and on height-two digraphs with distinct tops these are inverse to each
 other.
+
+Clique and intersection graphs come from the one conflict builder,
+``_kernels.clique_union_csr``; ``_peel`` is the one peeling routine.
 """
 
 from __future__ import annotations
@@ -214,12 +217,8 @@ def up_digraph(h: Hypergraph) -> Digraph:
 
 def clique_graph(h: Hypergraph) -> UndirectedGraph:
     """Graph joining every two vertices that share a hyperedge."""
-    pairs: set[tuple[int, int]] = set()
-    for e in h.edges:
-        for i in range(len(e)):
-            for j in range(i + 1, len(e)):
-                pairs.add((e[i], e[j]))
-    return UndirectedGraph(h.labels, sorted(pairs))
+    adj = _kernels.clique_union_csr(h.n, _kernels.pack_rows(h.n, h.edges))
+    return UndirectedGraph(h.labels, _kernels.csr_edges(*adj))
 
 
 def intersection_graph(h: Hypergraph) -> UndirectedGraph:
@@ -229,12 +228,8 @@ def intersection_graph(h: Hypergraph) -> UndirectedGraph:
     for ei, e in enumerate(h.edges):
         for u in e:
             byv[u].append(ei)
-    pairs: set[tuple[int, int]] = set()
-    for lst in byv:
-        for i in range(len(lst)):
-            for j in range(i + 1, len(lst)):
-                pairs.add((lst[i], lst[j]))
-    return UndirectedGraph(labels, sorted(pairs))
+    adj = _kernels.clique_union_csr(h.m, _kernels.pack_rows(h.m, byv))
+    return UndirectedGraph(labels, _kernels.csr_edges(*adj))
 
 
 def induced_subhypergraph(h: Hypergraph, s: Iterable[int]) -> Hypergraph:
@@ -265,8 +260,9 @@ class DegeneracyResult:
     order: tuple[int, ...]
 
 
-def degeneracy(h: Hypergraph) -> DegeneracyResult:
-    """Iterated min-degree peeling; ties break on the smallest vertex id.
+def _peel(n: int, edges: Iterable[tuple[int, ...]]) -> DegeneracyResult:
+    """Iterated min-degree peeling of ``n`` vertices under ``edges``;
+    ties break on the smallest vertex id.
 
     Removing a vertex shrinks every incident edge; an edge dies when a
     single member remains, at which point that member loses one degree.
@@ -274,8 +270,7 @@ def degeneracy(h: Hypergraph) -> DegeneracyResult:
     equals the maximum over induced subhypergraphs of their minimum
     degree.
     """
-    n = h.n
-    edges = [e for e in h.edges if len(e) >= 2]
+    edges = [e for e in edges if len(e) >= 2]
     size = [len(e) for e in edges]
     inc: list[list[int]] = [[] for _ in range(n)]
     for ei, e in enumerate(edges):
@@ -307,6 +302,11 @@ def degeneracy(h: Hypergraph) -> DegeneracyResult:
     return DegeneracyResult(value, tuple(order))
 
 
+def degeneracy(h: Hypergraph) -> DegeneracyResult:
+    """Peeling degeneracy; degrees count edges with multiplicity."""
+    return _peel(h.n, h.edges)
+
+
 def graph_degeneracy(g: UndirectedGraph) -> DegeneracyResult:
     """Degeneracy of a graph via the same peeling, viewed 2-uniform."""
-    return degeneracy(Hypergraph(g.labels, g.edges()))
+    return _peel(g.n, g.edges())

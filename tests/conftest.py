@@ -5,6 +5,7 @@ no code path with the package internals they check.
 """
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
@@ -23,6 +24,29 @@ def random_dag(rng: random.Random, n: int, density: float) -> Digraph:
         if rng.random() < density:
             pairs.append((order[i], order[j]))
     return Digraph.from_label_pairs(pairs, isolated=labels)
+
+
+def layered_dag(rng: random.Random, n: int, density: float) -> Digraph:
+    """sqrt(n)-wide layers on v0..v{n-1}; each pair of vertices in adjacent
+    layers is an edge with probability ``density``."""
+    width = max(1, round(math.sqrt(n)))
+    pairs = []
+    for lo in range(0, n - width, width):
+        for u in range(lo, lo + width):
+            for v in range(lo + width, min(lo + 2 * width, n)):
+                if rng.random() < density:
+                    pairs.append((f"v{u}", f"v{v}"))
+    return Digraph.from_label_pairs(pairs, isolated=[f"v{i}" for i in range(n)])
+
+
+def hierarchy(rng: random.Random, n: int, out_degree: int = 3) -> Digraph:
+    """Three levels t, m, b of n/2, n/3, n/6 vertices; every vertex above
+    the bottom gets ``out_degree`` random children one level down."""
+    levels = [[f"{p}{i}" for i in range(size)]
+              for p, size in zip("tmb", (n // 2, n // 3, n // 6))]
+    pairs = [(u, v) for upper, lower in zip(levels, levels[1:])
+             for u in upper for v in sorted(rng.sample(lower, out_degree))]
+    return Digraph.from_label_pairs(pairs, isolated=[u for lv in levels for u in lv])
 
 
 def random_digraph(rng: random.Random, n: int, density: float) -> Digraph:
@@ -75,6 +99,16 @@ def brute_down_edges(g: Digraph) -> set[frozenset[str]]:
         for a, b in combinations(sorted(rs), 2):
             out.add(frozenset((a, b)))
     return out
+
+
+def brute_violation(g: Digraph, c) -> tuple[str, str, str] | None:
+    """Smallest (u, v, w) by vertex id over same-colored pairs u < v in the
+    closed down-set of a maximal vertex w, as labels; None if none."""
+    reach = reach_closed(g)
+    hits = [(a, b, w) for w in range(g.n) if not g.parents(w)
+            for a, b in combinations(sorted(map(g.id_of, reach[g.label_of(w)])), 2)
+            if c.colors[g.label_of(a)] == c.colors[g.label_of(b)]]
+    return tuple(map(g.label_of, min(hits))) if hits else None
 
 
 def brute_chromatic(n: int, edges: list[tuple[int, int]]) -> int:
@@ -142,3 +176,27 @@ def brute_degeneracy(h: Hypergraph) -> int:
     for s in range(1, 1 << h.n):
         best = max(best, induced_min_degree(edges, s))
     return best
+
+
+def brute_ac_ok(m, g: Digraph) -> bool:
+    """All three clauses of a valid compact table, each checked directly:
+    every vertex sits in one column, row u holds exactly D[u], and
+    vertices sharing a column share no ancestor."""
+    reach = reach_closed(g)
+    if set(m.labels) != set(g.labels):
+        return False
+    columns: dict[str, set[int]] = {}
+    for lab in m.labels:
+        for j, cell in enumerate(m.rows[lab]):
+            if cell is not None:
+                columns.setdefault(cell, set()).add(j)
+    if any(len(js) > 1 for js in columns.values()):
+        return False
+    for lab in m.labels:
+        if {cell for cell in m.rows[lab] if cell is not None} != reach[lab]:
+            return False
+    for a, b in combinations(sorted(columns), 2):
+        if columns[a] == columns[b] and any(a in r and b in r
+                                            for r in reach.values()):
+            return False
+    return True

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -24,7 +25,8 @@ from downcolor import (
     parse_digraph,
     verify_down_coloring,
 )
-from conftest import brute_chromatic, random_dag, random_hypergraph
+from conftest import (brute_chromatic, brute_violation, hierarchy, layered_dag,
+                      random_dag, random_hypergraph)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 
@@ -250,6 +252,18 @@ def test_find_down_violation_witness():
     assert any(u in s and v in s and w in s for s in shared)
 
 
+def test_find_down_violation_matches_brute():
+    rng = random.Random(43)
+    for _ in range(150):
+        g = random_dag(rng, rng.randint(1, 14), rng.choice([0.1, 0.3, 0.6]))
+        k = rng.randint(1, g.n)
+        colors = {lab: rng.randint(1, k) for lab in g.labels}
+        rank = {col: i + 1 for i, col in enumerate(sorted(set(colors.values())))}
+        c = Coloring({lab: rank[x] for lab, x in colors.items()}, len(rank),
+                     "greedy")
+        assert find_down_violation(g, c) == brute_violation(g, c)
+
+
 def test_verify_rejects_wrong_vertex_set():
     g = parse_digraph(SIX)
     with pytest.raises(ColoringError):
@@ -263,3 +277,46 @@ def test_verify_rejects_wrong_vertex_set():
 def test_verify_accepts_valid():
     g = parse_digraph(SIX)
     assert verify_down_coloring(g, down_coloring(g))
+
+
+# ------------------------------------------- pinned outputs at pipeline scale
+
+def merged(c, a, b):
+    """``c`` with color ``b`` folded into color ``a`` and the colors above
+    ``b`` shifted down; invalid wherever a down-set holds both."""
+    colors = {lab: a if x == b else x - (x > b) for lab, x in c.colors.items()}
+    return Coloring(colors, c.k - 1, c.method)
+
+
+SCALE_GRAPHS = {
+    "layered": lambda: layered_dag(random.Random(3), 300, 0.3),
+    "hierarchy": lambda: hierarchy(random.Random(5), 1500),
+}
+
+
+@pytest.mark.parametrize("name, k, digest, fold_low, fold_high", [
+    ("layered", 273,
+     "970cabc65eaf77ecf0f2548ba374c5a05a1ff133fc71354c1a1122f471a5dd17",
+     ("v297", "v299", "v0"), ("v17", "v291", "v0")),
+    ("hierarchy", 40,
+     "3bf6f9be81610c63e9277335cbb1a53183013cf2556f5d7830b60a0f07d35453",
+     ("t0", "b133", "t0"), ("m14", "b191", "t371")),
+])
+def test_pipeline_scale_outputs_pinned(name, k, digest, fold_low, fold_high):
+    g = SCALE_GRAPHS[name]()
+    c = down_coloring(g)
+    assert c.k == k
+    assert hashlib.sha256(coloring_to_json(c).encode()).hexdigest() == digest
+    assert find_down_violation(g, c) is None
+    assert find_down_violation(g, merged(c, 1, 2)) == fold_low
+    assert find_down_violation(g, merged(c, 3, c.k)) == fold_high
+
+
+def test_find_down_violation_pinned_small():
+    rng = random.Random(101)
+    want = [("v11", "v8", "v11"), ("v8", "v7", "v8"), ("v2", "v7", "v2"),
+            ("v9", "v4", "v9")]
+    for triple in want:
+        g = random_dag(rng, 14, 0.3)
+        c = down_coloring(g)
+        assert find_down_violation(g, merged(c, 1, c.k)) == triple

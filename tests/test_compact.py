@@ -16,7 +16,7 @@ from downcolor import (
     transitive_closure,
     verify_ac_property,
 )
-from conftest import random_dag
+from conftest import brute_ac_ok, random_dag
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 WITNESS = Coloring({"g1": 1, "g2": 3, "g3": 2, "g4": 2, "g5": 3, "g6": 1}, 3,
@@ -100,6 +100,54 @@ def test_json_roundtrip():
 def test_csv_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_compact(text, "csv")
+
+
+@pytest.mark.parametrize("text", [
+    '{"k": 1, "rows": []}',                # rows not an object
+    '{"k": 1, "rows": {"a": 5}}',          # row not a list
+    '{"k": 2, "rows": {"a": "ab"}}',       # row a string
+    '{"k": 1, "rows": {"a": [3]}}',        # cell neither string nor null
+])
+def test_json_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        parse_compact(text, "json")
+
+
+def mutate(rng, m, labels):
+    """One random edit of a table: swap two cells of a row, move a cell
+    to another column, write a foreign or other-vertex label, or drop a
+    row."""
+    rows = dict(m.rows)
+    lab = rng.choice(m.labels)
+    cells = list(rows[lab])
+    kind = rng.choice(("swap", "move", "foreign", "drop"))
+    if kind == "drop":
+        del rows[lab]
+        return CompactMatrix(m.k, tuple(sorted(rows)), rows)
+    i, j = rng.randrange(m.k), rng.randrange(m.k)
+    if kind == "swap":
+        cells[i], cells[j] = cells[j], cells[i]
+    elif kind == "move":
+        cells[i], cells[j] = None, cells[i]
+    else:
+        cells[i] = rng.choice(["zz"] + list(labels))
+    rows[lab] = tuple(cells)
+    return CompactMatrix(m.k, m.labels, rows)
+
+
+def test_verify_ac_property_matches_brute_oracle_on_mutations():
+    rng = random.Random(97)
+    verdicts = set()
+    for _ in range(400):
+        g = random_dag(rng, rng.randint(1, 10), rng.choice([0.2, 0.4, 0.7]))
+        m = build_compact(g, down_coloring(g))
+        for _ in range(rng.randint(1, 3)):
+            if m.labels and m.k:
+                m = mutate(rng, m, g.labels)
+        ok = verify_ac_property(m, g).ok
+        assert ok == brute_ac_ok(m, g)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 def test_compact_matrix_validation():
