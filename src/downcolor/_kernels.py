@@ -2,15 +2,18 @@
 
 Three kernels carry most of the work on large digraphs: packed-bitset
 reachability closure, clique union (the one conflict-graph builder), and
-greedy sequential coloring over a CSR adjacency.  Each has a numba
-``@njit`` build and an equivalent pure-numpy build.  The active backend
-is chosen at import time from the ``DOWNCOLOR_NUMBA`` environment
-variable (``0``/``false`` forces the numpy path) and can be switched at
-runtime with :func:`set_backend`.
+greedy sequential coloring over a CSR adjacency.  The closure and the
+coloring have a numba ``@njit`` build and an equivalent pure-numpy
+build; the clique union is numpy only.  The active backend is chosen at
+import time from the ``DOWNCOLOR_NUMBA`` environment variable
+(``0``/``false`` forces the numpy path) and can be switched at runtime
+with :func:`set_backend`.
 
-Vertex ``u`` maps to bit ``u & 63`` of word ``u >> 6``.  The numpy path
-decodes bit positions through a ``uint8`` view, which assumes a
-little-endian host.
+Vertex ``u`` maps to bit ``u & 63`` of word ``u >> 6``.  Bitsets stay
+inside this module and ``digraph``: :func:`rows_csr` decodes a whole
+bitset matrix at once into sorted CSR rows, which is the form every
+other module reads.  The decode goes through a ``uint8`` view, which
+assumes a little-endian host.
 """
 
 from __future__ import annotations
@@ -56,14 +59,6 @@ def set_backend(name: str) -> None:
 
 def words_for(n: int) -> int:
     return (n + 63) >> 6
-
-
-def row_ids(row: np.ndarray) -> np.ndarray:
-    """Decode one bitset row into the sorted array of set bit positions."""
-    if row.size == 0:
-        return np.empty(0, dtype=np.int64)
-    flat = np.unpackbits(row.view(np.uint8), bitorder="little")
-    return np.nonzero(flat)[0].astype(np.int64)
 
 
 def popcounts(bits: np.ndarray) -> np.ndarray:
@@ -119,14 +114,19 @@ def closure_bits(n: int, indptr: np.ndarray, indices: np.ndarray,
     return _closure_np(n, indptr, indices, order)
 
 
-# ----------------------------------------------------------- clique union
+# --------------------------------------------------------- bitsets <-> CSR
 
 def rows_csr(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decode bitset rows into CSR: row ``i`` lists its set bit positions,
-    ascending, in ``indices[indptr[i]:indptr[i + 1]]``."""
-    rows = [row_ids(r) for r in bits]
-    indptr = np.cumsum([0] + [r.size for r in rows], dtype=np.int64)
-    return indptr, np.concatenate([np.empty(0, dtype=np.int64), *rows])
+    ascending, in ``indices[indptr[i]:indptr[i + 1]]``.  Only the nonzero
+    words are unpacked."""
+    row, word = np.nonzero(bits)
+    flags = np.unpackbits(bits[row, word].view(np.uint8).reshape(-1, 8),
+                          axis=1, bitorder="little")
+    hit, bit = np.nonzero(flags)
+    indptr = np.zeros(bits.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row[hit], minlength=bits.shape[0]), out=indptr[1:])
+    return indptr, (word[hit] << 6) + bit
 
 
 def pack_rows(n: int, sets) -> np.ndarray:
@@ -147,43 +147,22 @@ def csr_edges(indptr: np.ndarray, indices: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(src[up].tolist(), indices[up].tolist()))
 
 
-def _clique_union_np(n, members):
+# ----------------------------------------------------------- clique union
+
+def _clique_union(n, members):
     adj = np.zeros((n, members.shape[1]), dtype=np.uint64)
-    for row in members:
-        adj[row_ids(row)] |= row
-    ids = np.arange(n, dtype=np.uint64)
-    adj[np.arange(n), ids >> np.uint64(6)] &= ~(np.uint64(1) << (ids & np.uint64(63)))
+    indptr, ids = rows_csr(members)
+    for i, row in enumerate(members):
+        adj[ids[indptr[i]:indptr[i + 1]]] |= row
+    diag = np.arange(n, dtype=np.uint64)
+    adj[np.arange(n), diag >> np.uint64(6)] &= ~(np.uint64(1) << (diag & np.uint64(63)))
     return adj
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _clique_union_nb(bits, rows):  # pragma: no cover - compiled
-        n, W = bits.shape
-        adj = np.zeros((n, W), dtype=np.uint64)
-        one = np.uint64(1)
-        for ri in range(rows.shape[0]):
-            r = rows[ri]
-            for w in range(W):
-                word = bits[r, w]
-                if word == np.uint64(0):
-                    continue
-                base = w << 6
-                for b in range(64):
-                    if (word >> np.uint64(b)) & one:
-                        u = base + b
-                        for w2 in range(W):
-                            adj[u, w2] |= bits[r, w2]
-        for u in range(n):
-            adj[u, u >> 6] &= ~(one << np.uint64(u & 63))
-        return adj
-
-
-def clique_union_csr(n: int, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def clique_union_csr(n: int, cliques) -> tuple[np.ndarray, np.ndarray]:
     """Sorted symmetric CSR adjacency, without self-loops, of the union of
-    cliques on ``n`` ids; each row of ``members`` packs one clique."""
-    return rows_csr(_clique_union_np(n, members))
+    cliques on ``n`` ids; each entry of ``cliques`` lists one clique's ids."""
+    return rows_csr(_clique_union(n, pack_rows(n, cliques)))
 
 
 def clique_union_bits(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -192,12 +171,7 @@ def clique_union_bits(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
     Each entry of ``rows`` selects a bitset row of ``bits``; the vertices
     set in that row become pairwise adjacent.  The diagonal is cleared.
     """
-    n = bits.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.uint64)
-    if _BACKEND == "numba":
-        return _clique_union_nb(bits, rows.astype(np.int64))
-    return _clique_union_np(n, bits[rows])
+    return _clique_union(bits.shape[0], bits[rows])
 
 
 # --------------------------------------------------------- greedy coloring

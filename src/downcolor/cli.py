@@ -3,14 +3,12 @@
 Exit codes: 0 success, 1 invalid input, 2 verification failure,
 3 exact-solver cap or budget exceeded.  Results go to stdout (or the
 ``-o`` file) and are byte-stable for fixed inputs; diagnostics go to
-stderr.  The ``DOWNCOLOR_EXACT_CAP`` environment variable overrides the
-exact solver's vertex cap when ``--cap`` is not given.
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import compact as compact_mod
@@ -46,18 +44,6 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _exact_cap(args) -> int | None:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    env = os.environ.get("DOWNCOLOR_EXACT_CAP", "").strip()
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"DOWNCOLOR_EXACT_CAP must be an integer, got {env!r}")
-    return None
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -88,11 +74,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_color(args) -> int:
     text = _read(args.graph)
-    cap = _exact_cap(args)
     if args.strong:
         h = parse_hypergraph(text)
         if args.exact:
-            res = exact_strong_chromatic(h, cap=cap, budget=args.budget)
+            res = exact_strong_chromatic(h, cap=args.cap, budget=args.budget)
             if not res.exact:
                 print(f"budget exhausted: {res.lower} <= chi_s <= {res.k}; "
                       "emitting the incumbent coloring", file=sys.stderr)
@@ -105,7 +90,7 @@ def cmd_color(args) -> int:
         g = parse_digraph(text)
         mode = "exact" if args.exact else "greedy"
         try:
-            col = down_coloring(g, mode, cap=cap, budget=args.budget)
+            col = down_coloring(g, mode, cap=args.cap, budget=args.budget)
         except CapExceededError as exc:
             if exc.partial is None:
                 raise

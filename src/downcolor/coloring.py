@@ -105,7 +105,7 @@ def greedy_strong_coloring(h: Hypergraph) -> Coloring:
     """Strong coloring via the clique graph; k <= its degeneracy + 1."""
     if h.n == 0:
         return Coloring({}, 0, "greedy")
-    adj = _kernels.clique_union_csr(h.n, _kernels.pack_rows(h.n, h.edges))
+    adj = _kernels.clique_union_csr(h.n, h.edges)
     arr = _greedy_colors(h.n, *adj)
     return Coloring({h.label_of(u): int(arr[u]) for u in range(h.n)},
                     int(arr.max()), "greedy")
@@ -243,10 +243,10 @@ def exact_strong_chromatic(h: Hypergraph, cap: int | None = None,
 def _extend_to_maximal(g: Digraph, colors: dict[str, int]) -> dict[str, int]:
     # ascending label order; each maximal vertex conflicts exactly with
     # its open down-set, no two maximal vertices ever share a down-set
-    bits = g._closure_bits()
+    indptr, ids = g._down_sets()
     for w in sorted(max_vertices(g), key=g.label_of):
-        used = {colors[g.label_of(int(v))] for v in _kernels.row_ids(bits[w])
-                if v != w}
+        used = {colors[g.label_of(v)]
+                for v in ids[indptr[w]:indptr[w + 1]].tolist() if v != w}
         c = 1
         while c in used:
             c += 1
@@ -297,14 +297,16 @@ def _check_total(g: Digraph, c: Coloring) -> None:
 
 def find_down_violation(g: Digraph, c: Coloring) -> tuple[str, str, str] | None:
     """Smallest same-colored id pair inside a closed down-set, with the
-    smallest-id maximal witness whose closure row holds both, or None when
-    every maximal vertex's closure row is rainbow (a valid down-coloring)."""
+    smallest-id maximal witness whose down-set holds both, or None when
+    every maximal vertex's down-set is rainbow (a valid down-coloring)."""
     _check_total(g, c)
-    bits = g._closure_bits()
-    maxes = np.fromiter(sorted(max_vertices(g)), dtype=np.int64)
-    indptr, ids = _kernels.rows_csr(bits[maxes])
+    indptr, ids = g._down_sets()
+    top = np.zeros(g.n, dtype=bool)
+    top[list(max_vertices(g))] = True
+    row = np.repeat(np.arange(g.n), np.diff(indptr))  # the vertex id
+    keep = top[row]
+    row, ids = row[keep], ids[keep]
     color = np.array([c.colors[lab] for lab in g.labels], dtype=np.int64)[ids]
-    row = np.repeat(np.arange(maxes.size), np.diff(indptr))
     order = np.lexsort((ids, color, row))
     row, color, ids = row[order], color[order], ids[order]
     # within a (row, color) run, consecutive ids include the run's
@@ -314,7 +316,7 @@ def find_down_violation(g: Digraph, c: Coloring) -> tuple[str, str, str] | None:
         return None
     # stable: among equal pairs the first clash sits in the smallest row
     i = clash[np.lexsort((ids[clash + 1], ids[clash]))[0]]
-    return tuple(g.label_of(int(x)) for x in (ids[i], ids[i + 1], maxes[row[i]]))
+    return tuple(g.label_of(int(x)) for x in (ids[i], ids[i + 1], row[i]))
 
 
 def verify_down_coloring(g: Digraph, c: Coloring) -> bool:

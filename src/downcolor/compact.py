@@ -3,7 +3,9 @@
 Cell ``(u, c)`` holds the unique member of ``D[u]`` colored ``c``, when
 a valid down-coloring backs the table.  The full transitive closure is
 recoverable from the non-empty cells, at n*k cells instead of n^2.
-Building runs the one validity check, ``find_down_violation``.
+Building runs the one validity check, ``find_down_violation``, then
+scatters the digraph's cached down-set rows into an n-by-k id array and
+attaches labels once at the end; the AC check reads the same rows.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import io
 import json
 from dataclasses import dataclass
 
-from . import _kernels
+import numpy as np
+
 from .coloring import Coloring, find_down_violation
 from .digraph import Digraph
 from .errors import ColoringError
@@ -46,16 +49,13 @@ def build_compact(g: Digraph, c: Coloring) -> CompactMatrix:
         raise ColoringError(
             f"not a down-coloring: {u} and {v} share a color inside the "
             f"closed down-set of {w}", witness=violation)
-    bits = g._closure_bits()
+    indptr, ids = g._down_sets()
+    color = np.array([c.colors[lab] for lab in g.labels], dtype=np.int64)
+    cells = np.full((g.n, c.k), -1, dtype=np.int64)  # -1: empty cell
+    cells[np.repeat(np.arange(g.n), np.diff(indptr)), color[ids] - 1] = ids
+    table = np.array(g.labels + (None,), dtype=object)[cells]
     labels = tuple(sorted(g.labels))
-    rows: dict[str, tuple[str | None, ...]] = {}
-    for lab in labels:
-        u = g.id_of(lab)
-        cells: list[str | None] = [None] * c.k
-        for v in _kernels.row_ids(bits[u]):
-            member = g.label_of(int(v))
-            cells[c.colors[member] - 1] = member
-        rows[lab] = tuple(cells)
+    rows = {lab: tuple(table[g.id_of(lab)].tolist()) for lab in labels}
     return CompactMatrix(c.k, labels, rows)
 
 
@@ -94,10 +94,10 @@ def verify_ac_property(m: CompactMatrix, g: Digraph) -> AcCheck:
 
     if set(m.labels) != set(g.labels):
         return AcCheck(False, 2, "row labels differ from the digraph's vertices")
-    bits = g._closure_bits()
+    indptr, ids = g._down_sets()
     for lab in m.labels:
         u = g.id_of(lab)
-        want = {g.label_of(int(v)) for v in _kernels.row_ids(bits[u])}
+        want = {g.label_of(v) for v in ids[indptr[u]:indptr[u + 1]].tolist()}
         got = {cell for cell in m.rows[lab] if cell is not None}
         if got != want:
             extra = sorted(got - want)

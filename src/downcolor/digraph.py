@@ -6,12 +6,16 @@ reachable from it; the open down-set ``D(u)`` drops ``u`` itself.
 Vertices carry string labels and dense integer ids (0..n-1, in label
 registration order); the library works on ids internally and uses labels
 at every textual boundary.
+
+Each acyclic ``Digraph`` caches its closed down-sets once, as sorted CSR
+rows (:meth:`Digraph._down_sets`); every stage of the pipeline reads
+those rows.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,11 +36,20 @@ def _check_labels(labels: tuple[str, ...]) -> dict[str, int]:
     return index
 
 
+def _tuples_csr(rows: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays of a sequence of sorted id tuples."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    indices = np.fromiter((v for r in rows for v in r), dtype=np.int64,
+                          count=int(indptr[-1]))
+    return indptr, indices
+
+
 class Digraph:
     """Immutable digraph; edges run ancestor -> descendant."""
 
     __slots__ = ("_labels", "_index", "_children", "_parents", "_m",
-                 "_topo", "_closure", "_csr")
+                 "_topo", "_down", "_csr")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[int, int]]):
         self._labels = tuple(labels)
@@ -60,7 +73,7 @@ class Digraph:
         self._parents = tuple(tuple(sorted(p)) for p in parents)
         self._m = len(seen)
         self._topo: tuple[int, ...] | None = None
-        self._closure: np.ndarray | None = None
+        self._down: tuple[np.ndarray, np.ndarray] | None = None
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
@@ -132,13 +145,7 @@ class Digraph:
 
     def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if self._csr is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            for u in range(self.n):
-                indptr[u + 1] = indptr[u] + len(self._children[u])
-            indices = np.fromiter(
-                (v for u in range(self.n) for v in self._children[u]),
-                dtype=np.int64, count=self._m)
-            self._csr = (indptr, indices)
+            self._csr = _tuples_csr(self._children)
         return self._csr
 
     def topological_order(self) -> tuple[int, ...]:
@@ -175,13 +182,15 @@ class Digraph:
             pos[p] = len(path)
             path.append(p)
 
-    def _closure_bits(self) -> np.ndarray:
-        """Closed down-set bitsets for all vertices (acyclic input only)."""
-        if self._closure is None:
+    def _down_sets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Closed down-sets as CSR ``(indptr, ids)``: ``D[u]`` is
+        ``ids[indptr[u]:indptr[u + 1]]``, ascending (acyclic input only).
+        The bitset closure they are decoded from is not kept."""
+        if self._down is None:
             order = np.array(self.topological_order()[::-1], dtype=np.int64)
-            indptr, indices = self._csr_arrays()
-            self._closure = _kernels.closure_bits(self.n, indptr, indices, order)
-        return self._closure
+            self._down = _kernels.rows_csr(
+                _kernels.closure_bits(self.n, *self._csr_arrays(), order))
+        return self._down
 
 
 class UndirectedGraph:
@@ -273,13 +282,7 @@ class UndirectedGraph:
 
     def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if self._csr is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            for u in range(self.n):
-                indptr[u + 1] = indptr[u] + len(self._adj[u])
-            indices = np.fromiter(
-                (v for u in range(self.n) for v in self._adj[u]),
-                dtype=np.int64, count=2 * self.edge_count)
-            self._csr = (indptr, indices)
+            self._csr = _tuples_csr(self._adj)
         return self._csr
 
     def __eq__(self, other) -> bool:
@@ -353,10 +356,10 @@ def is_acyclic(g: Digraph) -> bool:
 
 def down_set(g: Digraph, u: int, closed: bool = True) -> frozenset[int]:
     """Vertices reachable from ``u``; ``closed`` keeps ``u`` itself."""
-    g.topological_order()  # acyclicity gate
+    indptr, ids = g._down_sets()  # acyclicity gate
     if not 0 <= u < g.n:
         raise ValueError(f"vertex id {u} out of range")
-    return frozenset(int(v) for v in _kernels.row_ids(g._closure_bits()[u])
+    return frozenset(v for v in ids[indptr[u]:indptr[u + 1]].tolist()
                      if closed or v != u)
 
 
@@ -370,7 +373,7 @@ def big_d(g: Digraph) -> int:
     """Largest closed down-set size; 0 on the empty digraph."""
     if g.n == 0:
         return 0
-    return int(_kernels.popcounts(g._closure_bits()).max())
+    return int(np.diff(g._down_sets()[0]).max())
 
 
 # ------------------------------------------------------- transformations
@@ -449,30 +452,27 @@ def condense_to_acyclic(g: Digraph) -> Digraph:
     return Digraph(g.labels, sorted(edges))
 
 
+def _below(g: Digraph, tops: Iterable[int]) -> Digraph:
+    """``g``'s vertices with an edge from each of ``tops`` to every vertex
+    strictly below it."""
+    indptr, ids = g._down_sets()
+    return Digraph(g.labels, [(u, v) for u in sorted(tops)
+                              for v in ids[indptr[u]:indptr[u + 1]].tolist()
+                              if v != u])
+
+
 def height_two_reduction(g: Digraph) -> Digraph:
     """Rewire every maximal vertex directly onto its open down-set.
 
     The result has the same vertex set and the same down-graph, with all
     ancestor chains flattened to height two.
     """
-    bits = g._closure_bits()
-    edges: list[tuple[int, int]] = []
-    for u in sorted(max_vertices(g)):
-        for v in _kernels.row_ids(bits[u]):
-            if int(v) != u:
-                edges.append((u, int(v)))
-    return Digraph(g.labels, edges)
+    return _below(g, max_vertices(g))
 
 
 def transitive_closure(g: Digraph) -> Digraph:
     """Edge (u, v) for every v strictly below u."""
-    bits = g._closure_bits()
-    edges: list[tuple[int, int]] = []
-    for u in range(g.n):
-        for v in _kernels.row_ids(bits[u]):
-            if int(v) != u:
-                edges.append((u, int(v)))
-    return Digraph(g.labels, edges)
+    return _below(g, range(g.n))
 
 
 def down_graph(g: Digraph) -> UndirectedGraph:
@@ -481,6 +481,7 @@ def down_graph(g: Digraph) -> UndirectedGraph:
     Only maximal vertices need scanning, since every closed down-set is
     contained in a maximal one.
     """
-    rows = np.fromiter(sorted(max_vertices(g)), dtype=np.int64)
-    adj = _kernels.clique_union_csr(g.n, g._closure_bits()[rows])
+    indptr, ids = g._down_sets()
+    adj = _kernels.clique_union_csr(g.n, [ids[indptr[w]:indptr[w + 1]]
+                                          for w in sorted(max_vertices(g))])
     return UndirectedGraph(g.labels, _kernels.csr_edges(*adj))

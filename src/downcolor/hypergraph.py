@@ -182,23 +182,16 @@ def down_hypergraph(g: Digraph, closed: bool = False,
     down-sets.  Empty down-sets are never kept; ``simplify`` additionally
     merges duplicates and drops singletons.
     """
-    bits = g._closure_bits()
-    maxes = sorted(max_vertices(g))
-    if closed:
-        labels = g.labels
-        remap = {u: u for u in range(g.n)}
-    else:
-        keep = [u for u in range(g.n) if g.parents(u)]
-        labels = tuple(g.label_of(u) for u in keep)
-        remap = {u: i for i, u in enumerate(keep)}
+    indptr, ids = g._down_sets()
+    keep = [u for u in range(g.n) if closed or g.parents(u)]
+    remap = dict(zip(keep, range(len(keep))))
     edges: list[tuple[int, ...]] = []
-    for w in maxes:
-        members = [int(v) for v in _kernels.row_ids(bits[w])]
-        if not closed:
-            members.remove(w)
+    for w in sorted(max_vertices(g)):
+        members = tuple(remap[v] for v in ids[indptr[w]:indptr[w + 1]].tolist()
+                        if closed or v != w)
         if members:
-            edges.append(tuple(remap[v] for v in members))
-    h = Hypergraph(labels, edges, simple=None)
+            edges.append(members)
+    h = Hypergraph(tuple(g.label_of(u) for u in keep), edges, simple=None)
     return h.simplify() if simplify else h
 
 
@@ -217,7 +210,7 @@ def up_digraph(h: Hypergraph) -> Digraph:
 
 def clique_graph(h: Hypergraph) -> UndirectedGraph:
     """Graph joining every two vertices that share a hyperedge."""
-    adj = _kernels.clique_union_csr(h.n, _kernels.pack_rows(h.n, h.edges))
+    adj = _kernels.clique_union_csr(h.n, h.edges)
     return UndirectedGraph(h.labels, _kernels.csr_edges(*adj))
 
 
@@ -228,7 +221,7 @@ def intersection_graph(h: Hypergraph) -> UndirectedGraph:
     for ei, e in enumerate(h.edges):
         for u in e:
             byv[u].append(ei)
-    adj = _kernels.clique_union_csr(h.m, _kernels.pack_rows(h.m, byv))
+    adj = _kernels.clique_union_csr(h.m, byv)
     return UndirectedGraph(labels, _kernels.csr_edges(*adj))
 
 

@@ -99,15 +99,10 @@ def test_compact_rejects_non_down_coloring(six, tmp_path, capsys):
     assert main(["compact", six, "--coloring", str(bad)]) == 2
 
 
-def test_exact_cap_exit_code(tmp_path, capsys, monkeypatch):
+def test_exact_cap_exit_code(tmp_path):
     p = tmp_path / "two.txt"
     p.write_text(SIX + SIX.replace("g", "h"))
     assert main(["color", "--exact", str(p), "--cap", "3"]) == 3
-    capsys.readouterr()
-    monkeypatch.setenv("DOWNCOLOR_EXACT_CAP", "3")
-    assert main(["color", "--exact", str(p)]) == 3
-    monkeypatch.setenv("DOWNCOLOR_EXACT_CAP", "abc")
-    assert main(["color", "--exact", str(p)]) == 1
 
 
 def test_exact_budget_emits_incumbent(tmp_path, capsys):

@@ -12,6 +12,7 @@ from downcolor import (
     UndirectedGraph,
     bound_report,
     big_d,
+    build_compact,
     coloring_from_json,
     coloring_to_json,
     down_coloring,
@@ -23,6 +24,7 @@ from downcolor import (
     greedy_strong_coloring,
     degeneracy,
     parse_digraph,
+    serialize,
     verify_down_coloring,
 )
 from conftest import (brute_chromatic, brute_violation, hierarchy, layered_dag,
@@ -293,6 +295,12 @@ SCALE_GRAPHS = {
     "hierarchy": lambda: hierarchy(random.Random(5), 1500),
 }
 
+# sha256 of serialize(build_compact(g, c), "csv") for the pinned colorings
+SCALE_CSV_DIGESTS = {
+    "layered": "d904225ce564d38f6101d68c2fd7656928796e3fcee2d159e475876112159550",
+    "hierarchy": "1661be62c6cb34f6b62418c3e07755da002ac720af8b10e57565a973d9dab013",
+}
+
 
 @pytest.mark.parametrize("name, k, digest, fold_low, fold_high", [
     ("layered", 273,
@@ -307,6 +315,8 @@ def test_pipeline_scale_outputs_pinned(name, k, digest, fold_low, fold_high):
     c = down_coloring(g)
     assert c.k == k
     assert hashlib.sha256(coloring_to_json(c).encode()).hexdigest() == digest
+    csv = serialize(build_compact(g, c), "csv")
+    assert hashlib.sha256(csv.encode()).hexdigest() == SCALE_CSV_DIGESTS[name]
     assert find_down_violation(g, c) is None
     assert find_down_violation(g, merged(c, 1, 2)) == fold_low
     assert find_down_violation(g, merged(c, 3, c.k)) == fold_high

@@ -84,8 +84,12 @@ def test_down_sets_against_reachability():
     for _ in range(40):
         g = random_dag(rng, rng.randint(1, 12), 0.35)
         reach = reach_closed(g)
+        indptr, ids = g._down_sets()
         for u in g.labels:
             uid = g.id_of(u)
+            row = ids[indptr[uid]:indptr[uid + 1]].tolist()
+            assert row == sorted(row)
+            assert {g.label_of(v) for v in row} == set(reach[u])
             closed = {g.label_of(v) for v in down_set(g, uid)}
             assert closed == set(reach[u])
             opened = {g.label_of(v) for v in down_set(g, uid, closed=False)}

@@ -10,7 +10,7 @@ from downcolor._kernels import (
     get_backend,
     greedy_color,
     popcounts,
-    row_ids,
+    rows_csr,
     set_backend,
     words_for,
 )
@@ -47,6 +47,11 @@ def random_dag_csr(rng, n, p):
     return indptr, indices, order, adj
 
 
+def bit_ids(row):
+    """Reference decode of one bitset row: its set bit positions, ascending."""
+    return np.nonzero(np.unpackbits(row.view(np.uint8), bitorder="little"))[0].tolist()
+
+
 def reach_sets(n, adj):
     out = []
     for u in range(n):
@@ -65,15 +70,19 @@ def test_words_for():
     assert [words_for(k) for k in (0, 1, 63, 64, 65, 128)] == [0, 1, 1, 1, 2, 2]
 
 
-def test_row_ids_and_popcounts():
+def test_rows_csr_and_popcounts():
     rng = random.Random(5)
-    for n in (1, 7, 64, 200):
-        members = sorted(rng.sample(range(n), rng.randint(0, n)))
-        row = np.zeros(words_for(n), dtype=np.uint64)
-        for v in members:
-            row[v >> 6] |= np.uint64(1) << np.uint64(v & 63)
-        assert row_ids(row).tolist() == members
-        assert popcounts(row[None, :]).tolist() == [len(members)]
+    for n in (0, 1, 63, 64, 65, 200):
+        bits = np.zeros((n, words_for(n)), dtype=np.uint64)
+        for u in range(n):
+            if u % 3:  # every third row stays all-zero
+                for v in rng.sample(range(n), rng.randint(0, n)):
+                    bits[u, v >> 6] |= np.uint64(1) << np.uint64(v & 63)
+        indptr, ids = rows_csr(bits)
+        assert indptr.tolist()[0] == 0 and indptr.size == n + 1
+        assert [ids[indptr[u]:indptr[u + 1]].tolist() for u in range(n)] == \
+            [bit_ids(bits[u]) for u in range(n)]
+        assert np.diff(indptr).tolist() == popcounts(bits).tolist()
 
 
 def test_closure_matches_reachability():
@@ -84,7 +93,7 @@ def test_closure_matches_reachability():
         bits = closure_bits(n, indptr, indices, order)
         want = reach_sets(n, adj)
         for u in range(n):
-            assert set(row_ids(bits[u]).tolist()) == want[u]
+            assert set(bit_ids(bits[u])) == want[u]
 
 
 def test_clique_union_matches_pair_oracle():
@@ -99,14 +108,14 @@ def test_clique_union_matches_pair_oracle():
         out = clique_union_bits(bits, maxes)
         want = {frozenset((a, b))
                 for w in maxes.tolist()
-                for a in row_ids(bits[w]).tolist()
-                for b in row_ids(bits[w]).tolist() if a != b}
+                for a in bit_ids(bits[w])
+                for b in bit_ids(bits[w]) if a != b}
         got = {frozenset((u, v))
-               for u in range(n) for v in row_ids(out[u]).tolist()}
+               for u in range(n) for v in bit_ids(out[u])}
         assert got == want
         # diagonal stays clear
         for u in range(n):
-            assert u not in row_ids(out[u]).tolist()
+            assert u not in bit_ids(out[u])
 
 
 def test_greedy_color_first_fit():
@@ -140,16 +149,12 @@ def test_backends_agree(restore_backend):
     for _ in range(10):
         n = rng.randint(1, 120)
         indptr, indices, order, adj = random_dag_csr(rng, n, 0.1)
-        maxes = np.asarray(
-            sorted(set(range(n)) - {v for vs in adj.values() for v in vs}),
-            dtype=np.int64)
         results = {}
         for backend in ("numpy", "numba"):
             set_backend(backend)
             bits = closure_bits(n, indptr, indices, order)
-            out = clique_union_bits(bits, maxes)
             cols = greedy_color(order, indptr, indices)
-            results[backend] = (bits, out, cols)
+            results[backend] = (bits, cols)
         for a, b in zip(results["numpy"], results["numba"]):
             assert np.array_equal(a, b)
 
