@@ -8,10 +8,15 @@ strongly, then hand each maximal vertex the smallest color missing from
 its open down-set.
 
 The exact solver is a DSATUR-style branch and bound over the clique
-graph, seeded with a greedy upper bound and a greedily grown clique.  It
-refuses graphs above a vertex cap (default 30) and can be given a node
-budget; a budget-exhausted search reports its bracketing bounds instead
-of failing.
+graph, seeded with a greedy upper bound and a greedily grown clique.  The
+search is iterative, with an explicit stack, so its depth is not bound by
+Python's recursion limit.  Vertices are renumbered by degree (descending,
+then id) and the uncolored ones are kept as Python-int bitmasks, one per
+saturation level and one per color they already see: the next vertex is
+the lowest bit of the highest non-empty level, and coloring a vertex
+lifts all its affected neighbors with a few mask operations.  It refuses
+graphs above a vertex cap (default 30) and can be given a node budget; a
+budget-exhausted search reports its bracketing bounds instead of failing.
 """
 
 from __future__ import annotations
@@ -135,6 +140,113 @@ def _greedy_clique(n: int, adj: list[int]) -> list[int]:
     return best
 
 
+def _dsatur(adj: list[int], clique: list[int], best_k: int,
+            budget: int | None) -> tuple[list[int] | None, bool]:
+    """DSATUR branch and bound for a coloring with fewer than ``best_k``
+    colors, with ``clique`` precolored 1, 2, ...
+
+    Returns the best coloring found by id (None if none beats ``best_k``)
+    and whether the search ran to completion within ``budget`` nodes.
+    """
+    n = len(adj)
+    # rank space: by degree descending, then id, so the lowest set bit of
+    # any mask is DSATUR's tie-break winner
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
+    radj = [0] * n
+    for v in range(n):
+        m, x = adj[v], 0
+        while m:
+            low = m & -m
+            x |= 1 << rank[low.bit_length() - 1]
+            m ^= low
+        radj[rank[v]] = x
+
+    # col[c]: uncolored vertices that see color c; level[s]: uncolored
+    # vertices of saturation s.  Colors stay below best_k, and so do
+    # saturations.
+    col = [0] * best_k
+    level = [0] * best_k
+    colors = [0] * n
+    uncol = (1 << n) - 1
+    for i, v in enumerate(clique):
+        colors[rank[v]] = i + 1
+        uncol ^= 1 << rank[v]
+    level[0] = uncol
+    for i, v in enumerate(clique):
+        touched = radj[rank[v]] & uncol & ~col[i + 1]
+        col[i + 1] |= touched
+        for s in range(i, -1, -1):
+            moved = level[s] & touched
+            level[s] ^= moved
+            level[s + 1] |= moved
+
+    best = None
+    nodes = 0
+    exact = True
+    k_cur = len(clique)
+    # one frame per open node: pick bit and rank, its level, the node's
+    # color count, next color to try, and the stamp of the child being
+    # searched (touched mask, level moves)
+    stack: list[list] = []
+    while True:
+        # enter the node the last stamp made (the root first)
+        if not uncol:
+            best_k, best = k_cur, colors[:]
+        else:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                exact = False
+                break
+            s = k_cur
+            while not level[s]:
+                s -= 1
+            m = level[s]
+            bit = m & -m
+            level[s] = m ^ bit
+            uncol ^= bit
+            stack.append([bit, bit.bit_length() - 1, s, k_cur, 1, 0, ()])
+        # undo the deepest open node's last child and stamp its next one
+        while stack:
+            frame = stack[-1]
+            bit, r, s, k0, c, touched, moves = frame
+            col[c - 1] ^= touched
+            for t, moved in moves:
+                level[t + 1] ^= moved
+                level[t] |= moved
+            # colors above k0 + 1 only permute the new one, and a child
+            # with best_k colors or more cannot improve on the incumbent
+            last = min(k0 + 1, best_k - 1) if k0 < best_k else 0
+            while c <= last and col[c] & bit:
+                c += 1
+            if c > last:
+                stack.pop()
+                level[s] |= bit
+                uncol |= bit
+                continue
+            k_cur = k0 if k0 > c else c
+            touched = radj[r] & uncol & ~col[c]
+            col[c] |= touched
+            moves = []
+            rest, t = touched, k_cur - 1
+            while rest:
+                moved = level[t] & rest
+                if moved:
+                    level[t] ^= moved
+                    level[t + 1] |= moved
+                    rest ^= moved
+                    moves.append((t, moved))
+                t -= 1
+            colors[r] = c
+            frame[4:] = c + 1, touched, moves
+            break
+        else:
+            break
+    return (None if best is None else [best[rank[v]] for v in range(n)]), exact
+
+
 def exact_chromatic(g: UndirectedGraph, cap: int | None = None,
                     budget: int | None = None) -> ExactResult:
     """Exact chromatic number by DSATUR branch and bound.
@@ -157,7 +269,6 @@ def exact_chromatic(g: UndirectedGraph, cap: int | None = None,
     for a, b in g.edges():
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    deg = [adj[v].bit_count() for v in range(n)]
 
     ub_arr = _greedy_colors(n, *g._csr_arrays())
     best_k = int(ub_arr.max())
@@ -167,65 +278,9 @@ def exact_chromatic(g: UndirectedGraph, cap: int | None = None,
 
     exact = True
     if lb < best_k:
-        colors = [0] * n
-        sat = [0] * n
-        nodes = 0
-        aborted = False
-
-        def stamp(v: int, c: int) -> list[int]:
-            colors[v] = c
-            bit = 1 << (c - 1)
-            touched = []
-            m = adj[v]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                if colors[w] == 0 and not sat[w] & bit:
-                    sat[w] |= bit
-                    touched.append(w)
-            return touched
-
-        def unstamp(v: int, c: int, touched: list[int]) -> None:
-            bit = ~(1 << (c - 1))
-            for w in touched:
-                sat[w] &= bit
-            colors[v] = 0
-
-        k_seed = 0
-        for i, v in enumerate(clique):
-            stamp(v, i + 1)
-            k_seed = i + 1
-
-        def dfs(done: int, k_cur: int) -> None:
-            nonlocal best_k, best, nodes, aborted
-            if aborted or k_cur >= best_k:
-                return
-            if done == n:
-                best_k = k_cur
-                best = colors[:]
-                return
-            nodes += 1
-            if budget is not None and nodes > budget:
-                aborted = True
-                return
-            pick, key = -1, (-1, -1, 0)
-            for v in range(n):
-                if colors[v] == 0:
-                    kv = (sat[v].bit_count(), deg[v], -v)
-                    if kv > key:
-                        pick, key = v, kv
-            top = min(k_cur + 1, best_k - 1)
-            for c in range(1, top + 1):
-                if sat[pick] & (1 << (c - 1)):
-                    continue
-                touched = stamp(pick, c)
-                dfs(done + 1, max(k_cur, c))
-                unstamp(pick, c, touched)
-                if aborted:
-                    return
-
-        dfs(len(clique), k_seed)
-        exact = not aborted
+        found, exact = _dsatur(adj, clique, best_k, budget)
+        if found is not None:
+            best, best_k = found, max(found)
 
     coloring = Coloring({g.label_of(u): best[u] for u in range(n)},
                         best_k, "exact" if exact else "greedy")

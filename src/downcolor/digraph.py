@@ -221,6 +221,22 @@ class UndirectedGraph:
         self._eset = frozenset(eset)
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
+    @classmethod
+    def _from_csr(cls, labels: tuple[str, ...], indptr: np.ndarray,
+                  indices: np.ndarray) -> UndirectedGraph:
+        """Graph on already-validated ``labels`` from a sorted, symmetric,
+        loop-free CSR adjacency (as ``clique_union_csr`` returns), taken on
+        trust; the arrays become the graph's cached CSR."""
+        g = cls.__new__(cls)
+        g._labels = labels
+        g._index = {lab: i for i, lab in enumerate(labels)}
+        ptr, ids = indptr.tolist(), indices.tolist()
+        g._adj = tuple(tuple(ids[ptr[u]:ptr[u + 1]]) for u in range(len(labels)))
+        g._edges = tuple(_kernels.csr_edges(indptr, indices))
+        g._eset = frozenset(g._edges)
+        g._csr = (indptr, indices)
+        return g
+
     @property
     def n(self) -> int:
         return len(self._labels)
@@ -484,4 +500,4 @@ def down_graph(g: Digraph) -> UndirectedGraph:
     indptr, ids = g._down_sets()
     adj = _kernels.clique_union_csr(g.n, [ids[indptr[w]:indptr[w + 1]]
                                           for w in sorted(max_vertices(g))])
-    return UndirectedGraph(g.labels, _kernels.csr_edges(*adj))
+    return UndirectedGraph._from_csr(g.labels, *adj)

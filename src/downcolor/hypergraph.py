@@ -211,7 +211,7 @@ def up_digraph(h: Hypergraph) -> Digraph:
 def clique_graph(h: Hypergraph) -> UndirectedGraph:
     """Graph joining every two vertices that share a hyperedge."""
     adj = _kernels.clique_union_csr(h.n, h.edges)
-    return UndirectedGraph(h.labels, _kernels.csr_edges(*adj))
+    return UndirectedGraph._from_csr(h.labels, *adj)
 
 
 def intersection_graph(h: Hypergraph) -> UndirectedGraph:
@@ -222,7 +222,7 @@ def intersection_graph(h: Hypergraph) -> UndirectedGraph:
         for u in e:
             byv[u].append(ei)
     adj = _kernels.clique_union_csr(h.m, byv)
-    return UndirectedGraph(labels, _kernels.csr_edges(*adj))
+    return UndirectedGraph._from_csr(labels, *adj)
 
 
 def induced_subhypergraph(h: Hypergraph, s: Iterable[int]) -> Hypergraph:

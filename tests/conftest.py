@@ -1,7 +1,8 @@
 """Shared corpus generators and brute-force oracles.
 
 Oracles here use plain Python sets and backtracking only, so they share
-no code path with the package internals they check.
+no code path with the package internals they check; ``dsatur_reference``
+shares only the exact solver's greedy seeding, not its search.
 """
 from __future__ import annotations
 
@@ -200,3 +201,75 @@ def brute_ac_ok(m, g: Digraph) -> bool:
                                             for r in reach.values()):
             return False
     return True
+
+
+def dsatur_reference(g, budget: int | None = None) -> tuple[int, int, bool, list[int]]:
+    """The recursive DSATUR branch and bound that ``exact_chromatic`` used
+    before its search became iterative, as ``(k, lower, exact, colors by
+    id)``.  It is seeded exactly as the solver is, with the package's
+    greedy upper bound and greedy clique, so the two must agree on every
+    field, budget stops included.  Recursion depth is one level per vertex:
+    keep ``g`` small."""
+    from downcolor.coloring import _greedy_clique, _greedy_colors
+
+    n = g.n
+    if g.is_complete():
+        return n, n, True, list(range(1, n + 1))
+    adj = [0] * n
+    for a, b in g.edges():
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    deg = [adj[v].bit_count() for v in range(n)]
+    ub = _greedy_colors(n, *g._csr_arrays())
+    best_k, best = int(ub.max()), [int(c) for c in ub]
+    clique = _greedy_clique(n, adj)
+    lb = len(clique)
+    if lb >= best_k:
+        return best_k, best_k, True, best
+
+    colors = [0] * n
+    sat = [0] * n
+    state = {"nodes": 0, "aborted": False, "k": best_k, "best": best}
+
+    def stamp(v: int, c: int) -> list[int]:
+        colors[v] = c
+        bit = 1 << (c - 1)
+        touched = [w for w in range(n)
+                   if adj[v] >> w & 1 and colors[w] == 0 and not sat[w] & bit]
+        for w in touched:
+            sat[w] |= bit
+        return touched
+
+    def unstamp(v: int, c: int, touched: list[int]) -> None:
+        for w in touched:
+            sat[w] &= ~(1 << (c - 1))
+        colors[v] = 0
+
+    for i, v in enumerate(clique):
+        stamp(v, i + 1)
+
+    def dfs(done: int, k_cur: int) -> None:
+        if state["aborted"] or k_cur >= state["k"]:
+            return
+        if done == n:
+            state["k"], state["best"] = k_cur, colors[:]
+            return
+        state["nodes"] += 1
+        if budget is not None and state["nodes"] > budget:
+            state["aborted"] = True
+            return
+        pick = max((v for v in range(n) if colors[v] == 0),
+                   key=lambda v: (sat[v].bit_count(), deg[v], -v))
+        top = min(k_cur + 1, state["k"] - 1)
+        for c in range(1, top + 1):
+            if sat[pick] >> (c - 1) & 1:
+                continue
+            touched = stamp(pick, c)
+            dfs(done + 1, max(k_cur, c))
+            unstamp(pick, c, touched)
+            if state["aborted"]:
+                return
+
+    dfs(lb, lb)
+    exact = not state["aborted"]
+    return state["k"], state["k"] if exact else lb, exact, state["best"]

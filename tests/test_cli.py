@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from downcolor import parse_digraph, is_acyclic
+from downcolor import (Hypergraph, coloring_from_json, format_digraph,
+                       is_acyclic, parse_digraph, up_digraph,
+                       verify_down_coloring)
 from downcolor.cli import main
 from conftest import brute_down_edges
 
@@ -103,6 +105,23 @@ def test_exact_cap_exit_code(tmp_path):
     p = tmp_path / "two.txt"
     p.write_text(SIX + SIX.replace("g", "h"))
     assert main(["color", "--exact", str(p), "--cap", "3"]) == 3
+
+
+def test_exact_long_odd_cycle_has_no_recursion_limit(tmp_path, capsys):
+    # the conflict graph is the 1501-cycle itself: clique bound 2, chi 3,
+    # so the exact search runs about 1500 levels deep
+    n = 1501
+    h = Hypergraph([f"x{i}" for i in range(n)],
+                   [tuple(sorted((i, (i + 1) % n))) for i in range(n)])
+    text = format_digraph(up_digraph(h))
+    p = tmp_path / "cycle.txt"
+    p.write_text(text)
+    assert main(["color", "--exact", "--cap", "3012", str(p)]) == 0
+    cap = capsys.readouterr()
+    assert "Traceback" not in cap.err
+    c = coloring_from_json(cap.out)
+    assert c.method == "exact" and c.k == 3
+    assert verify_down_coloring(parse_digraph(text), c)
 
 
 def test_exact_budget_emits_incumbent(tmp_path, capsys):

@@ -9,7 +9,10 @@ from downcolor import (
     CapExceededError,
     Coloring,
     ColoringError,
+    Hypergraph,
     UndirectedGraph,
+    affine_design,
+    build_field,
     bound_report,
     big_d,
     build_compact,
@@ -24,11 +27,13 @@ from downcolor import (
     greedy_strong_coloring,
     degeneracy,
     parse_digraph,
+    prime_power,
     serialize,
+    up_digraph,
     verify_down_coloring,
 )
-from conftest import (brute_chromatic, brute_violation, hierarchy, layered_dag,
-                      random_dag, random_hypergraph)
+from conftest import (brute_chromatic, brute_violation, dsatur_reference,
+                      hierarchy, layered_dag, random_dag, random_hypergraph)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 
@@ -118,6 +123,52 @@ def test_exact_deterministic():
     rng = random.Random(53)
     g = random_graph(rng, 11, 0.45)
     assert exact_chromatic(g).coloring.colors == exact_chromatic(g).coloring.colors
+
+
+@pytest.mark.parametrize("budget", [0, 1, 3, 10, 40, None])
+def test_exact_matches_recursive_reference(budget):
+    # same bound, lower bound, stop and coloring as the recursive search,
+    # at every budget: the node sequence is unchanged
+    rng = random.Random(71)
+    stops = 0
+    for _ in range(220):
+        n = rng.randint(1, 22)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+        res = exact_chromatic(g, cap=n, budget=budget)
+        got = (res.k, res.lower, res.exact,
+               [res.coloring.colors[g.label_of(u)] for u in range(n)])
+        assert got == dsatur_reference(g, budget)
+        stops += not res.exact
+    assert (stops > 0) == (budget is not None)
+
+
+def partial_plane(q, seed, share=0.45):
+    """Up-digraph of a seeded random share of the lines of AG(2, q)."""
+    plane, _ = affine_design(build_field(*prime_power(q)), 2)
+    rng = random.Random(seed)
+    chosen = sorted(rng.sample(range(plane.m), round(share * plane.m)))
+    return up_digraph(Hypergraph(plane.labels, [plane.edges[j] for j in chosen]))
+
+
+# sha256 of coloring_to_json(down_coloring(g, "exact", cap=g.n, budget=5000)),
+# the incumbent on a budget stop; computed before the search became iterative
+@pytest.mark.parametrize("q, k, stopped, digest", [
+    (7, 10, False,
+     "558528f75911eccab5b49c899477d273619baa716dbfd1681de296467173fd88"),
+    (11, 17, True,
+     "f3517696ddf6bc1ce6de4a1f7f3df1775af5119f5c617f261ca61e59abc20e07"),
+])
+def test_exact_partial_plane_pinned(q, k, stopped, digest):
+    g = partial_plane(q, 1)
+    try:
+        c = down_coloring(g, "exact", cap=g.n, budget=5000)
+    except CapExceededError as exc:
+        assert stopped
+        c = exc.partial
+    else:
+        assert not stopped
+    assert c.k == k
+    assert hashlib.sha256(coloring_to_json(c).encode()).hexdigest() == digest
 
 
 # ------------------------------------------------------------ strong coloring

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+import numpy as np
+
 from downcolor import (
     Hypergraph,
     ParseError,
+    UndirectedGraph,
     clique_graph,
     degeneracy,
     degree,
@@ -19,7 +22,7 @@ from downcolor import (
     sigma,
     up_digraph,
 )
-from conftest import brute_degeneracy, random_hypergraph
+from conftest import brute_degeneracy, random_dag, random_hypergraph
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 
@@ -86,6 +89,27 @@ def test_intersection_graph_shape():
     # disjoint edges stay non-adjacent
     h2 = Hypergraph(list("abcd"), [(0, 1), (2, 3)])
     assert len(intersection_graph(h2).edges()) == 0
+
+
+def test_trusted_csr_graphs_equal_validated():
+    # clique_graph, intersection_graph and down_graph build from their CSR
+    # without re-validating; each must equal the validating constructor
+    rng = random.Random(61)
+    built = []
+    for _ in range(60):
+        h = random_hypergraph(rng, max_n=12, max_m=10)
+        built += [clique_graph(h), intersection_graph(h)]
+        built.append(down_graph(random_dag(rng, rng.randint(1, 12), 0.35)))
+    for g in built:
+        ref = UndirectedGraph(g.labels, g.edges())
+        assert g.edges() == ref.edges()
+        assert [g.neighbors(u) for u in range(g.n)] == [ref.neighbors(u) for u in range(ref.n)]
+        assert all(g.has_edge(a, b) == ref.has_edge(a, b)
+                   for a in range(g.n) for b in range(g.n))
+        assert [g.id_of(lab) for lab in g.labels] == list(range(g.n))
+        for got, want in zip(g._csr_arrays(), ref._csr_arrays()):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 def test_induced_subhypergraph_keeps_pairs_with_multiplicity():
