@@ -3,9 +3,11 @@
 Three kernels carry most of the work on large digraphs: packed-bitset
 reachability closure, clique union (the one conflict-graph builder), and
 greedy sequential coloring over a CSR adjacency.  The closure and the
-coloring have a numba ``@njit`` build and an equivalent pure-numpy
-build; the clique union is numpy only.  The active backend is chosen at
-import time from the ``DOWNCOLOR_NUMBA`` environment variable
+coloring have a numba ``@njit`` build and an equivalent numpy-backend
+build; the clique union is numpy only.  The numpy-backend first-fit is
+a plain Python loop over the adjacency as lists, one set of neighbour
+colors per vertex and no numpy call per vertex.  The active backend is
+chosen at import time from the ``DOWNCOLOR_NUMBA`` environment variable
 (``0``/``false`` forces the numpy path) and can be switched at runtime
 with :func:`set_backend`.
 
@@ -139,12 +141,12 @@ def pack_rows(n: int, sets) -> np.ndarray:
     return out
 
 
-def csr_edges(indptr: np.ndarray, indices: np.ndarray) -> list[tuple[int, int]]:
-    """Edges ``(u, v)`` with ``u < v`` of a symmetric CSR adjacency; sorted
-    when the rows are."""
+def csr_edges(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edges ``u < v`` of a symmetric CSR adjacency as two id arrays
+    ``(u, v)``; sorted when the rows are."""
     src = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
     up = src < indices
-    return list(zip(src[up].tolist(), indices[up].tolist()))
+    return src[up], indices[up]
 
 
 # ----------------------------------------------------------- clique union
@@ -177,14 +179,15 @@ def clique_union_bits(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------- greedy coloring
 
 def _greedy_color_np(order, indptr, indices):
-    n = order.shape[0]
-    colors = np.zeros(n, dtype=np.int64)
-    for v in order:
-        nc = colors[indices[indptr[v]:indptr[v + 1]]]
-        nc = np.unique(nc[nc > 0])
-        free = np.nonzero(nc != np.arange(1, nc.size + 1))[0]
-        colors[v] = nc.size + 1 if free.size == 0 else free[0] + 1
-    return colors
+    ptr, ids = indptr.tolist(), indices.tolist()
+    colors = [0] * order.shape[0]
+    for v in order.tolist():
+        used = {colors[w] for w in ids[ptr[v]:ptr[v + 1]]}
+        c = 1
+        while c in used:
+            c += 1
+        colors[v] = c
+    return np.array(colors, dtype=np.int64)
 
 
 if HAS_NUMBA:

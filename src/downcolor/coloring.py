@@ -30,7 +30,7 @@ import numpy as np
 from . import _kernels
 from .digraph import Digraph, UndirectedGraph, big_d, max_vertices
 from .errors import CapExceededError, ColoringError
-from .hypergraph import (Hypergraph, _peel, clique_graph, degeneracy,
+from .hypergraph import (Hypergraph, _graph_peel, clique_graph, degeneracy,
                          down_hypergraph)
 
 DEFAULT_EXACT_CAP = 30
@@ -101,7 +101,7 @@ def coloring_from_json(text: str) -> Coloring:
 def _greedy_colors(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """First-fit over a CSR graph along the reversed degeneracy order;
     uses at most one more color than the graph's degeneracy."""
-    order = _peel(n, _kernels.csr_edges(indptr, indices)).order
+    order = _graph_peel(n, indptr, indices).order
     return _kernels.greedy_color(np.array(order[::-1], dtype=np.int64),
                                  indptr, indices)
 

@@ -232,7 +232,9 @@ class UndirectedGraph:
         g._index = {lab: i for i, lab in enumerate(labels)}
         ptr, ids = indptr.tolist(), indices.tolist()
         g._adj = tuple(tuple(ids[ptr[u]:ptr[u + 1]]) for u in range(len(labels)))
-        g._edges = tuple(_kernels.csr_edges(indptr, indices))
+        src, dst = _kernels.csr_edges(indptr, indices)
+        # a list first: tuple() of a bare zip builds noticeably slower
+        g._edges = tuple(list(zip(src.tolist(), dst.tolist())))
         g._eset = frozenset(g._edges)
         g._csr = (indptr, indices)
         return g

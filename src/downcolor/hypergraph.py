@@ -13,18 +13,27 @@ and on height-two digraphs with distinct tops these are inverse to each
 other.
 
 Clique and intersection graphs come from the one conflict builder,
-``_kernels.clique_union_csr``; ``_peel`` is the one peeling routine.
+``_kernels.clique_union_csr``; ``_peel`` is the one peeling routine.  It
+reads hyperedges as a CSR pair (edge pointer, member ids), and a graph
+as its ``u < v`` pairs, a 2-uniform hypergraph.  Each removal is one
+numpy step: an ``argmin`` pick whose first-minimum rule breaks ties on
+the smallest id, edge survivors found by XOR, and a ``np.subtract.at``
+decrement that counts a survivor once for each edge that dies onto it.
+The pick scans all n degrees, so selection alone costs O(n) per
+removal.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from . import _kernels
-from .digraph import Digraph, UndirectedGraph, _check_labels, max_vertices
+from .digraph import (Digraph, UndirectedGraph, _check_labels, _tuples_csr,
+                      max_vertices)
 from .errors import ParseError
 
 
@@ -253,53 +262,73 @@ class DegeneracyResult:
     order: tuple[int, ...]
 
 
-def _peel(n: int, edges: Iterable[tuple[int, ...]]) -> DegeneracyResult:
-    """Iterated min-degree peeling of ``n`` vertices under ``edges``;
-    ties break on the smallest vertex id.
+def _peel(n: int, eptr: np.ndarray, members: np.ndarray) -> DegeneracyResult:
+    """Iterated min-degree peeling of ``n`` vertices under the hyperedges
+    ``members[eptr[i]:eptr[i + 1]]``; ties break on the smallest vertex id.
 
     Removing a vertex shrinks every incident edge; an edge dies when a
     single member remains, at which point that member loses one degree.
-    The returned value is the largest degree seen at a removal, which
-    equals the maximum over induced subhypergraphs of their minimum
-    degree.
+    Edges of cardinality below two never count.  The returned value is
+    the largest degree seen at a removal, which equals the maximum over
+    induced subhypergraphs of their minimum degree.
+
+    Each removal is one array step.  Removed vertices hold a degree
+    above any real one, and ``argmin`` returns the first minimum, so the
+    pick is the alive vertex with the smallest ``deg * n + id``: the
+    (degree, id) order a heap of such pairs would pop.  Every edge keeps
+    its live size and the XOR of its alive members, so an edge that
+    shrinks to one member names its survivor directly.  A step shrinks
+    every edge of the removed vertex: a dead edge there has that vertex
+    as its survivor, so it drops from one member to none and never
+    counts again.  Two edges can die onto the same survivor in one step
+    (duplicate edges, or edges that differ only in vertices already
+    removed), so the decrement is ``np.subtract.at``, which counts
+    repeated indices, not a fancy-index ``-=``, which would count each
+    survivor once.
     """
-    edges = [e for e in edges if len(e) >= 2]
-    size = [len(e) for e in edges]
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for ei, e in enumerate(edges):
-        for u in e:
-            inc[u].append(ei)
-    deg = [len(inc[u]) for u in range(n)]
-    alive = [True] * n
-    heap: list[tuple[int, int]] = [(deg[u], u) for u in range(n)]
-    heapq.heapify(heap)
+    size = np.diff(eptr)
+    live = size >= 2
+    members = members[np.repeat(live, size)]
+    size = size[live]
+    edge = np.repeat(np.arange(size.size), size)
+    xor = np.bitwise_xor.reduceat(members, np.cumsum(size) - size)
+    deg = np.bincount(members, minlength=n)
+    inc = edge[np.argsort(members, kind="stable")]
+    iptr = [0] + np.cumsum(deg).tolist()
+    removed = np.iinfo(deg.dtype).max
     order: list[int] = []
     value = 0
-    while len(order) < n:
-        d, u = heapq.heappop(heap)
-        if not alive[u] or d != deg[u]:
-            continue
-        alive[u] = False
-        value = max(value, d)
+    for _ in range(n):
+        u = int(deg.argmin())
+        d = int(deg[u])
+        deg[u] = removed
         order.append(u)
-        for ei in inc[u]:
-            if size[ei] <= 1:
-                continue
-            size[ei] -= 1
-            if size[ei] == 1:
-                for w in edges[ei]:
-                    if alive[w]:
-                        deg[w] -= 1
-                        heapq.heappush(heap, (deg[w], w))
-                        break
+        if d == 0:
+            continue
+        value = max(value, d)
+        e = inc[iptr[u]:iptr[u + 1]]
+        left = size[e] - 1
+        size[e] = left
+        xor[e] ^= u
+        dying = e[left == 1]
+        if dying.size:
+            np.subtract.at(deg, xor[dying], 1)
     return DegeneracyResult(value, tuple(order))
+
+
+def _graph_peel(n: int, indptr: np.ndarray, indices: np.ndarray) -> DegeneracyResult:
+    """``_peel`` of a symmetric CSR graph, its ``u < v`` pairs read as a
+    2-uniform hypergraph."""
+    src, dst = _kernels.csr_edges(indptr, indices)
+    return _peel(n, np.arange(0, 2 * src.size + 1, 2),
+                 np.stack((src, dst), axis=1).ravel())
 
 
 def degeneracy(h: Hypergraph) -> DegeneracyResult:
     """Peeling degeneracy; degrees count edges with multiplicity."""
-    return _peel(h.n, h.edges)
+    return _peel(h.n, *_tuples_csr(h.edges))
 
 
 def graph_degeneracy(g: UndirectedGraph) -> DegeneracyResult:
     """Degeneracy of a graph via the same peeling, viewed 2-uniform."""
-    return _peel(g.n, g.edges())
+    return _graph_peel(g.n, *g._csr_arrays())

@@ -6,6 +6,7 @@ shares only the exact solver's greedy seeding, not its search.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from itertools import combinations
@@ -177,6 +178,43 @@ def brute_degeneracy(h: Hypergraph) -> int:
     for s in range(1, 1 << h.n):
         best = max(best, induced_min_degree(edges, s))
     return best
+
+
+def peel_reference(n: int, edges) -> tuple[int, tuple[int, ...]]:
+    """The heap peeling that ``hypergraph._peel`` used before it became an
+    array step, as ``(value, order)``: min degree first, ties on the
+    smallest id, degrees counted with multiplicity, edges of cardinality
+    below two ignored."""
+    edges = [e for e in edges if len(e) >= 2]
+    size = [len(e) for e in edges]
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for ei, e in enumerate(edges):
+        for u in e:
+            inc[u].append(ei)
+    deg = [len(inc[u]) for u in range(n)]
+    alive = [True] * n
+    heap: list[tuple[int, int]] = [(deg[u], u) for u in range(n)]
+    heapq.heapify(heap)
+    order: list[int] = []
+    value = 0
+    while len(order) < n:
+        d, u = heapq.heappop(heap)
+        if not alive[u] or d != deg[u]:
+            continue
+        alive[u] = False
+        value = max(value, d)
+        order.append(u)
+        for ei in inc[u]:
+            if size[ei] <= 1:
+                continue
+            size[ei] -= 1
+            if size[ei] == 1:
+                for w in edges[ei]:
+                    if alive[w]:
+                        deg[w] -= 1
+                        heapq.heappush(heap, (deg[w], w))
+                        break
+    return value, tuple(order)
 
 
 def brute_ac_ok(m, g: Digraph) -> bool:

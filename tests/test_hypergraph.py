@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -22,7 +23,9 @@ from downcolor import (
     sigma,
     up_digraph,
 )
-from conftest import brute_degeneracy, random_dag, random_hypergraph
+from downcolor.coloring import _greedy_colors
+from conftest import (brute_degeneracy, hierarchy, layered_dag, peel_reference,
+                      random_dag, random_hypergraph)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 
@@ -153,6 +156,54 @@ def test_degeneracy_matches_subset_oracle():
     for _ in range(60):
         h = random_hypergraph(rng, max_n=8, max_m=6)
         assert degeneracy(h).value == brute_degeneracy(h)
+
+
+def peel_case(rng):
+    """Hypergraph with empty, singleton and repeated edges, and edges that
+    differ only in a few vertices; n = 0 and n = 1 included."""
+    n = rng.randint(0, 24)
+    edges = []
+    for _ in range(rng.randint(0, 2 * n + 2)):
+        if edges and rng.random() < 0.3:
+            e = set(rng.choice(edges))
+            if e and rng.random() < 0.5:
+                e.discard(rng.choice(sorted(e)))
+            if n and rng.random() < 0.5:
+                e.add(rng.randrange(n))
+        else:
+            e = rng.sample(range(n), rng.randint(0, min(n, 6)))
+        edges.append(tuple(sorted(e)))
+    return Hypergraph([f"u{i}" for i in range(n)], edges)
+
+
+def first_fit_reference(g, order):
+    colors = [0] * g.n
+    for v in reversed(order):
+        used = {colors[w] for w in g.neighbors(v)}
+        c = 1
+        while c in used:
+            c += 1
+        colors[v] = c
+    return colors
+
+
+def assert_peels_match_reference(h):
+    assert astuple(degeneracy(h)) == peel_reference(h.n, h.edges)
+    g = clique_graph(h)
+    want = peel_reference(g.n, g.edges())
+    assert astuple(graph_degeneracy(g)) == want
+    assert _greedy_colors(g.n, *g._csr_arrays()).tolist() == \
+        first_fit_reference(g, want[1])
+
+
+def test_peel_matches_heap_reference():
+    rng = random.Random(53)
+    for _ in range(300):
+        assert_peels_match_reference(peel_case(rng))
+    # the clique graphs of the pinned pipeline-scale colorings
+    for g in (layered_dag(random.Random(3), 300, 0.3),
+              hierarchy(random.Random(5), 1500)):
+        assert_peels_match_reference(down_hypergraph(g))
 
 
 def test_graph_degeneracy_examples():

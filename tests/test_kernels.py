@@ -120,14 +120,8 @@ def test_clique_union_matches_pair_oracle():
 
 def test_greedy_color_first_fit():
     rng = random.Random(13)
-    for _ in range(25):
-        n = rng.randint(1, 60)
-        sym = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.2:
-                    sym.setdefault(i, []).append(j)
-                    sym.setdefault(j, []).append(i)
+
+    def check(n, sym):
         indptr, indices = csr(n, sym)
         perm = list(range(n))
         rng.shuffle(perm)
@@ -141,6 +135,22 @@ def test_greedy_color_first_fit():
                 c += 1
             colors[v] = c
         assert got.tolist() == [colors[v] for v in range(n)]
+        return got.tolist()
+
+    for _ in range(25):
+        n = rng.randint(1, 60)
+        sym = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.2:
+                    sym.setdefault(i, []).append(j)
+                    sym.setdefault(j, []).append(i)
+        check(n, sym)
+    # the ends of the first-fit search: nothing used, everything used
+    assert check(1, {}) == [1]
+    assert check(7, {}) == [1] * 7
+    complete = {i: [j for j in range(9) if j != i] for i in range(9)}
+    assert sorted(check(9, complete)) == list(range(1, 10))
 
 
 @NEED_NUMBA
