@@ -87,10 +87,10 @@ def main():
               f"greedy {t_greedy * 1e3:8.2f} ms")
 
     if len(results) == 2:
-        # the clique union has one (numpy) build, so only two stages compare
-        for i, stage in ((0, "closure"), (2, "greedy")):
-            ratio = results["numpy"][i] / results["numba"][i]
-            print(f"numba speedup on {stage}: {ratio:.2f}x")
+        # the clique union and the first-fit have one (numpy) build each,
+        # so only the closure compares
+        ratio = results["numpy"][0] / results["numba"][0]
+        print(f"numba speedup on closure: {ratio:.2f}x")
 
 
 if __name__ == "__main__":

@@ -1,21 +1,21 @@
-"""Hot inner loops, compiled with numba when available.
+"""Hot inner loops; the closure is compiled with numba when available.
 
 Three kernels carry most of the work on large digraphs: packed-bitset
 reachability closure, clique union (the one conflict-graph builder), and
-greedy sequential coloring over a CSR adjacency.  The closure and the
-coloring have a numba ``@njit`` build and an equivalent numpy-backend
-build; the clique union is numpy only.  The numpy-backend first-fit is
-a plain Python loop over the adjacency as lists, one set of neighbour
-colors per vertex and no numpy call per vertex.  The active backend is
-chosen at import time from the ``DOWNCOLOR_NUMBA`` environment variable
-(``0``/``false`` forces the numpy path) and can be switched at runtime
-with :func:`set_backend`.
+greedy sequential coloring over a CSR adjacency, which seeds the exact
+solver.  The closure has a numba ``@njit`` build and an equivalent
+numpy-backend build; the clique union and the coloring are numpy only,
+the coloring a plain Python loop over the adjacency as lists.  The
+active backend is chosen at import time from the ``DOWNCOLOR_NUMBA``
+environment variable (``0``/``false`` forces the numpy path) and can be
+switched at runtime with :func:`set_backend`.
 
 Vertex ``u`` maps to bit ``u & 63`` of word ``u >> 6``.  Bitsets stay
 inside this module and ``digraph``: :func:`rows_csr` decodes a whole
 bitset matrix at once into sorted CSR rows, which is the form every
-other module reads.  The decode goes through a ``uint8`` view, which
-assumes a little-endian host.
+other module reads; its ids are int32, its row pointers int64.  The
+decode goes through a ``uint8`` view, which assumes a little-endian
+host.
 """
 
 from __future__ import annotations
@@ -128,7 +128,9 @@ def rows_csr(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hit, bit = np.nonzero(flags)
     indptr = np.zeros(bits.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(row[hit], minlength=bits.shape[0]), out=indptr[1:])
-    return indptr, (word[hit] << 6) + bit
+    ids = word[hit].astype(np.int32) << 6
+    ids += bit
+    return indptr, ids
 
 
 def pack_rows(n: int, sets) -> np.ndarray:
@@ -178,7 +180,10 @@ def clique_union_bits(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 # --------------------------------------------------------- greedy coloring
 
-def _greedy_color_np(order, indptr, indices):
+def greedy_color(order: np.ndarray, indptr: np.ndarray,
+                 indices: np.ndarray) -> np.ndarray:
+    """First-fit coloring along ``order``: each vertex gets the smallest
+    color, 1-based, not used by an already-colored neighbour."""
     ptr, ids = indptr.tolist(), indices.tolist()
     colors = [0] * order.shape[0]
     for v in order.tolist():
@@ -188,39 +193,3 @@ def _greedy_color_np(order, indptr, indices):
             c += 1
         colors[v] = c
     return np.array(colors, dtype=np.int64)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _greedy_color_nb(order, indptr, indices):  # pragma: no cover - compiled
-        n = order.shape[0]
-        colors = np.zeros(n, dtype=np.int64)
-        mark = np.zeros(n + 2, dtype=np.int64)
-        stamp = 0
-        for i in range(n):
-            v = order[i]
-            stamp += 1
-            for k in range(indptr[v], indptr[v + 1]):
-                c = colors[indices[k]]
-                if c > 0:
-                    mark[c] = stamp
-            c = 1
-            while mark[c] == stamp:
-                c += 1
-            colors[v] = c
-        return colors
-
-
-def greedy_color(order: np.ndarray, indptr: np.ndarray,
-                 indices: np.ndarray) -> np.ndarray:
-    """First-fit coloring along ``order``; returns 1-based colors.
-
-    Both backends assign each vertex the smallest color not used by an
-    already-colored neighbour, so their outputs are identical.
-    """
-    if order.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    if _BACKEND == "numba":
-        return _greedy_color_nb(order, indptr, indices)
-    return _greedy_color_np(order, indptr, indices)

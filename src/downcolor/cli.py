@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 invalid input, 2 verification failure,
-3 exact-solver cap or budget exceeded.  Results go to stdout (or the
-``-o`` file) and are byte-stable for fixed inputs; diagnostics go to
-stderr.
+Exit codes: 0 success, 1 invalid input or out of memory, 2 verification
+failure, 3 exact-solver cap or budget exceeded.  Results go to stdout
+(or the ``-o`` file) and are byte-stable for fixed inputs; diagnostics
+go to stderr.
 """
 
 from __future__ import annotations
@@ -254,6 +254,10 @@ def main(argv=None) -> int:
         return 2
     except (DowncolorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory: the input is too large for this "
+              "machine", file=sys.stderr)
         return 1
 
 

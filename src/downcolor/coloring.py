@@ -7,6 +7,11 @@ closed down-set.  The two meet through the down-hypergraph: color it
 strongly, then hand each maximal vertex the smallest color missing from
 its open down-set.
 
+The greedy strong coloring never builds the clique graph.  It peels the
+hypergraph itself smallest-last and runs first-fit along the reversed
+order, one Python-int mask of used colors per hyperedge, which is the
+constructive side of the bound ind(H)*(D - 2) + 1 on down-colorings.
+
 The exact solver is a DSATUR-style branch and bound over the clique
 graph, seeded with a greedy upper bound and a greedily grown clique.  The
 search is iterative, with an explicit stack, so its depth is not bound by
@@ -30,8 +35,8 @@ import numpy as np
 from . import _kernels
 from .digraph import Digraph, UndirectedGraph, big_d, max_vertices
 from .errors import CapExceededError, ColoringError
-from .hypergraph import (Hypergraph, _graph_peel, clique_graph, degeneracy,
-                         down_hypergraph)
+from .hypergraph import (Hypergraph, _edges_by_vertex, _graph_peel,
+                         clique_graph, degeneracy, down_hypergraph)
 
 DEFAULT_EXACT_CAP = 30
 
@@ -107,13 +112,24 @@ def _greedy_colors(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarra
 
 
 def greedy_strong_coloring(h: Hypergraph) -> Coloring:
-    """Strong coloring via the clique graph; k <= its degeneracy + 1."""
-    if h.n == 0:
-        return Coloring({}, 0, "greedy")
-    adj = _kernels.clique_union_csr(h.n, h.edges)
-    arr = _greedy_colors(h.n, *adj)
-    return Coloring({h.label_of(u): int(arr[u]) for u in range(h.n)},
-                    int(arr.max()), "greedy")
+    """First-fit along the reversed peeling order of ``h`` itself, so
+    k <= ind(H)*(sigma - 1) + 1: a vertex's colored co-members lie in the
+    at most ind(H) edges alive when the peel removed it.  Each edge keeps
+    a mask of the colors used in it; a vertex takes the lowest color
+    missing from the OR of its edges' masks."""
+    inc = _edges_by_vertex(h)
+    used = [0] * h.m
+    colors = [0] * h.n
+    for v in reversed(degeneracy(h).order):
+        f = 0
+        for e in inc[v]:
+            f |= used[e]
+        bit = ~f & (f + 1)
+        for e in inc[v]:
+            used[e] |= bit
+        colors[v] = bit.bit_length()
+    return Coloring({h.label_of(u): colors[u] for u in range(h.n)},
+                    max(colors, default=0), "greedy")
 
 
 # -------------------------------------------------------- exact coloring

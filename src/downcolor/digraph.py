@@ -37,10 +37,11 @@ def _check_labels(labels: tuple[str, ...]) -> dict[str, int]:
 
 
 def _tuples_csr(rows: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays of a sequence of sorted id tuples."""
+    """CSR arrays of a sequence of sorted id tuples: int64 row pointers,
+    int32 ids, as ``_kernels.rows_csr`` returns them."""
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=indptr[1:])
-    indices = np.fromiter((v for r in rows for v in r), dtype=np.int64,
+    indices = np.fromiter((v for r in rows for v in r), dtype=np.int32,
                           count=int(indptr[-1]))
     return indptr, indices
 

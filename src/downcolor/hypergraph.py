@@ -13,14 +13,16 @@ and on height-two digraphs with distinct tops these are inverse to each
 other.
 
 Clique and intersection graphs come from the one conflict builder,
-``_kernels.clique_union_csr``; ``_peel`` is the one peeling routine.  It
-reads hyperedges as a CSR pair (edge pointer, member ids), and a graph
-as its ``u < v`` pairs, a 2-uniform hypergraph.  Each removal is one
-numpy step: an ``argmin`` pick whose first-minimum rule breaks ties on
-the smallest id, edge survivors found by XOR, and a ``np.subtract.at``
-decrement that counts a survivor once for each edge that dies onto it.
-The pick scans all n degrees, so selection alone costs O(n) per
-removal.
+``_kernels.clique_union_csr``; so do ``digraph.down_graph`` and, through
+``clique_graph``, the exact solver.  Greedy coloring peels and colors
+the hypergraph itself and builds no graph.  ``_peel`` is the one
+peeling routine.  It reads hyperedges as a CSR pair (edge pointer,
+member ids), and a graph as its ``u < v`` pairs, a 2-uniform
+hypergraph.  Each removal is one numpy step: an ``argmin`` pick whose
+first-minimum rule breaks ties on the smallest id, edge survivors found
+by XOR, and a ``np.subtract.at`` decrement that counts a survivor once
+for each edge that dies onto it.  The pick scans all n degrees, so
+selection alone costs O(n) per removal.
 """
 
 from __future__ import annotations
@@ -223,14 +225,19 @@ def clique_graph(h: Hypergraph) -> UndirectedGraph:
     return UndirectedGraph._from_csr(h.labels, *adj)
 
 
-def intersection_graph(h: Hypergraph) -> UndirectedGraph:
-    """Graph on the hyperedges, joined when they share a vertex."""
-    labels = tuple(f"e{i}" for i in range(h.m))
+def _edges_by_vertex(h: Hypergraph) -> list[list[int]]:
+    """The ids of the edges through each vertex, ascending."""
     byv: list[list[int]] = [[] for _ in range(h.n)]
     for ei, e in enumerate(h.edges):
         for u in e:
             byv[u].append(ei)
-    adj = _kernels.clique_union_csr(h.m, byv)
+    return byv
+
+
+def intersection_graph(h: Hypergraph) -> UndirectedGraph:
+    """Graph on the hyperedges, joined when they share a vertex."""
+    labels = tuple(f"e{i}" for i in range(h.m))
+    adj = _kernels.clique_union_csr(h.m, _edges_by_vertex(h))
     return UndirectedGraph._from_csr(labels, *adj)
 
 

@@ -51,6 +51,13 @@ def hierarchy(rng: random.Random, n: int, out_degree: int = 3) -> Digraph:
     return Digraph.from_label_pairs(pairs, isolated=[u for lv in levels for u in lv])
 
 
+# the pipeline-scale digraphs whose colorings and tables are pinned
+SCALE_GRAPHS = {
+    "layered": lambda: layered_dag(random.Random(3), 300, 0.3),
+    "hierarchy": lambda: hierarchy(random.Random(5), 1500),
+}
+
+
 def random_digraph(rng: random.Random, n: int, density: float) -> Digraph:
     """Arbitrary digraph, cycles allowed, no self-loops or parallel edges."""
     labels = [f"v{i}" for i in range(n)]
@@ -215,6 +222,24 @@ def peel_reference(n: int, edges) -> tuple[int, tuple[int, ...]]:
                         heapq.heappush(heap, (deg[w], w))
                         break
     return value, tuple(order)
+
+
+def strong_first_fit_reference(h: Hypergraph, order) -> list[int]:
+    """First-fit along the reversed ``order``: each vertex takes the
+    smallest color no already-colored member of a shared hyperedge holds.
+    Colors by vertex id."""
+    co: list[set[int]] = [set() for _ in range(h.n)]
+    for e in h.edges:
+        for u in e:
+            co[u].update(e)
+    colors = [0] * h.n
+    for v in reversed(order):
+        used = {colors[w] for w in co[v] if w != v}
+        c = 1
+        while c in used:
+            c += 1
+        colors[v] = c
+    return colors
 
 
 def brute_ac_ok(m, g: Digraph) -> bool:

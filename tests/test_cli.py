@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from downcolor import (Hypergraph, coloring_from_json, format_digraph,
+from downcolor import (Hypergraph, cli, coloring_from_json, format_digraph,
                        is_acyclic, parse_digraph, up_digraph,
                        verify_down_coloring)
 from downcolor.cli import main
@@ -185,6 +185,16 @@ def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["nosuchcmd"]) == 1
     assert main(["analyze", "/nope/missing.txt"]) == 1
+
+
+def test_out_of_memory_exits_one(six, monkeypatch, capsys):
+    def exhaust(*args, **kw):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "down_coloring", exhaust)
+    assert main(["color", six]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
 def test_parse_error_reports_line(tmp_path, capsys):

@@ -32,8 +32,9 @@ from downcolor import (
     up_digraph,
     verify_down_coloring,
 )
-from conftest import (brute_chromatic, brute_violation, dsatur_reference,
-                      hierarchy, layered_dag, random_dag, random_hypergraph)
+from downcolor import _kernels, cli
+from conftest import (SCALE_GRAPHS, brute_chromatic, brute_violation,
+                      dsatur_reference, random_dag, random_hypergraph)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 
@@ -207,14 +208,33 @@ def test_exact_strong_matches_brute():
 # ------------------------------------------------------------ down-coloring
 
 def test_down_coloring_greedy_valid_and_bounded():
+    # the paper's bound: D <= k <= ind(H)*(D - 2) + 1
     rng = random.Random(67)
-    for _ in range(50):
+    for _ in range(300):
         g = random_dag(rng, rng.randint(1, 14), rng.uniform(0.2, 0.5))
         c = down_coloring(g)
         assert verify_down_coloring(g, c)
         assert c.k >= big_d(g)
         if g.edge_count:
             assert c.k <= bound_report(g).cor1_bound
+
+
+def test_greedy_paths_build_no_clique_union(monkeypatch, tmp_path):
+    # greedy coloring works on the down-hypergraph itself; the n-row
+    # clique-union bitset is left to the graph builders and the exact path
+    def refuse(*args):
+        raise AssertionError("a greedy path built a clique-union bitset")
+
+    monkeypatch.setattr(_kernels, "_clique_union", refuse)
+    g = parse_digraph(SIX)
+    assert verify_down_coloring(g, down_coloring(g))
+    h = down_hypergraph(g)
+    assert _is_strong(h, greedy_strong_coloring(h).colors)
+    six, hyper = tmp_path / "six.txt", tmp_path / "h.txt"
+    six.write_text(SIX)
+    hyper.write_text("a b c\nb c d\n")
+    assert cli.main(["color", str(six)]) == 0
+    assert cli.main(["color", "--strong", str(hyper)]) == 0
 
 
 def test_down_coloring_exact_matches_down_graph_chromatic():
@@ -341,26 +361,21 @@ def merged(c, a, b):
     return Coloring(colors, c.k - 1, c.method)
 
 
-SCALE_GRAPHS = {
-    "layered": lambda: layered_dag(random.Random(3), 300, 0.3),
-    "hierarchy": lambda: hierarchy(random.Random(5), 1500),
-}
-
 # sha256 of serialize(build_compact(g, c), "csv") for the pinned colorings
 SCALE_CSV_DIGESTS = {
-    "layered": "d904225ce564d38f6101d68c2fd7656928796e3fcee2d159e475876112159550",
-    "hierarchy": "1661be62c6cb34f6b62418c3e07755da002ac720af8b10e57565a973d9dab013",
+    "layered": "300e552ac46a57325724faf824d949ced98414f691acc78cf81240fd808178dd",
+    "hierarchy": "d0b53eb4c15cc4dec72e386419c47a6ec0bc757b971b3746aad100d318c57b14",
 }
 
 
 @pytest.mark.parametrize("name, k, digest, fold_low, fold_high", [
     ("layered", 273,
-     "970cabc65eaf77ecf0f2548ba374c5a05a1ff133fc71354c1a1122f471a5dd17",
-     ("v297", "v299", "v0"), ("v17", "v291", "v0")),
-    ("hierarchy", 40,
-     "3bf6f9be81610c63e9277335cbb1a53183013cf2556f5d7830b60a0f07d35453",
-     ("t0", "b133", "t0"), ("m14", "b191", "t371")),
-])
+     "99a47b9cfebfce3f70490354babf467c36f1191ebfb2e4b0f4b03c90c8a9e4e1",
+     ("v297", "v299", "v0"), ("v32", "v291", "v0")),
+    ("hierarchy", 39,
+     "1a8deb8e93f06526346bc15d6358b486b0300fd1820a36e9fafbb388fe6811f4",
+     ("m318", "m22", "t233"), ("m214", "b89", "t406")),
+], ids=["layered", "hierarchy"])
 def test_pipeline_scale_outputs_pinned(name, k, digest, fold_low, fold_high):
     g = SCALE_GRAPHS[name]()
     c = down_coloring(g)
@@ -375,7 +390,7 @@ def test_pipeline_scale_outputs_pinned(name, k, digest, fold_low, fold_high):
 
 def test_find_down_violation_pinned_small():
     rng = random.Random(101)
-    want = [("v11", "v8", "v11"), ("v8", "v7", "v8"), ("v2", "v7", "v2"),
+    want = [("v11", "v8", "v11"), ("v8", "v9", "v8"), ("v2", "v7", "v2"),
             ("v9", "v4", "v9")]
     for triple in want:
         g = random_dag(rng, 14, 0.3)

@@ -23,9 +23,9 @@ from downcolor import (
     sigma,
     up_digraph,
 )
-from downcolor.coloring import _greedy_colors
-from conftest import (brute_degeneracy, hierarchy, layered_dag, peel_reference,
-                      random_dag, random_hypergraph)
+from downcolor.coloring import _greedy_colors, greedy_strong_coloring
+from conftest import (SCALE_GRAPHS, brute_degeneracy, peel_reference,
+                      random_dag, random_hypergraph, strong_first_fit_reference)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 
@@ -188,7 +188,11 @@ def first_fit_reference(g, order):
 
 
 def assert_peels_match_reference(h):
-    assert astuple(degeneracy(h)) == peel_reference(h.n, h.edges)
+    peel = peel_reference(h.n, h.edges)
+    assert astuple(degeneracy(h)) == peel
+    colors = greedy_strong_coloring(h).colors
+    assert [colors[h.label_of(u)] for u in range(h.n)] == \
+        strong_first_fit_reference(h, peel[1])
     g = clique_graph(h)
     want = peel_reference(g.n, g.edges())
     assert astuple(graph_degeneracy(g)) == want
@@ -200,10 +204,9 @@ def test_peel_matches_heap_reference():
     rng = random.Random(53)
     for _ in range(300):
         assert_peels_match_reference(peel_case(rng))
-    # the clique graphs of the pinned pipeline-scale colorings
-    for g in (layered_dag(random.Random(3), 300, 0.3),
-              hierarchy(random.Random(5), 1500)):
-        assert_peels_match_reference(down_hypergraph(g))
+    # the down-hypergraphs of the pinned pipeline-scale colorings
+    for make in SCALE_GRAPHS.values():
+        assert_peels_match_reference(down_hypergraph(make()))
 
 
 def test_graph_degeneracy_examples():
