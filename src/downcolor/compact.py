@@ -3,9 +3,9 @@
 Cell ``(u, c)`` holds the unique member of ``D[u]`` colored ``c``, when
 a valid down-coloring backs the table.  The full transitive closure is
 recoverable from the non-empty cells, at n*k cells instead of n^2.
-Building runs the one validity check, ``find_down_violation``, then
-scatters the digraph's cached down-set rows into an n-by-k id array and
-attaches labels once at the end; the AC check reads the same rows.
+Building and the AC check share one scatter of the cached down-set rows
+into an n-by-k table, by color or by each vertex's own column; its fill
+count is the one rainbow check, and the AC verdict compares its rebuild.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import Coloring, find_down_violation
+from .coloring import Coloring, _check_total, find_down_violation
 from .digraph import Digraph
 from .errors import ColoringError
 
@@ -40,20 +40,30 @@ class CompactMatrix:
                 raise ValueError(f"row {lab!r} has {len(cells)} cells, expected {self.k}")
 
 
+def _scatter(g: Digraph, col: np.ndarray, k: int) -> np.ndarray | None:
+    """Row u holds D[u] by ``col``, each id's 0-based column, as an n-by-k
+    object array of labels and None; None instead when a row fills fewer
+    than |D[u]| cells: two members of that down-set share a column."""
+    indptr, ids = g._down_sets()
+    size = np.diff(indptr)
+    cells = np.full((g.n, k), -1, dtype=np.int64)  # -1 labels as None
+    cells[np.repeat(np.arange(g.n), size), col[ids]] = ids
+    if not np.array_equal((cells >= 0).sum(axis=1), size):
+        return None
+    return np.array(g.labels + (None,), dtype=object)[cells]
+
+
 def build_compact(g: Digraph, c: Coloring) -> CompactMatrix:
     """Lay the closed down-sets out by color; rejects invalid colorings
     with the offending pair and witness ancestor."""
-    violation = find_down_violation(g, c)
-    if violation is not None:
-        u, v, w = violation
+    _check_total(g, c)
+    color = np.array([c.colors[lab] for lab in g.labels], dtype=np.int64)
+    table = _scatter(g, color - 1, c.k)
+    if table is None:
+        u, v, w = violation = find_down_violation(g, c)
         raise ColoringError(
             f"not a down-coloring: {u} and {v} share a color inside the "
             f"closed down-set of {w}", witness=violation)
-    indptr, ids = g._down_sets()
-    color = np.array([c.colors[lab] for lab in g.labels], dtype=np.int64)
-    cells = np.full((g.n, c.k), -1, dtype=np.int64)  # -1: empty cell
-    cells[np.repeat(np.arange(g.n), np.diff(indptr)), color[ids] - 1] = ids
-    table = np.array(g.labels + (None,), dtype=object)[cells]
     labels = tuple(sorted(g.labels))
     rows = {lab: tuple(table[g.id_of(lab)].tolist()) for lab in labels}
     return CompactMatrix(c.k, labels, rows)
@@ -80,7 +90,31 @@ def verify_ac_property(m: CompactMatrix, g: Digraph) -> AcCheck:
     column have disjoint closed ancestor sets.  Clauses 1 and 2 imply 3:
     a common ancestor ``a`` of two vertices of one column would hold both
     in row ``a`` (2), in that column's single cell (1).
+
+    The verdict rebuilds the table from its own columns, each vertex's
+    position in its own row, and compares: clauses 1 and 2 hold exactly
+    when the two are equal.  Given both, row u holds each v of D[u] in
+    v's column and nothing else, which is the rebuild; given equality, v
+    sits only in v's column and row u holds D[u] and nothing else, none
+    of it lost to a shared column by the fill count.  The clause scans
+    run only on failure, to name a witness.
     """
+    if set(m.labels) != set(g.labels):
+        return _violated_clause(m, g)
+    try:
+        col = np.array([m.rows[lab].index(lab) for lab in g.labels],
+                       dtype=np.int64)
+    except ValueError:  # a vertex missing from its own row
+        return _violated_clause(m, g)
+    table = _scatter(g, col, m.k)
+    if table is not None and all(tuple(table[u].tolist()) == m.rows[lab]
+                                 for u, lab in enumerate(g.labels)):
+        return AcCheck(True)
+    return _violated_clause(m, g)
+
+
+def _violated_clause(m: CompactMatrix, g: Digraph) -> AcCheck:
+    """Scan clause 1, then clause 2, for the first witness."""
     column: dict[str, int] = {}
     for lab in m.labels:
         for j, cell in enumerate(m.rows[lab]):
@@ -113,8 +147,7 @@ def to_csv(m: CompactMatrix) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["vertex"] + [f"c{i}" for i in range(1, m.k + 1)])
-    for lab in m.labels:
-        writer.writerow([lab] + ["" if x is None else x for x in m.rows[lab]])
+    writer.writerows((lab,) + m.rows[lab] for lab in m.labels)  # None: ""
     return buf.getvalue()
 
 
@@ -137,7 +170,7 @@ def from_csv(text: str) -> CompactMatrix:
             raise ValueError(f"row {rec[0]!r} has {len(rec) - 1} cells, expected {k}")
         if rec[0] in rows:
             raise ValueError(f"duplicate row {rec[0]!r}")
-        rows[rec[0]] = tuple(x if x else None for x in rec[1:])
+        rows[rec[0]] = tuple([x or None for x in rec[1:]])
     return CompactMatrix(k, tuple(sorted(rows)), rows)
 
 
@@ -193,8 +226,7 @@ class CompressionStats:
 def stats(m: CompactMatrix) -> CompressionStats:
     n = len(m.labels)
     compact_cells = n * m.k
-    nonempty = sum(1 for lab in m.labels
-                   for cell in m.rows[lab] if cell is not None)
+    nonempty = sum(m.k - m.rows[lab].count(None) for lab in m.labels)
     fill = nonempty / compact_cells if compact_cells else 1.0
     return CompressionStats(n=n, k=m.k, dense_cells=n * n,
                             compact_cells=compact_cells, fill_ratio=fill)
@@ -208,11 +240,9 @@ def canonical_columns(m: CompactMatrix) -> CompactMatrix:
     trail in their old order.  Tables that differ only by a color
     permutation canonicalize identically.
     """
-    perm: list[int] = []
-    for lab in m.labels:
-        for j, cell in enumerate(m.rows[lab]):
-            if cell is not None and j not in perm:
-                perm.append(j)
-    perm += [j for j in range(m.k) if j not in perm]
+    first_use = dict.fromkeys(j for lab in m.labels
+                              for j, cell in enumerate(m.rows[lab])
+                              if cell is not None)
+    perm = [*first_use, *(j for j in range(m.k) if j not in first_use)]
     rows = {lab: tuple(m.rows[lab][j] for j in perm) for lab in m.labels}
     return CompactMatrix(m.k, m.labels, rows)

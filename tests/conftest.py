@@ -6,7 +6,9 @@ shares only the exact solver's greedy seeding, not its search.
 """
 from __future__ import annotations
 
+import csv
 import heapq
+import io
 import math
 import random
 from itertools import combinations
@@ -264,6 +266,42 @@ def brute_ac_ok(m, g: Digraph) -> bool:
                                             for r in reach.values()):
             return False
     return True
+
+
+def ac_check_reference(m, g: Digraph) -> tuple[bool, int | None, str]:
+    """``verify_ac_property`` as a per-cell scan, as ``(ok, clause,
+    detail)``: the first cell that puts a vertex in a second column fails
+    clause 1; row labels that differ from ``g``'s, or the first row (by
+    label) whose cells are not exactly D[u], fail clause 2."""
+    column: dict[str, int] = {}
+    for lab in m.labels:
+        for j, cell in enumerate(m.rows[lab]):
+            if cell is None:
+                continue
+            if cell in column and column[cell] != j:
+                return (False, 1, f"{cell} appears in columns "
+                                  f"{column[cell] + 1} and {j + 1}")
+            column.setdefault(cell, j)
+    if set(m.labels) != set(g.labels):
+        return (False, 2, "row labels differ from the digraph's vertices")
+    reach = reach_closed(g)
+    for lab in m.labels:
+        got = {cell for cell in m.rows[lab] if cell is not None}
+        if got != reach[lab]:
+            return (False, 2, f"row {lab}: extra {sorted(got - reach[lab])}, "
+                              f"missing {sorted(reach[lab] - got)}")
+    return (True, None, "")
+
+
+def csv_reference(m) -> str:
+    """The compact CSV written cell by cell: a header ``vertex,c1..ck``,
+    then one row per label with empty fields for empty cells."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["vertex"] + [f"c{i}" for i in range(1, m.k + 1)])
+    for lab in m.labels:
+        writer.writerow([lab] + ["" if x is None else x for x in m.rows[lab]])
+    return buf.getvalue()
 
 
 def dsatur_reference(g, budget: int | None = None) -> tuple[int, int, bool, list[int]]:

@@ -9,6 +9,7 @@ from downcolor import (
     build_compact,
     canonical_columns,
     down_coloring,
+    find_down_violation,
     parse_compact,
     parse_digraph,
     serialize,
@@ -16,7 +17,7 @@ from downcolor import (
     transitive_closure,
     verify_ac_property,
 )
-from conftest import brute_ac_ok, random_dag
+from conftest import ac_check_reference, brute_ac_ok, csv_reference, random_dag
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 WITNESS = Coloring({"g1": 1, "g2": 3, "g3": 2, "g4": 2, "g5": 3, "g6": 1}, 3,
@@ -43,6 +44,35 @@ def test_build_compact_rejects_bad_coloring():
                    "greedy")
     with pytest.raises(ColoringError):
         build_compact(g, bad)
+
+
+def test_build_compact_raises_exactly_on_violation_with_its_witness():
+    rng = random.Random(43)
+    raised = 0
+    for _ in range(300):
+        g = random_dag(rng, rng.randint(1, 14), rng.choice([0.1, 0.3, 0.6]))
+        k = rng.randint(1, g.n)
+        colors = {lab: rng.randint(1, k) for lab in g.labels}
+        rank = {col: i + 1 for i, col in enumerate(sorted(set(colors.values())))}
+        c = Coloring({lab: rank[x] for lab, x in colors.items()}, len(rank),
+                     "greedy")
+        violation = find_down_violation(g, c)
+        if violation is None:
+            assert verify_ac_property(build_compact(g, c), g).ok
+            continue
+        with pytest.raises(ColoringError) as exc:
+            build_compact(g, c)
+        assert exc.value.witness == violation
+        raised += 1
+    assert 0 < raised < 300
+
+
+def test_build_compact_rejects_partial_coloring():
+    g = parse_digraph(SIX)
+    partial = dict(WITNESS.colors)
+    del partial["g4"]
+    with pytest.raises(ColoringError, match="misses vertices"):
+        build_compact(g, Coloring(partial, 3, "exact"))
 
 
 def test_verify_ac_property_ok():
@@ -83,6 +113,14 @@ def test_csv_roundtrip_and_header():
     m = build_compact(g, WITNESS)
     text = serialize(m, "csv")
     assert text.splitlines()[0] == "vertex,c1,c2,c3"
+    assert text == csv_reference(m)
+    assert parse_compact(text, "csv") == m
+    # labels with "," and '"' go through csv quoting
+    g = parse_digraph('a,b x"y\nx"y "z\na,b w,\n')
+    m = build_compact(g, down_coloring(g))
+    text = serialize(m, "csv")
+    assert text == csv_reference(m)
+    assert '"a,b"' in text and '"x""y"' in text
     assert parse_compact(text, "csv") == m
 
 
@@ -144,10 +182,21 @@ def test_verify_ac_property_matches_brute_oracle_on_mutations():
         for _ in range(rng.randint(1, 3)):
             if m.labels and m.k:
                 m = mutate(rng, m, g.labels)
-        ok = verify_ac_property(m, g).ok
-        assert ok == brute_ac_ok(m, g)
-        verdicts.add(ok)
-    assert verdicts == {True, False}
+        chk = verify_ac_property(m, g)
+        assert (chk.ok, chk.clause, chk.detail) == ac_check_reference(m, g)
+        assert chk.ok == brute_ac_ok(m, g)
+        verdicts.add(chk.clause)
+    assert verdicts == {None, 1, 2}
+
+
+def test_verify_ac_property_counts_each_rows_fill():
+    # a and b share column 1 in row a; rebuilt from those columns, row a
+    # loses one of them, so only the fill count tells it from the table
+    g = parse_digraph("b\na b\n")
+    m = CompactMatrix(2, ("a", "b"), {"a": ("a", None), "b": ("b", None)})
+    chk = verify_ac_property(m, g)
+    assert (chk.ok, chk.clause) == (False, 2)
+    assert (chk.ok, chk.clause, chk.detail) == ac_check_reference(m, g)
 
 
 def test_compact_matrix_validation():
