@@ -1,0 +1,82 @@
+"""Time ``parse_digraph`` on a large edge list, with its peak memory.
+
+The input is a seeded three-level hierarchy: levels of n/2, n/3 and n/6
+vertices, and every vertex above the bottom level has three distinct
+random children one level down (the sparse-hierarchy rule of the
+pipeline benchmark).  It is written to a temporary file, and a fresh
+interpreter runs ``parse_digraph(Path(f).read_text())`` on it, so the
+peak RSS reported covers the interpreter, the text and the parse, and
+nothing the generator held.
+
+    python3 benchmarks/bench_parse.py --n 1000000 --seed 1
+"""
+import argparse
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+OUT_DEGREE = 3
+
+CHILD = """
+import sys, time
+from pathlib import Path
+from downcolor import parse_digraph
+t0 = time.perf_counter()
+g = parse_digraph(Path(sys.argv[1]).read_text())
+print(time.perf_counter() - t0, g.n, g.edge_count)
+"""
+
+
+def write_hierarchy(f, n: int, seed: int) -> None:
+    """Write the hierarchy's edge list to ``f`` a block of rows at a time,
+    so this process stays smaller than the parsing child: the peak RSS of
+    a child counts what the parent held when it was started."""
+    rng = np.random.default_rng(seed)
+    levels = [(p, size) for p, size in zip("tmb", (n // 2, n // 3, n // 6))]
+    for (up, count), (down, width) in zip(levels, levels[1:]):
+        kids = rng.integers(0, width, size=(count, OUT_DEGREE))
+        kids.sort(axis=1)
+        while True:  # redraw the rows that picked a child twice
+            again = np.flatnonzero((kids[:, 1:] == kids[:, :-1]).any(axis=1))
+            if again.size == 0:
+                break
+            kids[again] = np.sort(
+                rng.integers(0, width, size=(again.size, OUT_DEGREE)), axis=1)
+        for lo in range(0, count, 1 << 16):
+            rows = kids[lo:lo + (1 << 16)].tolist()
+            f.write("".join(f"{up}{u} {down}{v}\n"
+                            for u, row in enumerate(rows, lo) for v in row))
+    # bottom vertices no one picked get a single-token line
+    f.write("".join(f"b{i}\n" for i in
+                    np.setdiff1d(np.arange(n // 6), kids).tolist()))
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--n", type=int, default=1_000_000, help="vertex count")
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args()
+    if args.n // 6 < OUT_DEGREE:
+        ap.error("--n must be at least 18: each level below the top needs "
+                 "three vertices to pick from")
+    fd, path = tempfile.mkstemp(suffix=".txt")
+    try:
+        with os.fdopen(fd, "w") as f:
+            write_hierarchy(f, args.n, args.seed)
+        size_mb = os.path.getsize(path) / 2**20
+        done = subprocess.run([sys.executable, "-c", CHILD, path],
+                              capture_output=True, text=True, check=True)
+    finally:
+        os.unlink(path)
+    wall, n, m = done.stdout.split()
+    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    print(f"n={n} edges={m} text={size_mb:.1f} MB")
+    print(f"parse_s={float(wall):.3f} child_peak_rss_mb={peak:.1f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -33,10 +33,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .digraph import Digraph, UndirectedGraph, big_d, max_vertices
+from .digraph import (Digraph, UndirectedGraph, _gather, _max_rows,
+                      _tuples_csr, big_d)
 from .errors import CapExceededError, ColoringError
-from .hypergraph import (Hypergraph, _edges_by_vertex, _graph_peel,
-                         clique_graph, degeneracy, down_hypergraph)
+from .hypergraph import (Hypergraph, _down_edges, _graph_peel, _incidence,
+                         _peel, clique_graph)
 
 DEFAULT_EXACT_CAP = 30
 
@@ -111,23 +112,32 @@ def _greedy_colors(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarra
                                  indptr, indices)
 
 
+def _greedy_strong(n: int, eptr: np.ndarray, members: np.ndarray) -> list[int]:
+    """Colors by id of first-fit along the reversed peeling order of the
+    hyperedges ``members[eptr[i]:eptr[i + 1]]``.  Each edge keeps a mask
+    of its colors; a vertex takes the lowest color missing from the OR of
+    its edges' masks."""
+    iptr, inc = _incidence(n, np.diff(eptr), members)
+    inc = inc.tolist()
+    used = [0] * (eptr.size - 1)
+    colors = [0] * n
+    for v in reversed(_peel(n, eptr, members).order):
+        es = inc[iptr[v]:iptr[v + 1]]
+        f = 0
+        for e in es:
+            f |= used[e]
+        bit = ~f & (f + 1)
+        for e in es:
+            used[e] |= bit
+        colors[v] = bit.bit_length()
+    return colors
+
+
 def greedy_strong_coloring(h: Hypergraph) -> Coloring:
     """First-fit along the reversed peeling order of ``h`` itself, so
     k <= ind(H)*(sigma - 1) + 1: a vertex's colored co-members lie in the
-    at most ind(H) edges alive when the peel removed it.  Each edge keeps
-    a mask of the colors used in it; a vertex takes the lowest color
-    missing from the OR of its edges' masks."""
-    inc = _edges_by_vertex(h)
-    used = [0] * h.m
-    colors = [0] * h.n
-    for v in reversed(degeneracy(h).order):
-        f = 0
-        for e in inc[v]:
-            f |= used[e]
-        bit = ~f & (f + 1)
-        for e in inc[v]:
-            used[e] |= bit
-        colors[v] = bit.bit_length()
+    at most ind(H) edges alive when the peel removed it."""
+    colors = _greedy_strong(h.n, *_tuples_csr(h.edges))
     return Coloring({h.label_of(u): colors[u] for u in range(h.n)},
                     max(colors, default=0), "greedy")
 
@@ -311,48 +321,54 @@ def exact_strong_chromatic(h: Hypergraph, cap: int | None = None,
 
 # --------------------------------------------------------- down-coloring
 
-def _extend_to_maximal(g: Digraph, colors: dict[str, int]) -> dict[str, int]:
-    # ascending label order; each maximal vertex conflicts exactly with
-    # its open down-set, no two maximal vertices ever share a down-set
-    indptr, ids = g._down_sets()
-    for w in sorted(max_vertices(g), key=g.label_of):
-        used = {colors[g.label_of(v)]
-                for v in ids[indptr[w]:indptr[w + 1]].tolist() if v != w}
+def _extend_to_maximal(g: Digraph, keep: np.ndarray, base: list[int],
+                       method: str) -> Coloring:
+    """``base`` on the vertices ``keep``, and on each maximal vertex the
+    smallest color missing from its open down-set, which is all it
+    conflicts with: no two maximal vertices share a down-set."""
+    color = np.zeros(g.n, dtype=np.int64)
+    color[keep] = base
+    tops, ptr, ids = _max_rows(g)
+    ptr, near = ptr.tolist(), color[ids].tolist()  # a top's own entry is 0
+    top_color = {}
+    for i, w in enumerate(tops.tolist()):
+        used = set(near[ptr[i]:ptr[i + 1]])
         c = 1
         while c in used:
             c += 1
-        colors[g.label_of(w)] = c
-    return colors
+        top_color[g.label_of(w)] = c
+    colors = dict(zip(map(g.label_of, keep.tolist()), base))
+    colors.update(sorted(top_color.items()))  # maximal vertices by label
+    return Coloring(colors, max(colors.values(), default=0), method)
 
 
 def down_coloring(g: Digraph, mode: str = "greedy", *, cap: int | None = None,
                   budget: int | None = None) -> Coloring:
     """Color ``g`` so that each closed down-set is rainbow.
 
-    Strong-colors the open down-hypergraph, then extends to the maximal
-    vertices.  In exact mode the result size is the down-chromatic
-    number; a budget-exhausted exact run raises :class:`CapExceededError`
-    carrying the best valid coloring found.
+    Strong-colors the open down-hypergraph, kept as CSR arrays, then
+    extends to the maximal vertices.  In exact mode the result size is the
+    down-chromatic number; a budget-exhausted exact run raises
+    :class:`CapExceededError` carrying the best valid coloring found.
     """
     if mode not in ("greedy", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     g.topological_order()
-    h = down_hypergraph(g, closed=False, simplify=True)
-    if mode == "exact":
-        res = exact_strong_chromatic(h, cap=cap, budget=budget)
-        base = dict(res.coloring.colors)
-        if not res.exact:
-            full = _extend_to_maximal(g, base)
-            k = max(full.values(), default=0)
-            partial = Coloring(full, k, "greedy")
-            raise CapExceededError(
-                f"exact search budget exhausted between {res.lower} and {k} colors",
-                partial=partial, lower=res.lower, upper=k)
-    else:
-        base = dict(greedy_strong_coloring(h).colors)
-    full = _extend_to_maximal(g, base)
-    k = max(full.values(), default=0)
-    return Coloring(full, k, mode)
+    keep, eptr, members = _down_edges(g)
+    if mode == "greedy":
+        return _extend_to_maximal(g, keep, _greedy_strong(keep.size, eptr, members),
+                                  mode)
+    labels = tuple(g.label_of(u) for u in keep.tolist())
+    adj = _kernels.clique_union_csr(keep.size, np.split(members, eptr[1:-1]))
+    res = exact_chromatic(UndirectedGraph._from_csr(labels, *adj), cap=cap,
+                          budget=budget)
+    base = [res.coloring.colors[lab] for lab in labels]
+    if not res.exact:
+        partial = _extend_to_maximal(g, keep, base, "greedy")
+        raise CapExceededError(
+            f"exact search budget exhausted between {res.lower} and {partial.k} colors",
+            partial=partial, lower=res.lower, upper=partial.k)
+    return _extend_to_maximal(g, keep, base, mode)
 
 
 def _check_total(g: Digraph, c: Coloring) -> None:
@@ -369,22 +385,26 @@ def _check_total(g: Digraph, c: Coloring) -> None:
 def find_down_violation(g: Digraph, c: Coloring) -> tuple[str, str, str] | None:
     """Smallest same-colored id pair inside a closed down-set, with the
     smallest-id maximal witness whose down-set holds both, or None when
-    every maximal vertex's down-set is rainbow (a valid down-coloring)."""
+    every maximal vertex's down-set is rainbow (a valid down-coloring).
+    As in ``compact._scatter``, a row is rainbow when it fills |D[w]|
+    cells of its color table; only the rows that fall short are sorted."""
     _check_total(g, c)
-    indptr, ids = g._down_sets()
-    top = np.zeros(g.n, dtype=bool)
-    top[list(max_vertices(g))] = True
-    row = np.repeat(np.arange(g.n), np.diff(indptr))  # the vertex id
-    keep = top[row]
-    row, ids = row[keep], ids[keep]
-    color = np.array([c.colors[lab] for lab in g.labels], dtype=np.int64)[ids]
+    tops, eptr, ids = _max_rows(g)
+    color = np.array([c.colors[lab] for lab in g.labels], dtype=np.int64)
+    size = np.diff(eptr)
+    fill = np.zeros((tops.size, c.k), dtype=bool)
+    fill[np.repeat(np.arange(tops.size), size), color[ids] - 1] = True
+    short = np.flatnonzero(fill.sum(axis=1) != size)
+    if short.size == 0:
+        return None
+    eptr, ids = _gather(eptr, ids, short)
+    row = np.repeat(tops[short], np.diff(eptr))  # the vertex id
+    color = color[ids]
     order = np.lexsort((ids, color, row))
     row, color, ids = row[order], color[order], ids[order]
     # within a (row, color) run, consecutive ids include the run's
     # smallest pair, so the smallest clash is among consecutive ones
     clash = np.nonzero((row[1:] == row[:-1]) & (color[1:] == color[:-1]))[0]
-    if clash.size == 0:
-        return None
     # stable: among equal pairs the first clash sits in the smallest row
     i = clash[np.lexsort((ids[clash + 1], ids[clash]))[0]]
     return tuple(g.label_of(int(x)) for x in (ids[i], ids[i + 1], row[i]))
@@ -420,8 +440,8 @@ def bound_report(g: Digraph) -> BoundReport:
     if g.edge_count == 0:
         raise ValueError("bound_report requires at least one edge")
     d = big_d(g)
-    h = down_hypergraph(g, closed=False, simplify=True)
-    ind = degeneracy(h).value
+    keep, eptr, members = _down_edges(g)
+    ind = _peel(keep.size, eptr, members).value
     cor1 = d if ind <= 1 else ind * (d - 2) + 1
     return BoundReport(big_d=d, sigma_h=d - 1, ind_h=ind,
                        cor1_bound=cor1, lower_bound=d)

@@ -7,14 +7,20 @@ Vertices carry string labels and dense integer ids (0..n-1, in label
 registration order); the library works on ids internally and uses labels
 at every textual boundary.
 
-Each acyclic ``Digraph`` caches its closed down-sets once, as sorted CSR
-rows (:meth:`Digraph._down_sets`); every stage of the pipeline reads
-those rows.
+A ``Digraph`` holds its edges as children and parents CSR arrays.  They
+are validated once, as arrays: range, self-loops, and repeats found as
+equal neighbours among the sorted ``u*n + v`` keys.  ``parse_digraph``
+streams the text once into an id buffer and hands the arrays to the
+digraph without a second check.  Each acyclic ``Digraph`` caches its
+closed down-sets once, as sorted CSR rows (:meth:`Digraph._down_sets`);
+every stage of the pipeline reads those rows.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -41,59 +47,91 @@ def _tuples_csr(rows: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray
     int32 ids, as ``_kernels.rows_csr`` returns them."""
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=indptr[1:])
-    indices = np.fromiter((v for r in rows for v in r), dtype=np.int32,
+    indices = np.fromiter(chain.from_iterable(rows), dtype=np.int32,
                           count=int(indptr[-1]))
     return indptr, indices
 
 
-class Digraph:
-    """Immutable digraph; edges run ancestor -> descendant."""
+def _gather(indptr: np.ndarray, ids: np.ndarray,
+            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the rows ``rows`` of ``(indptr, ids)``, in that order."""
+    start = indptr[rows]
+    size = indptr[rows + 1] - start
+    ptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(size, out=ptr[1:])
+    return ptr, ids[np.arange(ptr[-1]) + np.repeat(start - ptr[:-1], size)]
 
-    __slots__ = ("_labels", "_index", "_children", "_parents", "_m",
-                 "_topo", "_down", "_csr")
+
+def _adjacency(n: int, src: np.ndarray, dst: np.ndarray):
+    """Children and parents CSR of the edges ``src[i] -> dst[i]``, rows
+    ascending, from sorted ``u*n + v`` keys; None when an edge is out of
+    range, a self-loop, or a repeat (two equal neighbouring keys)."""
+    if src.size and (min(src.min(), dst.min()) < 0
+                     or max(src.max(), dst.max()) >= n or np.any(src == dst)):
+        return None
+    keys = np.sort(src.astype(np.int64) * n + dst)
+    if np.any(keys[1:] == keys[:-1]):
+        return None
+    return tuple((np.searchsorted(k, np.arange(n + 1) * n), (k % n).astype(np.int32))
+                 for k in (keys, np.sort(dst.astype(np.int64) * n + src)))
+
+
+def _first_bad_edge(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, str]:
+    """Index and kind of the first edge, in input order, that
+    ``_adjacency`` rejects; out of range comes before self-loop, and both
+    before a repeat of an earlier edge."""
+    out = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    keys = np.where(out, -1 - np.arange(src.size), src.astype(np.int64) * n + dst)
+    repeat = np.ones(src.size, dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    i = int(np.flatnonzero(out | (src == dst) | repeat)[0])
+    return i, "range" if out[i] else "self-loop" if src[i] == dst[i] else "duplicate"
+
+
+class Digraph:
+    """Immutable digraph; edges run ancestor -> descendant.  Children and
+    parents are CSR arrays (int64 row pointers, int32 ids, rows
+    ascending); ``children``/``parents`` slice them into tuples."""
+
+    __slots__ = ("_labels", "_index", "_csr", "_rcsr", "_topo", "_down")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[int, int]]):
-        self._labels = tuple(labels)
-        self._index = _check_labels(self._labels)
-        n = len(self._labels)
-        children: list[list[int]] = [[] for _ in range(n)]
-        parents: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+        labels = tuple(labels)
+        index = _check_labels(labels)
+        n = len(labels)
+        pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+        src, dst = pairs[0::2], pairs[1::2]
+        adj = _adjacency(n, src, dst)
+        if adj is None:
+            i, kind = _first_bad_edge(n, src, dst)
+            u, v = int(src[i]), int(dst[i])
+            if kind == "range":
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-            if u == v:
-                raise ValueError(f"self-loop at {self._labels[u]!r}")
-            if (u, v) in seen:
-                raise ValueError(
-                    f"duplicate edge {self._labels[u]!r} -> {self._labels[v]!r}")
-            seen.add((u, v))
-            children[u].append(v)
-            parents[v].append(u)
-        self._children = tuple(tuple(sorted(c)) for c in children)
-        self._parents = tuple(tuple(sorted(p)) for p in parents)
-        self._m = len(seen)
+            if kind == "self-loop":
+                raise ValueError(f"self-loop at {labels[u]!r}")
+            raise ValueError(f"duplicate edge {labels[u]!r} -> {labels[v]!r}")
+        self._fill(labels, index, *adj)
+
+    def _fill(self, labels: tuple[str, ...], index: dict[str, int],
+              csr: tuple[np.ndarray, np.ndarray],
+              rcsr: tuple[np.ndarray, np.ndarray]) -> Digraph:
+        """Set every field from validated labels and ``_adjacency`` arrays;
+        ``parse_digraph`` fills a bare instance with it."""
+        self._labels, self._index, self._csr, self._rcsr = labels, index, csr, rcsr
         self._topo: tuple[int, ...] | None = None
         self._down: tuple[np.ndarray, np.ndarray] | None = None
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        return self
 
     @classmethod
     def from_label_pairs(cls, pairs: Iterable[tuple[str, str]],
                          isolated: Iterable[str] = ()) -> "Digraph":
         """Build from labeled edges; vertices appear in first-mention order."""
-        labels: list[str] = []
         index: dict[str, int] = {}
-
-        def vid(lab: str) -> int:
-            if lab not in index:
-                index[lab] = len(labels)
-                labels.append(lab)
-            return index[lab]
-
-        edges = [(vid(u), vid(v)) for u, v in pairs]
+        edges = [(index.setdefault(u, len(index)), index.setdefault(v, len(index)))
+                 for u, v in pairs]
         for lab in isolated:
-            vid(lab)
-        return cls(labels, edges)
+            index.setdefault(lab, len(index))
+        return cls(tuple(index), edges)
 
     @property
     def n(self) -> int:
@@ -105,7 +143,7 @@ class Digraph:
 
     @property
     def edge_count(self) -> int:
-        return self._m
+        return self._csr[1].size
 
     def id_of(self, label: str) -> int:
         try:
@@ -117,15 +155,17 @@ class Digraph:
         return self._labels[u]
 
     def children(self, u: int) -> tuple[int, ...]:
-        return self._children[u]
+        indptr, ids = self._csr
+        return tuple(ids[indptr[u]:indptr[u + 1]].tolist())
 
     def parents(self, u: int) -> tuple[int, ...]:
-        return self._parents[u]
+        indptr, ids = self._rcsr
+        return tuple(ids[indptr[u]:indptr[u + 1]].tolist())
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self._children[u]:
-                yield (u, v)
+        indptr, ids = self._csr
+        src = np.repeat(np.arange(self.n), np.diff(indptr))
+        return zip(src.tolist(), ids.tolist())
 
     def edge_labels(self) -> Iterator[tuple[str, str]]:
         for u, v in self.edges():
@@ -140,25 +180,21 @@ class Digraph:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"Digraph(n={self.n}, edges={self._m})"
+        return f"Digraph(n={self.n}, edges={self.edge_count})"
 
     # internal machinery -------------------------------------------------
-
-    def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._csr is None:
-            self._csr = _tuples_csr(self._children)
-        return self._csr
 
     def topological_order(self) -> tuple[int, ...]:
         """Ancestors-first order of all vertices; raises on a cycle."""
         if self._topo is None:
-            indeg = [len(p) for p in self._parents]
+            ptr, ids = (a.tolist() for a in self._csr)
+            indeg = np.diff(self._rcsr[0]).tolist()
             queue = deque(u for u in range(self.n) if indeg[u] == 0)
             order: list[int] = []
             while queue:
                 u = queue.popleft()
                 order.append(u)
-                for v in self._children[u]:
+                for v in ids[ptr[u]:ptr[u + 1]]:
                     indeg[v] -= 1
                     if indeg[v] == 0:
                         queue.append(v)
@@ -170,12 +206,13 @@ class Digraph:
     def _find_cycle(self, residue: set[int]) -> list[str]:
         # Every vertex of the residue has a parent inside it, so walking
         # parents must revisit a vertex.
+        ptr, ids = (a.tolist() for a in self._rcsr)
         start = min(residue)
         path = [start]
         pos = {start: 0}
         while True:
             u = path[-1]
-            p = min(w for w in self._parents[u] if w in residue)
+            p = min(w for w in ids[ptr[u]:ptr[u + 1]] if w in residue)
             if p in pos:
                 cyc = path[pos[p]:] + [p]
                 cyc.reverse()  # parent walk records edges backwards
@@ -190,7 +227,7 @@ class Digraph:
         if self._down is None:
             order = np.array(self.topological_order()[::-1], dtype=np.int64)
             self._down = _kernels.rows_csr(
-                _kernels.closure_bits(self.n, *self._csr_arrays(), order))
+                _kernels.closure_bits(self.n, *self._csr, order))
         return self._down
 
 
@@ -319,47 +356,62 @@ class UndirectedGraph:
 
 # ------------------------------------------------------------------ text
 
+def _lines(text: str, size: int = 1 << 20) -> Iterator[str]:
+    """``text.splitlines()``, one slice of about ``size`` characters at a
+    time; a slice ends just after a newline, which always ends a line."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + size) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def parse_digraph(text: str) -> Digraph:
     """Parse the edge-list format: one ``ancestor descendant`` pair per
     line, single-token lines declaring isolated vertices, ``#`` comments.
+
+    One pass assigns ids in first-mention order to a flat edge buffer,
+    checked once as arrays; the lines are scanned again only to name the
+    line of a failed check.
     """
-    labels: list[str] = []
     index: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
-    eset: set[tuple[int, int]] = set()
-
-    def vid(tok: str) -> int:
-        if tok not in index:
-            index[tok] = len(labels)
-            labels.append(tok)
-        return index[tok]
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if len(toks) == 1:
-            vid(toks[0])
-        elif len(toks) == 2:
-            u, v = vid(toks[0]), vid(toks[1])
-            if u == v:
-                raise ParseError(f"self-loop at {toks[0]!r}", lineno)
-            if (u, v) in eset:
-                raise ParseError(f"duplicate edge {toks[0]} -> {toks[1]}", lineno)
-            eset.add((u, v))
-            edges.append((u, v))
-        else:
-            raise ParseError(f"expected 1 or 2 tokens, got {len(toks)}", lineno)
-    return Digraph(labels, edges)
+    ids = array("i")
+    bad = None
+    add, push = index.setdefault, ids.append  # looked up once, called per token
+    for lineno, raw in enumerate(_lines(text), 1):
+        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if len(toks) == 2:
+            push(add(toks[0], len(index)))
+            push(add(toks[1], len(index)))
+        elif len(toks) == 1:
+            add(toks[0], len(index))
+        elif toks:
+            bad = ParseError(f"expected 1 or 2 tokens, got {len(toks)}", lineno)
+            break
+    labels = tuple(index)
+    pairs = np.frombuffer(ids, dtype=np.intc)
+    src, dst = pairs[0::2], pairs[1::2]
+    adj = _adjacency(len(labels), src, dst)
+    if adj is None:
+        i, kind = _first_bad_edge(len(labels), src, dst)
+        u, v = labels[src[i]], labels[dst[i]]
+        msg = (f"self-loop at {u!r}" if kind == "self-loop"
+               else f"duplicate edge {u} -> {v}")
+        # the line of the i-th edge
+        raise ParseError(msg, next(islice(
+            (j for j, raw in enumerate(_lines(text), 1)
+             if len(raw.split("#", 1)[0].split()) == 2), i, None)))
+    if bad is not None:
+        raise bad
+    return Digraph.__new__(Digraph)._fill(labels, index, *adj)
 
 
 def format_digraph(g: Digraph) -> str:
     """Serialize to the edge-list format, edges sorted by label pair,
     isolated vertices on trailing single-token lines."""
     lines = sorted(f"{lu} {lv}" for lu, lv in g.edge_labels())
-    lines += sorted(g.label_of(u) for u in range(g.n)
-                    if not g.children(u) and not g.parents(u))
+    degree = np.diff(g._csr[0]) + np.diff(g._rcsr[0])
+    lines += sorted(g.label_of(u) for u in np.flatnonzero(degree == 0).tolist())
     return "".join(line + "\n" for line in lines)
 
 
@@ -382,10 +434,18 @@ def down_set(g: Digraph, u: int, closed: bool = True) -> frozenset[int]:
                      if closed or v != u)
 
 
+def _max_rows(g: Digraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maximal vertices, ascending, and their closed down-sets as CSR
+    rows in that order."""
+    indptr, ids = g._down_sets()  # acyclicity gate
+    tops = np.flatnonzero(np.diff(g._rcsr[0]) == 0)
+    return (tops, *_gather(indptr, ids, tops))
+
+
 def max_vertices(g: Digraph) -> frozenset[int]:
     """Maximal elements of the reachability order: the in-degree-0 vertices."""
     g.topological_order()
-    return frozenset(u for u in range(g.n) if not g.parents(u))
+    return frozenset(np.flatnonzero(np.diff(g._rcsr[0]) == 0).tolist())
 
 
 def big_d(g: Digraph) -> int:
@@ -407,24 +467,25 @@ def _scc(g: Digraph) -> tuple[list[int], list[list[int]]]:
     comp = [-1] * n
     comps: list[list[int]] = []
     counter = 0
+    ptr, ids = (a.tolist() for a in g._csr)
     for root in range(n):
         if index[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        # (vertex, position of its next child edge in ids)
+        work: list[tuple[int, int]] = [(root, ptr[root])]
         while work:
             v, pi = work[-1]
-            if pi == 0:
+            if index[v] == -1:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 onstack[v] = True
             descend = False
-            ch = g.children(v)
-            for i in range(pi, len(ch)):
-                w = ch[i]
+            for i in range(pi, ptr[v + 1]):
+                w = ids[i]
                 if index[w] == -1:
                     work[-1] = (v, i + 1)
-                    work.append((w, 0))
+                    work.append((w, ptr[w]))
                     descend = True
                     break
                 if onstack[w]:
@@ -500,7 +561,6 @@ def down_graph(g: Digraph) -> UndirectedGraph:
     Only maximal vertices need scanning, since every closed down-set is
     contained in a maximal one.
     """
-    indptr, ids = g._down_sets()
-    adj = _kernels.clique_union_csr(g.n, [ids[indptr[w]:indptr[w + 1]]
-                                          for w in sorted(max_vertices(g))])
+    _, ptr, ids = _max_rows(g)
+    adj = _kernels.clique_union_csr(g.n, np.split(ids, ptr[1:-1]))
     return UndirectedGraph._from_csr(g.labels, *adj)

@@ -10,7 +10,9 @@ The dictionary with digraphs: ``down_hypergraph`` collects the open (or
 closed) down-sets of the maximal vertices, ``up_digraph`` goes back by
 hanging a fresh top vertex over every hyperedge.  On simple hypergraphs
 and on height-two digraphs with distinct tops these are inverse to each
-other.
+other.  The down-hypergraph is built as a CSR pair (``_down_edges``),
+which the coloring pipeline uses as is; ``down_hypergraph`` wraps it in
+a ``Hypergraph``.
 
 Clique and intersection graphs come from the one conflict builder,
 ``_kernels.clique_union_csr``; so do ``digraph.down_graph`` and, through
@@ -34,8 +36,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import _kernels
-from .digraph import (Digraph, UndirectedGraph, _check_labels, _tuples_csr,
-                      max_vertices)
+from .digraph import (Digraph, UndirectedGraph, _check_labels, _gather,
+                      _max_rows, _tuples_csr)
 from .errors import ParseError
 
 
@@ -183,6 +185,30 @@ def format_hypergraph(h: Hypergraph) -> str:
 
 # ------------------------------------------------------------- dictionary
 
+def _down_edges(g: Digraph, closed: bool = False, simplify: bool = True):
+    """``down_hypergraph`` as arrays ``(keep, eptr, members)``: the ids of
+    ``g`` it keeps as vertices, ascending, and its edges, in the same
+    order, as CSR rows of positions in ``keep``.  The open variant keeps
+    the vertices with a parent, which are all below some maximal one."""
+    tops, eptr, members = _max_rows(g)
+    if closed:
+        keep = np.arange(g.n)
+    else:
+        members = members[members != np.repeat(tops, np.diff(eptr))]
+        eptr = eptr - np.arange(eptr.size)  # each row loses its own top
+        below = np.diff(g._rcsr[0]) > 0
+        keep = np.flatnonzero(below)
+        members = (np.cumsum(below, dtype=np.int32) - 1)[members]
+    rows = np.flatnonzero(np.diff(eptr) >= 1 + simplify)
+    if simplify:  # the first of each distinct row
+        ptr, flat = eptr.tolist(), members.tolist()
+        first: dict[tuple[int, ...], int] = {}
+        for r in rows.tolist():
+            first.setdefault(tuple(flat[ptr[r]:ptr[r + 1]]), r)
+        rows = np.array(list(first.values()), dtype=np.int64)
+    return (keep, *_gather(eptr, members, rows))
+
+
 def down_hypergraph(g: Digraph, closed: bool = False,
                     simplify: bool = True) -> Hypergraph:
     """Hypergraph of the down-sets of the maximal vertices of ``g``.
@@ -193,17 +219,11 @@ def down_hypergraph(g: Digraph, closed: bool = False,
     down-sets.  Empty down-sets are never kept; ``simplify`` additionally
     merges duplicates and drops singletons.
     """
-    indptr, ids = g._down_sets()
-    keep = [u for u in range(g.n) if closed or g.parents(u)]
-    remap = dict(zip(keep, range(len(keep))))
-    edges: list[tuple[int, ...]] = []
-    for w in sorted(max_vertices(g)):
-        members = tuple(remap[v] for v in ids[indptr[w]:indptr[w + 1]].tolist()
-                        if closed or v != w)
-        if members:
-            edges.append(members)
-    h = Hypergraph(tuple(g.label_of(u) for u in keep), edges, simple=None)
-    return h.simplify() if simplify else h
+    keep, eptr, members = _down_edges(g, closed, simplify)
+    ptr, flat = eptr.tolist(), members.tolist()
+    return Hypergraph(tuple(g.label_of(u) for u in keep.tolist()),
+                      [flat[a:b] for a, b in zip(ptr, ptr[1:])],
+                      simple=True if simplify else None)
 
 
 def up_digraph(h: Hypergraph) -> Digraph:
@@ -225,19 +245,20 @@ def clique_graph(h: Hypergraph) -> UndirectedGraph:
     return UndirectedGraph._from_csr(h.labels, *adj)
 
 
-def _edges_by_vertex(h: Hypergraph) -> list[list[int]]:
-    """The ids of the edges through each vertex, ascending."""
-    byv: list[list[int]] = [[] for _ in range(h.n)]
-    for ei, e in enumerate(h.edges):
-        for u in e:
-            byv[u].append(ei)
-    return byv
+def _incidence(n: int, size: np.ndarray,
+               members: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The edges through each vertex, ascending, as CSR (pointers as a
+    list, edge ids), for edges of sizes ``size`` laid out in ``members``."""
+    inc = np.repeat(np.arange(size.size), size)[np.argsort(members, kind="stable")]
+    return [0] + np.cumsum(np.bincount(members, minlength=n)).tolist(), inc
 
 
 def intersection_graph(h: Hypergraph) -> UndirectedGraph:
     """Graph on the hyperedges, joined when they share a vertex."""
     labels = tuple(f"e{i}" for i in range(h.m))
-    adj = _kernels.clique_union_csr(h.m, _edges_by_vertex(h))
+    eptr, members = _tuples_csr(h.edges)
+    iptr, inc = _incidence(h.n, np.diff(eptr), members)
+    adj = _kernels.clique_union_csr(h.m, np.split(inc, iptr[1:-1]))
     return UndirectedGraph._from_csr(labels, *adj)
 
 
@@ -297,11 +318,9 @@ def _peel(n: int, eptr: np.ndarray, members: np.ndarray) -> DegeneracyResult:
     live = size >= 2
     members = members[np.repeat(live, size)]
     size = size[live]
-    edge = np.repeat(np.arange(size.size), size)
     xor = np.bitwise_xor.reduceat(members, np.cumsum(size) - size)
     deg = np.bincount(members, minlength=n)
-    inc = edge[np.argsort(members, kind="stable")]
-    iptr = [0] + np.cumsum(deg).tolist()
+    iptr, inc = _incidence(n, size, members)
     removed = np.iinfo(deg.dtype).max
     order: list[int] = []
     value = 0

@@ -11,9 +11,10 @@ import heapq
 import io
 import math
 import random
+from collections import deque
 from itertools import combinations
 
-from downcolor import Digraph, Hypergraph
+from downcolor import Digraph, Hypergraph, ParseError
 
 
 # ---------------------------------------------------------------- corpora
@@ -242,6 +243,131 @@ def strong_first_fit_reference(h: Hypergraph, order) -> list[int]:
             c += 1
         colors[v] = c
     return colors
+
+
+# ------------------------------------------------- digraph text boundary
+
+def digraph_reference(labels, edges) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``Digraph(labels, edges)`` as it validated edge by edge before it
+    became array-backed: ``(children, parents)`` as sorted id tuples, or
+    the same ``ValueError`` for the first offending pair."""
+    labels = tuple(labels)
+    n = len(labels)
+    children: list[list[int]] = [[] for _ in range(n)]
+    parents: list[list[int]] = [[] for _ in range(n)]
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+        if u == v:
+            raise ValueError(f"self-loop at {labels[u]!r}")
+        if (u, v) in seen:
+            raise ValueError(f"duplicate edge {labels[u]!r} -> {labels[v]!r}")
+        seen.add((u, v))
+        children[u].append(v)
+        parents[v].append(u)
+    return (tuple(tuple(sorted(c)) for c in children),
+            tuple(tuple(sorted(p)) for p in parents))
+
+
+def parse_digraph_reference(text: str):
+    """The line-by-line ``parse_digraph`` with a set of seen pairs, as
+    ``(labels, children, parents)``; raises the same ``ParseError``."""
+    labels: list[str] = []
+    index: dict[str, int] = {}
+    edges: list[tuple[int, int]] = []
+    eset: set[tuple[int, int]] = set()
+
+    def vid(tok: str) -> int:
+        if tok not in index:
+            index[tok] = len(labels)
+            labels.append(tok)
+        return index[tok]
+
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        toks = line.split()
+        if len(toks) == 1:
+            vid(toks[0])
+        elif len(toks) == 2:
+            u, v = vid(toks[0]), vid(toks[1])
+            if u == v:
+                raise ParseError(f"self-loop at {toks[0]!r}", lineno)
+            if (u, v) in eset:
+                raise ParseError(f"duplicate edge {toks[0]} -> {toks[1]}", lineno)
+            eset.add((u, v))
+            edges.append((u, v))
+        else:
+            raise ParseError(f"expected 1 or 2 tokens, got {len(toks)}", lineno)
+    return (tuple(labels), *digraph_reference(labels, edges))
+
+
+def topological_order_reference(labels, children, parents):
+    """Kahn's FIFO order over id tuples, or on a cycle the label cycle
+    that a walk along smallest in-residue parents from the smallest
+    residue id closes, as ``CyclicGraphError`` names it."""
+    indeg = [len(p) for p in parents]
+    queue = deque(u for u in range(len(children)) if indeg[u] == 0)
+    order: list[int] = []
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        for v in children[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    if len(order) == len(children):
+        return tuple(order)
+    residue = set(range(len(children))) - set(order)
+    path = [min(residue)]
+    while True:
+        p = min(w for w in parents[path[-1]] if w in residue)
+        if p in path:
+            return [labels[v] for v in reversed(path[path.index(p):] + [p])]
+        path.append(p)
+
+
+# ------------------------------------------------------ down-hypergraph
+
+def down_hypergraph_reference(g: Digraph, closed: bool, simplify: bool):
+    """``down_hypergraph`` from ``reach_closed`` by labels, as ``(vertex
+    labels, edges as sorted id tuples)``: the maximal vertices in id order,
+    each with its closed (or open) reachability set, empty sets dropped;
+    ``simplify`` also drops singletons and repeats after the first."""
+    reach = reach_closed(g)
+    has_parent = {v for u, v in g.edge_labels()}
+    tops = [w for w in g.labels if w not in has_parent]
+    keep = [u for u in g.labels if closed or u in has_parent]
+    pos = {u: i for i, u in enumerate(keep)}
+    edges = []
+    for w in tops:
+        e = tuple(sorted(pos[v] for v in reach[w] if closed or v != w))
+        if len(e) >= (2 if simplify else 1) and not (simplify and e in edges):
+            edges.append(e)
+    return tuple(keep), tuple(edges)
+
+
+def greedy_down_coloring_reference(g: Digraph) -> tuple[dict[str, int], int]:
+    """Greedy ``down_coloring`` the way it ran through a ``Hypergraph``:
+    the heap peel of the simplified open down-hypergraph, set-based
+    first-fit along its reversed order, then each maximal vertex (by
+    label) takes the smallest color missing from its open down-set.
+    Returns the colors in the library's key order and ``ind(H)``."""
+    labels, edges = down_hypergraph_reference(g, closed=False, simplify=True)
+    h = Hypergraph(labels, edges, simple=True)
+    ind, order = peel_reference(h.n, h.edges)
+    base = strong_first_fit_reference(h, order)
+    colors = {labels[u]: base[u] for u in range(h.n)}
+    reach = reach_closed(g)
+    for w in sorted(set(g.labels) - set(labels)):
+        used = {colors[v] for v in reach[w] if v != w}
+        c = 1
+        while c in used:
+            c += 1
+        colors[w] = c
+    return colors, ind
 
 
 def brute_ac_ok(m, g: Digraph) -> bool:

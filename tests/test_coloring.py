@@ -334,7 +334,9 @@ def test_find_down_violation_matches_brute():
         rank = {col: i + 1 for i, col in enumerate(sorted(set(colors.values())))}
         c = Coloring({lab: rank[x] for lab, x in colors.items()}, len(rank),
                      "greedy")
-        assert find_down_violation(g, c) == brute_violation(g, c)
+        want = brute_violation(g, c)
+        assert find_down_violation(g, c) == want
+        assert verify_down_coloring(g, c) == (want is None)
 
 
 def test_verify_rejects_wrong_vertex_set():

@@ -20,7 +20,10 @@ from downcolor import (
     up_digraph,
     down_hypergraph,
 )
-from conftest import brute_down_edges, random_dag, random_digraph, reach_closed
+from downcolor.digraph import _lines
+from conftest import (brute_down_edges, digraph_reference,
+                      parse_digraph_reference, random_dag, random_digraph,
+                      reach_closed, topological_order_reference)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 
@@ -179,3 +182,75 @@ def test_format_parse_roundtrip_property(pairs, isolated):
     uniq = [p for p in pairs if not (p in seen or seen.add(p))]
     g = Digraph.from_label_pairs(uniq, isolated=isolated)
     assert parse_digraph(format_digraph(g)) == g
+
+
+# ------------------------------------------------ the text boundary, fuzzed
+
+# splitlines breaks on all of these; the ones after \r also split tokens
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+token = st.sampled_from(["a", "b", "c", "d"])
+gap = st.sampled_from([" ", "\t", "  ", " \t", "\x1f"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts of 0-3 tokens per line, with comments that may hold
+    tokens, blank lines, tabs, assorted line breaks, self-loops and
+    repeated edges."""
+    out = []
+    for _ in range(draw(st.integers(0, 12))):
+        width = draw(st.sampled_from([0, 1, 2, 2, 2, 2, 2, 3]))
+        toks = [draw(token) for _ in range(width)]
+        line = draw(st.sampled_from(["", " ", "\t"]))
+        for i, tok in enumerate(toks):
+            line += (draw(gap) if i else "") + tok
+        if draw(st.booleans()) and draw(st.booleans()):
+            line += draw(st.sampled_from(["#", " # ", "#a b"]))
+            line += " ".join(draw(st.lists(token, max_size=3)))
+        out.append(line + draw(st.sampled_from(BREAKS)))
+    text = "".join(out)
+    return text[:-1] if text.endswith("\n") and draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts(), st.integers(1, 6))
+def test_parse_matches_reference(text, size):
+    assert list(_lines(text, size)) == text.splitlines()
+    try:
+        labels, children, parents = parse_digraph_reference(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as ei:
+            parse_digraph(text)
+        assert (str(ei.value), ei.value.line) == (str(exc), exc.line)
+        return
+    g = parse_digraph(text)
+    assert g.labels == labels
+    assert list(g.edges()) == [(u, v) for u in range(g.n) for v in children[u]]
+    assert tuple(map(g.children, range(g.n))) == children
+    assert tuple(map(g.parents, range(g.n))) == parents
+    want = topological_order_reference(labels, children, parents)
+    if isinstance(want, tuple):
+        assert g.topological_order() == want
+    else:
+        with pytest.raises(CyclicGraphError) as ei:
+            g.topological_order()
+        assert ei.value.cycle == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5),
+       st.lists(st.tuples(st.integers(-2, 6), st.integers(-2, 6)), max_size=12))
+def test_constructor_errors_match_reference(n, edges):
+    # edge lists that mix out-of-range pairs, self-loops and repeats
+    labels = [f"v{i}" for i in range(n)]
+    try:
+        children, parents = digraph_reference(labels, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as ei:
+            Digraph(labels, edges)
+        assert str(ei.value) == str(exc)
+        return
+    g = Digraph(labels, edges)
+    assert tuple(map(g.children, range(n))) == children
+    assert tuple(map(g.parents, range(n))) == parents
+    assert g.edge_count == len(edges)

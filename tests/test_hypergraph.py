@@ -9,9 +9,12 @@ from downcolor import (
     Hypergraph,
     ParseError,
     UndirectedGraph,
+    big_d,
+    bound_report,
     clique_graph,
     degeneracy,
     degree,
+    down_coloring,
     down_graph,
     down_hypergraph,
     format_hypergraph,
@@ -24,7 +27,8 @@ from downcolor import (
     up_digraph,
 )
 from downcolor.coloring import _greedy_colors, greedy_strong_coloring
-from conftest import (SCALE_GRAPHS, brute_degeneracy, peel_reference,
+from conftest import (SCALE_GRAPHS, brute_degeneracy, down_hypergraph_reference,
+                      greedy_down_coloring_reference, peel_reference,
                       random_dag, random_hypergraph, strong_first_fit_reference)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
@@ -75,6 +79,30 @@ def test_down_hypergraph_open_and_closed():
     hc = down_hypergraph(g, closed=True)
     assert hc.n == 6
     assert clique_graph(hc) == down_graph(g)
+
+
+def test_down_hypergraph_and_greedy_path_match_references():
+    # edge order included; the coloring compares key order too
+    rng = random.Random(89)
+    for _ in range(200):
+        g = random_dag(rng, rng.randint(1, 14), rng.uniform(0.1, 0.6))
+        for closed in (False, True):
+            for simplify in (False, True):
+                h = down_hypergraph(g, closed=closed, simplify=simplify)
+                labels, edges = down_hypergraph_reference(g, closed, simplify)
+                assert (h.labels, h.edges) == (labels, edges)
+                assert h.simple == (len(set(edges)) == len(edges)
+                                    and all(len(e) >= 2 for e in edges))
+        colors, ind = greedy_down_coloring_reference(g)
+        c = down_coloring(g)
+        assert list(c.colors.items()) == list(colors.items())
+        assert c.k == max(colors.values())
+        if g.edge_count:
+            d = big_d(g)
+            rep = bound_report(g)
+            assert (rep.big_d, rep.sigma_h, rep.ind_h, rep.lower_bound) == (
+                d, d - 1, ind, d)
+            assert rep.cor1_bound == (d if ind <= 1 else ind * (d - 2) + 1)
 
 
 def test_up_digraph_rejects_label_collision():
