@@ -13,15 +13,20 @@ order, one Python-int mask of used colors per hyperedge, which is the
 constructive side of the bound ind(H)*(D - 2) + 1 on down-colorings.
 
 The exact solver is a DSATUR-style branch and bound over the clique
-graph, seeded with a greedy upper bound and a greedily grown clique.  The
-search is iterative, with an explicit stack, so its depth is not bound by
-Python's recursion limit.  Vertices are renumbered by degree (descending,
-then id) and the uncolored ones are kept as Python-int bitmasks, one per
+graph, taken as CSR and scattered once into a dense bool matrix.  It is
+seeded with a first-fit upper bound and a greedy clique grown from every
+start at once, one float32 matrix product per step.  The search is
+iterative, with an explicit stack, so its depth is not bound by Python's
+recursion limit.  Vertices are renumbered by degree (descending, then
+id) and the uncolored ones are kept as Python-int bitmasks, one per
 saturation level and one per color they already see: the next vertex is
 the lowest bit of the highest non-empty level, and coloring a vertex
-lifts all its affected neighbors with a few mask operations.  It refuses
-graphs above a vertex cap (default 30) and can be given a node budget; a
-budget-exhausted search reports its bracketing bounds instead of failing.
+lifts all its affected neighbors with a few mask operations.  A vertex
+taken from level s sees s of the colors in use, so once it has tried
+the others it jumps straight to a new color.  It refuses graphs above a
+vertex cap (default 30) and can be given a node budget; a
+budget-exhausted search reports its bracketing bounds instead of failing,
+and an exact down-coloring counts D among them.
 """
 
 from __future__ import annotations
@@ -144,29 +149,42 @@ def greedy_strong_coloring(h: Hypergraph) -> Coloring:
 
 # -------------------------------------------------------- exact coloring
 
-def _greedy_clique(n: int, adj: list[int]) -> list[int]:
-    """Grow a clique greedily from every start vertex, keep the largest."""
-    best: list[int] = []
-    for s in range(n):
-        clique = [s]
-        cand = adj[s]
-        while cand:
-            pick, pick_score = -1, -1
-            m = cand
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                score = (adj[v] & cand).bit_count()
-                if score > pick_score:
-                    pick, pick_score = v, score
-            clique.append(pick)
-            cand &= adj[pick]
-        if len(clique) > len(best):
-            best = clique
-    return best
+def _dense(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The n-by-n bool adjacency matrix of a CSR graph."""
+    n = indptr.size - 1
+    a = np.zeros((n, n), dtype=bool)
+    a[np.repeat(np.arange(n), np.diff(indptr)), indices] = True
+    return a
 
 
-def _dsatur(adj: list[int], clique: list[int], best_k: int,
+def _greedy_clique(a: np.ndarray) -> list[int]:
+    """Grow a clique greedily from every start vertex at once and keep the
+    largest, the lowest start on a tie.  Each step adds to every growing
+    clique the candidate adjacent to most other candidates, the lowest id
+    on a tie; one float32 product counts them all, exactly."""
+    n = a.shape[0]
+    af = a.astype(np.float32)
+    cand = a.copy()  # row s: the vertices adjacent to all of s's clique
+    live = np.arange(n)
+    picks = []  # picks[t][s]: the clique from s gains it at step t, or -1
+    while True:
+        live = live[cand[live].any(axis=1)]
+        if not live.size:
+            break
+        rows = cand[live]
+        score = rows.astype(np.float32) @ af
+        score[~rows] = -1
+        pick = np.full(n, -1)
+        pick[live] = score.argmax(axis=1)
+        cand[live] &= a[pick[live]]
+        picks.append(pick)
+    steps = np.array(picks, dtype=np.int64).reshape(-1, n)
+    size = (steps >= 0).sum(axis=0)
+    s = int(size.argmax())
+    return [s, *steps[:size[s], s].tolist()]
+
+
+def _dsatur(a: np.ndarray, clique: list[int], best_k: int,
             budget: int | None) -> tuple[list[int] | None, bool]:
     """DSATUR branch and bound for a coloring with fewer than ``best_k``
     colors, with ``clique`` precolored 1, 2, ...
@@ -174,21 +192,15 @@ def _dsatur(adj: list[int], clique: list[int], best_k: int,
     Returns the best coloring found by id (None if none beats ``best_k``)
     and whether the search ran to completion within ``budget`` nodes.
     """
-    n = len(adj)
+    n = a.shape[0]
     # rank space: by degree descending, then id, so the lowest set bit of
     # any mask is DSATUR's tie-break winner
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    rank = [0] * n
-    for r, v in enumerate(order):
-        rank[v] = r
-    radj = [0] * n
-    for v in range(n):
-        m, x = adj[v], 0
-        while m:
-            low = m & -m
-            x |= 1 << rank[low.bit_length() - 1]
-            m ^= low
-        radj[rank[v]] = x
+    order = np.argsort(-a.sum(axis=1), kind="stable")
+    rank = np.argsort(order).tolist()
+    rows = np.packbits(a[np.ix_(order, order)], axis=1, bitorder="little")
+    w, packed = rows.shape[1], rows.tobytes()
+    radj = [int.from_bytes(packed[i:i + w], "little")
+            for i in range(0, n * w, w)]
 
     # col[c]: uncolored vertices that see color c; level[s]: uncolored
     # vertices of saturation s.  Colors stay below best_k, and so do
@@ -214,8 +226,9 @@ def _dsatur(adj: list[int], clique: list[int], best_k: int,
     exact = True
     k_cur = len(clique)
     # one frame per open node: pick bit and rank, its level, the node's
-    # color count, next color to try, and the stamp of the child being
-    # searched (touched mask, level moves)
+    # color count, the child's color (0 before the first), how many colors
+    # up to that count are still free for the pick, and the child's stamp
+    # (touched mask, level moves)
     stack: list[list] = []
     while True:
         # enter the node the last stamp made (the root first)
@@ -233,21 +246,28 @@ def _dsatur(adj: list[int], clique: list[int], best_k: int,
             bit = m & -m
             level[s] = m ^ bit
             uncol ^= bit
-            stack.append([bit, bit.bit_length() - 1, s, k_cur, 1, 0, ()])
+            # a pick from level s sees s of the colors 1..k_cur
+            stack.append([bit, bit.bit_length() - 1, s, k_cur, 0, k_cur - s,
+                          0, ()])
         # undo the deepest open node's last child and stamp its next one
         while stack:
             frame = stack[-1]
-            bit, r, s, k0, c, touched, moves = frame
-            col[c - 1] ^= touched
-            for t, moved in moves:
-                level[t + 1] ^= moved
-                level[t] |= moved
+            bit, r, s, k0, c, free, touched, moves = frame
+            if touched:
+                col[c] ^= touched
+                for t, moved in moves:
+                    level[t + 1] ^= moved
+                    level[t] |= moved
             # colors above k0 + 1 only permute the new one, and a child
             # with best_k colors or more cannot improve on the incumbent
-            last = min(k0 + 1, best_k - 1) if k0 < best_k else 0
-            while c <= last and col[c] & bit:
+            if free and k0 < best_k:
                 c += 1
-            if c > last:
+                while col[c] & bit:
+                    c += 1
+                free -= 1
+            elif c <= k0 < best_k - 1:
+                c = k0 + 1
+            else:
                 stack.pop()
                 level[s] |= bit
                 uncol |= bit
@@ -266,11 +286,41 @@ def _dsatur(adj: list[int], clique: list[int], best_k: int,
                     moves.append((t, moved))
                 t -= 1
             colors[r] = c
-            frame[4:] = c + 1, touched, moves
+            frame[4] = c
+            frame[5] = free
+            frame[6] = touched
+            frame[7] = moves
             break
         else:
             break
     return (None if best is None else [best[rank[v]] for v in range(n)]), exact
+
+
+def _exact(labels: tuple[str, ...], indptr: np.ndarray, indices: np.ndarray,
+           cap: int | None, budget: int | None) -> ExactResult:
+    """``exact_chromatic`` of the graph on ``labels`` given by a sorted,
+    symmetric, loop-free CSR adjacency, as ``clique_union_csr`` returns."""
+    n = len(labels)
+    if indices.size == n * (n - 1):
+        return ExactResult(n, Coloring(dict(zip(labels, range(1, n + 1))), n,
+                                       "exact"), n, True)
+    limit = DEFAULT_EXACT_CAP if cap is None else cap
+    if n > limit:
+        raise CapExceededError(
+            f"exact solver cap exceeded: {n} vertices > cap {limit}")
+
+    a = _dense(indptr, indices)
+    best = _greedy_colors(n, indptr, indices).tolist()
+    best_k = max(best)
+    clique = _greedy_clique(a)
+    exact = True
+    if len(clique) < best_k:
+        found, exact = _dsatur(a, clique, best_k, budget)
+        if found is not None:
+            best, best_k = found, max(found)
+    coloring = Coloring(dict(zip(labels, best)), best_k,
+                        "exact" if exact else "greedy")
+    return ExactResult(best_k, coloring, best_k if exact else len(clique), exact)
 
 
 def exact_chromatic(g: UndirectedGraph, cap: int | None = None,
@@ -280,37 +330,7 @@ def exact_chromatic(g: UndirectedGraph, cap: int | None = None,
     Complete graphs are answered without search regardless of size;
     otherwise the vertex count must not exceed ``cap`` (default 30).
     """
-    n = g.n
-    if n == 0:
-        return ExactResult(0, Coloring({}, 0, "exact"), 0, True)
-    if g.is_complete():
-        colors = {g.label_of(u): u + 1 for u in range(n)}
-        return ExactResult(n, Coloring(colors, n, "exact"), n, True)
-    limit = DEFAULT_EXACT_CAP if cap is None else cap
-    if n > limit:
-        raise CapExceededError(
-            f"exact solver cap exceeded: {n} vertices > cap {limit}")
-
-    adj = [0] * n
-    for a, b in g.edges():
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-
-    ub_arr = _greedy_colors(n, *g._csr_arrays())
-    best_k = int(ub_arr.max())
-    best = [int(c) for c in ub_arr]
-    clique = _greedy_clique(n, adj)
-    lb = len(clique)
-
-    exact = True
-    if lb < best_k:
-        found, exact = _dsatur(adj, clique, best_k, budget)
-        if found is not None:
-            best, best_k = found, max(found)
-
-    coloring = Coloring({g.label_of(u): best[u] for u in range(n)},
-                        best_k, "exact" if exact else "greedy")
-    return ExactResult(best_k, coloring, best_k if exact else lb, exact)
+    return _exact(g.labels, *g._csr_arrays(), cap, budget)
 
 
 def exact_strong_chromatic(h: Hypergraph, cap: int | None = None,
@@ -348,8 +368,9 @@ def down_coloring(g: Digraph, mode: str = "greedy", *, cap: int | None = None,
 
     Strong-colors the open down-hypergraph, kept as CSR arrays, then
     extends to the maximal vertices.  In exact mode the result size is the
-    down-chromatic number; a budget-exhausted exact run raises
-    :class:`CapExceededError` carrying the best valid coloring found.
+    down-chromatic number.  A budget-exhausted exact run whose coloring
+    still sits above max(clique bound, D) raises :class:`CapExceededError`
+    carrying that coloring; one that reached the bound is proved optimal.
     """
     if mode not in ("greedy", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -359,16 +380,16 @@ def down_coloring(g: Digraph, mode: str = "greedy", *, cap: int | None = None,
         return _extend_to_maximal(g, keep, _greedy_strong(keep.size, eptr, members),
                                   mode)
     labels = tuple(g.label_of(u) for u in keep.tolist())
-    adj = _kernels.clique_union_csr(keep.size, np.split(members, eptr[1:-1]))
-    res = exact_chromatic(UndirectedGraph._from_csr(labels, *adj), cap=cap,
-                          budget=budget)
-    base = [res.coloring.colors[lab] for lab in labels]
-    if not res.exact:
-        partial = _extend_to_maximal(g, keep, base, "greedy")
+    res = _exact(labels, *_kernels.clique_union_csr(
+        keep.size, np.split(members, eptr[1:-1])), cap, budget)
+    c = _extend_to_maximal(g, keep, list(res.coloring.colors.values()), mode)
+    # a closed down-set of D vertices is rainbow, so D bounds from below too
+    lower = max(res.lower, big_d(g))
+    if not res.exact and c.k > lower:
         raise CapExceededError(
-            f"exact search budget exhausted between {res.lower} and {partial.k} colors",
-            partial=partial, lower=res.lower, upper=partial.k)
-    return _extend_to_maximal(g, keep, base, mode)
+            f"exact search budget exhausted between {lower} and {c.k} colors",
+            partial=Coloring(c.colors, c.k, "greedy"), lower=lower, upper=c.k)
+    return c
 
 
 def _check_total(g: Digraph, c: Coloring) -> None:

@@ -2,7 +2,8 @@
 
 Oracles here use plain Python sets and backtracking only, so they share
 no code path with the package internals they check; ``dsatur_reference``
-shares only the exact solver's greedy seeding, not its search.
+shares only the exact solver's greedy upper bound, not its clique seed
+or its search.
 """
 from __future__ import annotations
 
@@ -59,6 +60,21 @@ SCALE_GRAPHS = {
     "layered": lambda: layered_dag(random.Random(3), 300, 0.3),
     "hierarchy": lambda: hierarchy(random.Random(5), 1500),
 }
+
+
+# the Groetzsch graph: the 5-cycle u0..u4, a shadow w_i adjacent to the
+# cycle neighbours of u_i, and a hub z adjacent to every shadow; it is
+# triangle-free with chromatic number 4
+GROTZSCH_EDGES = ([(f"u{i}", f"u{(i + 1) % 5}") for i in range(5)]
+                  + [(f"w{i}", f"u{(i + j) % 5}") for i in range(5) for j in (1, 4)]
+                  + [("z", f"w{i}") for i in range(5)])
+
+
+def pair_digraph_text(edges) -> str:
+    """Edge-list text of the up-digraph of a graph read as 2-element
+    hyperedges: a top ``e{j}`` above both ends of each edge, so the
+    down-hypergraph's clique graph is the graph itself and D = 3."""
+    return "".join(f"e{j} {a}\ne{j} {b}\n" for j, (a, b) in enumerate(edges))
 
 
 def random_digraph(rng: random.Random, n: int, density: float) -> Digraph:
@@ -430,14 +446,39 @@ def csv_reference(m) -> str:
     return buf.getvalue()
 
 
+def greedy_clique_reference(n: int, adj: list[int]) -> list[int]:
+    """The exact solver's clique seed as it ran on Python-int adjacency
+    masks, one start at a time: from each start vertex, repeatedly add
+    the candidate adjacent to most other candidates (the lowest id on a
+    tie); keep the largest clique, the earliest start on a tie."""
+    best: list[int] = []
+    for s in range(n):
+        clique = [s]
+        cand = adj[s]
+        while cand:
+            pick, pick_score = -1, -1
+            m = cand
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                score = (adj[v] & cand).bit_count()
+                if score > pick_score:
+                    pick, pick_score = v, score
+            clique.append(pick)
+            cand &= adj[pick]
+        if len(clique) > len(best):
+            best = clique
+    return best
+
+
 def dsatur_reference(g, budget: int | None = None) -> tuple[int, int, bool, list[int]]:
     """The recursive DSATUR branch and bound that ``exact_chromatic`` used
     before its search became iterative, as ``(k, lower, exact, colors by
-    id)``.  It is seeded exactly as the solver is, with the package's
-    greedy upper bound and greedy clique, so the two must agree on every
+    id)``.  It is seeded as the solver is, with the package's greedy upper
+    bound and ``greedy_clique_reference``, so the two must agree on every
     field, budget stops included.  Recursion depth is one level per vertex:
     keep ``g`` small."""
-    from downcolor.coloring import _greedy_clique, _greedy_colors
+    from downcolor.coloring import _greedy_colors
 
     n = g.n
     if g.is_complete():
@@ -449,7 +490,7 @@ def dsatur_reference(g, budget: int | None = None) -> tuple[int, int, bool, list
     deg = [adj[v].bit_count() for v in range(n)]
     ub = _greedy_colors(n, *g._csr_arrays())
     best_k, best = int(ub.max()), [int(c) for c in ub]
-    clique = _greedy_clique(n, adj)
+    clique = greedy_clique_reference(n, adj)
     lb = len(clique)
     if lb >= best_k:
         return best_k, best_k, True, best

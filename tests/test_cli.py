@@ -6,7 +6,7 @@ from downcolor import (Hypergraph, cli, coloring_from_json, format_digraph,
                        is_acyclic, parse_digraph, up_digraph,
                        verify_down_coloring)
 from downcolor.cli import main
-from conftest import brute_down_edges
+from conftest import GROTZSCH_EDGES, brute_down_edges, pair_digraph_text
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 
@@ -125,16 +125,27 @@ def test_exact_long_odd_cycle_has_no_recursion_limit(tmp_path, capsys):
 
 
 def test_exact_budget_emits_incumbent(tmp_path, capsys):
-    lines = []
-    for i in range(5):
-        lines += [f"w{i} v{i}", f"w{i} v{(i + 1) % 5}"]
-    p = tmp_path / "c5.txt"
-    p.write_text("".join(f"{ln}\n" for ln in lines))
+    p = tmp_path / "grotzsch.txt"
+    p.write_text(pair_digraph_text(GROTZSCH_EDGES))
     assert main(["color", "--exact", str(p), "--budget", "0"]) == 3
     cap = capsys.readouterr()
     assert "budget exhausted" in cap.err
+    assert "3 <= chi_d <= 4" in cap.err
     data = json.loads(cap.out)
     assert data["method"] == "greedy"
+
+
+def test_exact_budget_stop_at_d_exits_zero(tmp_path, capsys):
+    # 5-cycle conflict graph: D = 3 proves the stopped search's 3 colors
+    p = tmp_path / "c5.txt"
+    p.write_text(pair_digraph_text([(f"v{i}", f"v{(i + 1) % 5}")
+                                    for i in range(5)]))
+    assert main(["color", "--exact", str(p), "--budget", "0"]) == 0
+    cap = capsys.readouterr()
+    assert cap.err == ""
+    c = coloring_from_json(cap.out)
+    assert (c.k, c.method) == (3, "exact")
+    assert verify_down_coloring(parse_digraph(p.read_text()), c)
 
 
 def test_acyclify_output_is_equivalent_dag(tmp_path, capsys):

@@ -3,6 +3,7 @@ import json
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from downcolor import (
@@ -33,8 +34,11 @@ from downcolor import (
     verify_down_coloring,
 )
 from downcolor import _kernels, cli
-from conftest import (SCALE_GRAPHS, brute_chromatic, brute_violation,
-                      dsatur_reference, random_dag, random_hypergraph)
+from downcolor.coloring import _greedy_clique
+from conftest import (GROTZSCH_EDGES, SCALE_GRAPHS, brute_chromatic,
+                      brute_violation, dsatur_reference,
+                      greedy_clique_reference, pair_digraph_text, random_dag,
+                      random_hypergraph)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 
@@ -143,6 +147,35 @@ def test_exact_matches_recursive_reference(budget):
     assert (stops > 0) == (budget is not None)
 
 
+def test_greedy_clique_matches_reference():
+    # random, edgeless, complete-minus-one-edge and circulant graphs; the
+    # circulants are regular, so every first pick is a tie
+    rng = random.Random(83)
+    for i in range(600):
+        n = rng.randint(1, 60)
+        pairs = list(combinations(range(n), 2))
+        if i % 4 == 0:
+            p = rng.uniform(0.05, 0.95)
+            edges = [e for e in pairs if rng.random() < p]
+        elif i % 4 == 1:
+            edges = []
+        elif i % 4 == 2:
+            edges = pairs[:]
+            if edges:
+                edges.remove(rng.choice(edges))
+        else:
+            hops = rng.sample(range(1, n // 2 + 1), rng.randint(0, n // 2))
+            edges = sorted({tuple(sorted((u, (u + h) % n)))
+                            for u in range(n) for h in hops})
+        a = np.zeros((n, n), dtype=bool)
+        adj = [0] * n
+        for u, v in edges:
+            a[u, v] = a[v, u] = True
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        assert _greedy_clique(a) == greedy_clique_reference(n, adj)
+
+
 def partial_plane(q, seed, share=0.45):
     """Up-digraph of a seeded random share of the lines of AG(2, q)."""
     plane, _ = affine_design(build_field(*prime_power(q)), 2)
@@ -152,15 +185,25 @@ def partial_plane(q, seed, share=0.45):
 
 
 # sha256 of coloring_to_json(down_coloring(g, "exact", cap=g.n, budget=5000)),
-# the incumbent on a budget stop; computed before the search became iterative
-@pytest.mark.parametrize("q, k, stopped, digest", [
-    (7, 10, False,
+# the incumbent on a budget stop; the q = 7 and 11 rows were computed before
+# the search became iterative, the q = 9 rows before it moved to a dense
+# conflict matrix
+PLANE_PINS = [  # q, seed, k, stopped, digest
+    (7, 1, 10, False,
      "558528f75911eccab5b49c899477d273619baa716dbfd1681de296467173fd88"),
-    (11, 17, True,
+    (11, 1, 17, True,
      "f3517696ddf6bc1ce6de4a1f7f3df1775af5119f5c617f261ca61e59abc20e07"),
-])
-def test_exact_partial_plane_pinned(q, k, stopped, digest):
-    g = partial_plane(q, 1)
+    (9, 1, 12, False,
+     "ace60d992e285b2234984a8def6326ca380c7bb0d6ab38f6783c4581786a9912"),
+    (9, 6, 13, True,
+     "e0fc47a97ca78fc17815904c7bd12ca164caf44d581ca120b8086dccc81f8242"),
+]
+
+
+@pytest.mark.parametrize("q, seed, k, stopped, digest", PLANE_PINS,
+                         ids=[f"{q}-{k}-{st}-{d}" for q, _, k, st, d in PLANE_PINS])
+def test_exact_partial_plane_pinned(q, seed, k, stopped, digest):
+    g = partial_plane(q, seed)
     try:
         c = down_coloring(g, "exact", cap=g.n, budget=5000)
     except CapExceededError as exc:
@@ -170,6 +213,16 @@ def test_exact_partial_plane_pinned(q, k, stopped, digest):
         assert not stopped
     assert c.k == k
     assert hashlib.sha256(coloring_to_json(c).encode()).hexdigest() == digest
+
+
+def test_exact_strong_partial_plane_pinned():
+    # the q = 11 plane's down-hypergraph stops at the budget; the digest
+    # was computed before the search moved to a dense conflict matrix
+    h = down_hypergraph(partial_plane(11, 1))
+    res = exact_strong_chromatic(h, cap=h.n, budget=5000)
+    assert (res.k, res.lower, res.exact) == (17, 12, False)
+    assert hashlib.sha256(coloring_to_json(res.coloring).encode()).hexdigest() == (
+        "33e3f70447b033b8ba884c3f56b8113cb3d4c43010b61ffc3d5df045f69b6fe6")
 
 
 # ------------------------------------------------------------ strong coloring
@@ -237,6 +290,17 @@ def test_greedy_paths_build_no_clique_union(monkeypatch, tmp_path):
     assert cli.main(["color", "--strong", str(hyper)]) == 0
 
 
+def test_exact_down_coloring_builds_no_graph_object(monkeypatch):
+    # the exact branch hands the clique union's CSR arrays to the solver
+    def refuse(*args, **kw):
+        raise AssertionError("the exact branch built an UndirectedGraph")
+
+    monkeypatch.setattr(UndirectedGraph, "__init__", refuse)
+    monkeypatch.setattr(UndirectedGraph, "_from_csr", classmethod(refuse))
+    g = parse_digraph(pair_digraph_text(GROTZSCH_EDGES))
+    assert down_coloring(g, "exact").k == 4
+
+
 def test_down_coloring_exact_matches_down_graph_chromatic():
     rng = random.Random(71)
     for _ in range(30):
@@ -266,17 +330,28 @@ def test_down_coloring_deterministic():
 
 
 def test_down_coloring_budget_carries_partial():
-    # disjoint 5-cycle conflict structure forces a real search
-    pairs = []
-    for i in range(5):
-        pairs += [(f"w{i}", f"v{i}"), (f"w{i}", f"v{(i + 1) % 5}")]
-    g = parse_digraph("".join(f"{a} {b}\n" for a, b in pairs))
+    # the Groetzsch conflict graph: clique 2 and D = 3 both sit below
+    # chi = 4, so a stopped search proves nothing
+    g = parse_digraph(pair_digraph_text(GROTZSCH_EDGES))
     with pytest.raises(CapExceededError) as ei:
         down_coloring(g, "exact", budget=0)
     err = ei.value
     assert err.partial is not None
     assert verify_down_coloring(g, err.partial)
     assert err.lower <= err.upper == err.partial.k
+    assert (err.lower, err.upper, err.partial.method) == (3, 4, "greedy")
+
+
+def test_down_coloring_budget_stop_at_d_is_proved():
+    # the 5-cycle conflict graph: the search stops at once with clique
+    # bound 2, but the incumbent's 3 colors meet D = 3, which proves it
+    g = parse_digraph(pair_digraph_text(
+        [(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)]))
+    assert big_d(g) == 3
+    c = down_coloring(g, "exact", budget=0)
+    assert (c.k, c.method) == (3, "exact")
+    assert verify_down_coloring(g, c)
+    assert c == down_coloring(g, "exact")
 
 
 def test_six_example_exact_and_bounds():
