@@ -16,8 +16,6 @@ import argparse
 import random
 import time
 
-import numpy as np
-
 import downcolor as dc
 from downcolor import _kernels
 from downcolor.coloring import _dense, _dsatur, _greedy_clique, _greedy_colors
@@ -64,7 +62,7 @@ def main():
         n = keep.size
 
         def conflict():
-            csr = _kernels.clique_union_csr(n, np.split(members, eptr[1:-1]))
+            csr = _kernels.clique_union_csr(n, eptr, members)
             return csr, _dense(*csr)
 
         t = {}

@@ -1,21 +1,22 @@
 """Hot inner loops; the closure is compiled with numba when available.
 
 Three kernels carry most of the work on large digraphs: packed-bitset
-reachability closure, clique union (the one conflict-graph builder), and
-greedy sequential coloring over a CSR adjacency, which seeds the exact
-solver.  The closure has a numba ``@njit`` build and an equivalent
-numpy-backend build; the clique union and the coloring are numpy only,
-the coloring a plain Python loop over the adjacency as lists.  The
-active backend is chosen at import time from the ``DOWNCOLOR_NUMBA``
-environment variable (``0``/``false`` forces the numpy path) and can be
-switched at runtime with :func:`set_backend`.
+reachability closure, clique union (the one conflict-graph builder, from
+cliques given as CSR rows), and greedy sequential coloring over a CSR
+adjacency, which seeds the exact solver.  The closure has a numba
+``@njit`` build and an equivalent numpy-backend build; the clique union
+and the coloring are numpy only, the coloring a plain Python loop over
+the adjacency as lists.  The active backend is chosen at import time
+from the ``DOWNCOLOR_NUMBA`` environment variable (``0``/``false``
+forces the numpy path) and can be switched at runtime with
+:func:`set_backend`.
 
 Vertex ``u`` maps to bit ``u & 63`` of word ``u >> 6``.  Bitsets stay
 inside this module and ``digraph``: :func:`rows_csr` decodes a whole
 bitset matrix at once into sorted CSR rows, which is the form every
-other module reads; its ids are int32, its row pointers int64.  The
-decode goes through a ``uint8`` view, which assumes a little-endian
-host.
+other module reads and every graph type holds; its ids are int32, its
+row pointers int64.  The decode goes through a ``uint8`` view, which
+assumes a little-endian host.
 """
 
 from __future__ import annotations
@@ -133,13 +134,11 @@ def rows_csr(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indptr, ids
 
 
-def pack_rows(n: int, sets) -> np.ndarray:
-    """Bitset rows over ``n`` ids; row ``i`` holds the ids of ``sets[i]``."""
-    sizes = [len(s) for s in sets]
-    ids = np.fromiter((v for s in sets for v in s), np.int64, sum(sizes))
-    out = np.zeros((len(sizes), words_for(n)), dtype=np.uint64)
-    np.bitwise_or.at(out, (np.repeat(np.arange(len(sizes)), sizes), ids >> 6),
-                     np.uint64(1) << (ids & 63).astype(np.uint64))
+def pack_rows(n: int, indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Bitset rows over ``n`` ids; row ``i`` holds ``ids[indptr[i]:indptr[i + 1]]``."""
+    out = np.zeros((indptr.size - 1, words_for(n)), dtype=np.uint64)
+    np.bitwise_or.at(out, (np.repeat(np.arange(indptr.size - 1), np.diff(indptr)),
+                           ids >> 6), np.uint64(1) << (ids & 63).astype(np.uint64))
     return out
 
 
@@ -153,20 +152,23 @@ def csr_edges(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.n
 
 # ----------------------------------------------------------- clique union
 
-def _clique_union(n, members):
+def _clique_union(n, members, indptr, ids):
+    """Union of the cliques given twice: as bitset rows ``members`` and as
+    the CSR rows ``(indptr, ids)`` of the same ids."""
     adj = np.zeros((n, members.shape[1]), dtype=np.uint64)
-    indptr, ids = rows_csr(members)
+    ptr = indptr.tolist()
     for i, row in enumerate(members):
-        adj[ids[indptr[i]:indptr[i + 1]]] |= row
+        adj[ids[ptr[i]:ptr[i + 1]]] |= row
     diag = np.arange(n, dtype=np.uint64)
     adj[np.arange(n), diag >> np.uint64(6)] &= ~(np.uint64(1) << (diag & np.uint64(63)))
     return adj
 
 
-def clique_union_csr(n: int, cliques) -> tuple[np.ndarray, np.ndarray]:
+def clique_union_csr(n: int, indptr: np.ndarray,
+                     ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted symmetric CSR adjacency, without self-loops, of the union of
-    cliques on ``n`` ids; each entry of ``cliques`` lists one clique's ids."""
-    return rows_csr(_clique_union(n, pack_rows(n, cliques)))
+    cliques on ``n`` ids; clique ``i`` is ``ids[indptr[i]:indptr[i + 1]]``."""
+    return rows_csr(_clique_union(n, pack_rows(n, indptr, ids), indptr, ids))
 
 
 def clique_union_bits(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -175,7 +177,8 @@ def clique_union_bits(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
     Each entry of ``rows`` selects a bitset row of ``bits``; the vertices
     set in that row become pairwise adjacent.  The diagonal is cleared.
     """
-    return _clique_union(bits.shape[0], bits[rows])
+    members = bits[rows]
+    return _clique_union(bits.shape[0], members, *rows_csr(members))
 
 
 # --------------------------------------------------------- greedy coloring

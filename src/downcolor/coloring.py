@@ -41,8 +41,7 @@ from . import _kernels
 from .digraph import (Digraph, UndirectedGraph, _gather, _max_rows,
                       _tuples_csr, big_d)
 from .errors import CapExceededError, ColoringError
-from .hypergraph import (Hypergraph, _down_edges, _graph_peel, _incidence,
-                         _peel, clique_graph)
+from .hypergraph import Hypergraph, _down_edges, _graph_peel, _incidence, _peel
 
 DEFAULT_EXACT_CAP = 30
 
@@ -296,6 +295,13 @@ def _dsatur(a: np.ndarray, clique: list[int], best_k: int,
     return (None if best is None else [best[rank[v]] for v in range(n)]), exact
 
 
+def _refuse_above_cap(n: int, cap: int | None) -> None:
+    limit = DEFAULT_EXACT_CAP if cap is None else cap
+    if n > limit:
+        raise CapExceededError(
+            f"exact solver cap exceeded: {n} vertices > cap {limit}")
+
+
 def _exact(labels: tuple[str, ...], indptr: np.ndarray, indices: np.ndarray,
            cap: int | None, budget: int | None) -> ExactResult:
     """``exact_chromatic`` of the graph on ``labels`` given by a sorted,
@@ -304,10 +310,7 @@ def _exact(labels: tuple[str, ...], indptr: np.ndarray, indices: np.ndarray,
     if indices.size == n * (n - 1):
         return ExactResult(n, Coloring(dict(zip(labels, range(1, n + 1))), n,
                                        "exact"), n, True)
-    limit = DEFAULT_EXACT_CAP if cap is None else cap
-    if n > limit:
-        raise CapExceededError(
-            f"exact solver cap exceeded: {n} vertices > cap {limit}")
+    _refuse_above_cap(n, cap)
 
     a = _dense(indptr, indices)
     best = _greedy_colors(n, indptr, indices).tolist()
@@ -323,6 +326,17 @@ def _exact(labels: tuple[str, ...], indptr: np.ndarray, indices: np.ndarray,
     return ExactResult(best_k, coloring, best_k if exact else len(clique), exact)
 
 
+def _exact_cliques(labels: tuple[str, ...], eptr: np.ndarray, members: np.ndarray,
+                   cap: int | None, budget: int | None) -> ExactResult:
+    """``_exact`` of the union of the cliques ``members[eptr[i]:eptr[i + 1]]``.
+    Cliques holding fewer than C(n, 2) pairs cannot make it complete, so
+    above the cap it is refused before it is built."""
+    n, size = len(labels), np.diff(eptr)
+    if int((size * (size - 1)).sum()) < n * (n - 1):
+        _refuse_above_cap(n, cap)
+    return _exact(labels, *_kernels.clique_union_csr(n, eptr, members), cap, budget)
+
+
 def exact_chromatic(g: UndirectedGraph, cap: int | None = None,
                     budget: int | None = None) -> ExactResult:
     """Exact chromatic number by DSATUR branch and bound.
@@ -330,13 +344,13 @@ def exact_chromatic(g: UndirectedGraph, cap: int | None = None,
     Complete graphs are answered without search regardless of size;
     otherwise the vertex count must not exceed ``cap`` (default 30).
     """
-    return _exact(g.labels, *g._csr_arrays(), cap, budget)
+    return _exact(g.labels, *g._csr, cap, budget)
 
 
 def exact_strong_chromatic(h: Hypergraph, cap: int | None = None,
                            budget: int | None = None) -> ExactResult:
     """Exact strong chromatic number: exact coloring of the clique graph."""
-    return exact_chromatic(clique_graph(h), cap=cap, budget=budget)
+    return _exact_cliques(h.labels, *_tuples_csr(h.edges), cap, budget)
 
 
 # --------------------------------------------------------- down-coloring
@@ -380,8 +394,7 @@ def down_coloring(g: Digraph, mode: str = "greedy", *, cap: int | None = None,
         return _extend_to_maximal(g, keep, _greedy_strong(keep.size, eptr, members),
                                   mode)
     labels = tuple(g.label_of(u) for u in keep.tolist())
-    res = _exact(labels, *_kernels.clique_union_csr(
-        keep.size, np.split(members, eptr[1:-1])), cap, budget)
+    res = _exact_cliques(labels, eptr, members, cap, budget)
     c = _extend_to_maximal(g, keep, list(res.coloring.colors.values()), mode)
     # a closed down-set of D vertices is rainbow, so D bounds from below too
     lower = max(res.lower, big_d(g))
@@ -403,19 +416,26 @@ def _check_total(g: Digraph, c: Coloring) -> None:
             f"coloring names unknown vertices: {sorted(have - want)[:5]}")
 
 
+def _rainbow(indptr: np.ndarray, ids: np.ndarray, col: np.ndarray,
+             k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows laid out by ``col``, each id's 0-based column, as a
+    rows-by-k table of ids (-1 where empty), and the rows that fill fewer
+    cells than they have members: two of them share a column."""
+    size = np.diff(indptr)
+    cells = np.full((size.size, k), -1, dtype=ids.dtype)
+    cells[np.repeat(np.arange(size.size), size), col[ids]] = ids
+    return cells, np.flatnonzero((cells >= 0).sum(axis=1) != size)
+
+
 def find_down_violation(g: Digraph, c: Coloring) -> tuple[str, str, str] | None:
     """Smallest same-colored id pair inside a closed down-set, with the
     smallest-id maximal witness whose down-set holds both, or None when
     every maximal vertex's down-set is rainbow (a valid down-coloring).
-    As in ``compact._scatter``, a row is rainbow when it fills |D[w]|
-    cells of its color table; only the rows that fall short are sorted."""
+    Only the rows that ``_rainbow`` finds short are sorted."""
     _check_total(g, c)
     tops, eptr, ids = _max_rows(g)
     color = np.array([c.colors[lab] for lab in g.labels], dtype=np.int64)
-    size = np.diff(eptr)
-    fill = np.zeros((tops.size, c.k), dtype=bool)
-    fill[np.repeat(np.arange(tops.size), size), color[ids] - 1] = True
-    short = np.flatnonzero(fill.sum(axis=1) != size)
+    short = _rainbow(eptr, ids, color - 1, c.k)[1]
     if short.size == 0:
         return None
     eptr, ids = _gather(eptr, ids, short)

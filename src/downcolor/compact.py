@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import Coloring, _check_total, find_down_violation
+from .coloring import Coloring, _check_total, _rainbow, find_down_violation
 from .digraph import Digraph
 from .errors import ColoringError
 
@@ -42,13 +42,10 @@ class CompactMatrix:
 
 def _scatter(g: Digraph, col: np.ndarray, k: int) -> np.ndarray | None:
     """Row u holds D[u] by ``col``, each id's 0-based column, as an n-by-k
-    object array of labels and None; None instead when a row fills fewer
-    than |D[u]| cells: two members of that down-set share a column."""
-    indptr, ids = g._down_sets()
-    size = np.diff(indptr)
-    cells = np.full((g.n, k), -1, dtype=np.int64)  # -1 labels as None
-    cells[np.repeat(np.arange(g.n), size), col[ids]] = ids
-    if not np.array_equal((cells >= 0).sum(axis=1), size):
+    object array of labels and None; None instead when ``_rainbow`` finds
+    a row short: two members of that down-set share a column."""
+    cells, short = _rainbow(*g._down_sets(), col, k)
+    if short.size:
         return None
     return np.array(g.labels + (None,), dtype=object)[cells]
 

@@ -7,13 +7,15 @@ Vertices carry string labels and dense integer ids (0..n-1, in label
 registration order); the library works on ids internally and uses labels
 at every textual boundary.
 
-A ``Digraph`` holds its edges as children and parents CSR arrays.  They
-are validated once, as arrays: range, self-loops, and repeats found as
-equal neighbours among the sorted ``u*n + v`` keys.  ``parse_digraph``
-streams the text once into an id buffer and hands the arrays to the
-digraph without a second check.  Each acyclic ``Digraph`` caches its
-closed down-sets once, as sorted CSR rows (:meth:`Digraph._down_sets`);
-every stage of the pipeline reads those rows.
+A ``Digraph`` holds its edges as children and parents CSR arrays, an
+``UndirectedGraph`` as one symmetric CSR, and either lists its edges on
+demand.  They are validated once, as arrays: range, self-loops, and
+repeats found as equal neighbours among the sorted ``u*n + v`` keys.
+``parse_digraph`` streams the text once into an id buffer and hands the
+arrays to the digraph without a second check.  Each acyclic ``Digraph``
+caches its closed down-sets once, as sorted CSR rows
+(:meth:`Digraph._down_sets`); every stage of the pipeline reads those
+rows.
 """
 
 from __future__ import annotations
@@ -88,7 +90,31 @@ def _first_bad_edge(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, str]
     return i, "range" if out[i] else "self-loop" if src[i] == dst[i] else "duplicate"
 
 
-class Digraph:
+class _Labeled:
+    """String labels with dense ids 0..n-1 in label order, the discipline
+    every graph type keeps in its ``_labels`` and ``_index`` slots."""
+
+    __slots__ = ()
+
+    @property
+    def n(self) -> int:
+        return len(self._labels)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self._labels
+
+    def id_of(self, label: str) -> int:
+        try:
+            return self._index[label]
+        except KeyError:
+            raise ValueError(f"unknown vertex label {label!r}") from None
+
+    def label_of(self, u: int) -> str:
+        return self._labels[u]
+
+
+class Digraph(_Labeled):
     """Immutable digraph; edges run ancestor -> descendant.  Children and
     parents are CSR arrays (int64 row pointers, int32 ids, rows
     ascending); ``children``/``parents`` slice them into tuples."""
@@ -134,25 +160,8 @@ class Digraph:
         return cls(tuple(index), edges)
 
     @property
-    def n(self) -> int:
-        return len(self._labels)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self._labels
-
-    @property
     def edge_count(self) -> int:
         return self._csr[1].size
-
-    def id_of(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError(f"unknown vertex label {label!r}") from None
-
-    def label_of(self, u: int) -> str:
-        return self._labels[u]
 
     def children(self, u: int) -> tuple[int, ...]:
         indptr, ids = self._csr
@@ -231,93 +240,70 @@ class Digraph:
         return self._down
 
 
-class UndirectedGraph:
-    """Immutable undirected graph with the same label discipline."""
+class UndirectedGraph(_Labeled):
+    """Immutable undirected graph.  Its adjacency is one symmetric CSR
+    (int64 row pointers, int32 ids, rows ascending); ``edges()`` lists
+    the ``u < v`` pairs on demand."""
 
-    __slots__ = ("_labels", "_index", "_adj", "_edges", "_eset", "_csr")
+    __slots__ = ("_labels", "_index", "_csr")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[int, int]]):
-        self._labels = tuple(labels)
-        self._index = _check_labels(self._labels)
-        n = len(self._labels)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        eset: set[tuple[int, int]] = set()
-        for a, b in edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge ({a}, {b}) out of range for {n} vertices")
-            if a == b:
-                raise ValueError(f"self-loop at {self._labels[a]!r}")
-            key = (a, b) if a < b else (b, a)
-            if key in eset:
-                raise ValueError(
-                    f"duplicate edge {self._labels[key[0]]!r} -- {self._labels[key[1]]!r}")
-            eset.add(key)
-            adj[a].append(b)
-            adj[b].append(a)
-        self._adj = tuple(tuple(sorted(x)) for x in adj)
-        self._edges = tuple(sorted(eset))
-        self._eset = frozenset(eset)
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        labels = tuple(labels)
+        index = _check_labels(labels)
+        n = len(labels)
+        pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+        a, b = pairs[0::2], pairs[1::2]
+        adj = _adjacency(n, np.concatenate((a, b)), np.concatenate((b, a)))
+        if adj is None:
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            i, kind = _first_bad_edge(n, lo, hi)
+            if kind == "range":
+                raise ValueError(f"edge ({a[i]}, {b[i]}) out of range for {n} vertices")
+            if kind == "self-loop":
+                raise ValueError(f"self-loop at {labels[a[i]]!r}")
+            raise ValueError(
+                f"duplicate edge {labels[lo[i]]!r} -- {labels[hi[i]]!r}")
+        self._labels, self._index, self._csr = labels, index, adj[0]
 
     @classmethod
     def _from_csr(cls, labels: tuple[str, ...], indptr: np.ndarray,
                   indices: np.ndarray) -> UndirectedGraph:
         """Graph on already-validated ``labels`` from a sorted, symmetric,
         loop-free CSR adjacency (as ``clique_union_csr`` returns), taken on
-        trust; the arrays become the graph's cached CSR."""
+        trust as the graph's own arrays."""
         g = cls.__new__(cls)
-        g._labels = labels
+        g._labels, g._csr = labels, (indptr, indices)
         g._index = {lab: i for i, lab in enumerate(labels)}
-        ptr, ids = indptr.tolist(), indices.tolist()
-        g._adj = tuple(tuple(ids[ptr[u]:ptr[u + 1]]) for u in range(len(labels)))
-        src, dst = _kernels.csr_edges(indptr, indices)
-        # a list first: tuple() of a bare zip builds noticeably slower
-        g._edges = tuple(list(zip(src.tolist(), dst.tolist())))
-        g._eset = frozenset(g._edges)
-        g._csr = (indptr, indices)
         return g
 
     @property
-    def n(self) -> int:
-        return len(self._labels)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self._labels
-
-    @property
     def edge_count(self) -> int:
-        return len(self._edges)
-
-    def id_of(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError(f"unknown vertex label {label!r}") from None
-
-    def label_of(self, u: int) -> str:
-        return self._labels[u]
+        return self._csr[1].size // 2
 
     def neighbors(self, u: int) -> tuple[int, ...]:
-        return self._adj[u]
+        indptr, ids = self._csr
+        return tuple(ids[indptr[u]:indptr[u + 1]].tolist())
 
     def degree(self, u: int) -> int:
-        return len(self._adj[u])
+        return len(self.neighbors(u))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+        src, dst = _kernels.csr_edges(*self._csr)
+        # a list first: tuple() of a bare zip builds noticeably slower
+        return tuple(list(zip(src.tolist(), dst.tolist())))
 
     def edge_labels(self) -> Iterator[tuple[str, str]]:
-        for a, b in self._edges:
+        for a, b in self.edges():
             yield (self._labels[a], self._labels[b])
 
     def has_edge(self, a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in self._eset
+        return 0 <= a < self.n and 0 <= b < self.n and b in self.neighbors(a)
 
     def is_complete(self) -> bool:
         return 2 * self.edge_count == self.n * (self.n - 1)
 
     def connected_components(self) -> list[list[int]]:
+        ptr, ids = (a.tolist() for a in self._csr)
         seen = [False] * self.n
         comps: list[list[int]] = []
         for s in range(self.n):
@@ -328,7 +314,7 @@ class UndirectedGraph:
             queue = deque([s])
             while queue:
                 u = queue.popleft()
-                for v in self._adj[u]:
+                for v in ids[ptr[u]:ptr[u + 1]]:
                     if not seen[v]:
                         seen[v] = True
                         comp.append(v)
@@ -336,17 +322,17 @@ class UndirectedGraph:
             comps.append(sorted(comp))
         return comps
 
-    def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._csr is None:
-            self._csr = _tuples_csr(self._adj)
-        return self._csr
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, UndirectedGraph):
             return NotImplemented
-        mine = {frozenset(e) for e in self.edge_labels()}
-        theirs = {frozenset(e) for e in other.edge_labels()}
-        return set(self._labels) == set(other._labels) and mine == theirs
+        if set(self._labels) != set(other._labels):
+            return False
+        # other's edges as sorted u*n + v keys of this graph's ids
+        ids = np.array([self._index[lab] for lab in other._labels], dtype=np.int64)
+        a, b = (ids[x] for x in _kernels.csr_edges(*other._csr))
+        keys = np.sort(np.minimum(a, b) * self.n + np.maximum(a, b))
+        a, b = _kernels.csr_edges(*self._csr)
+        return np.array_equal(keys, a * self.n + b)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -562,5 +548,5 @@ def down_graph(g: Digraph) -> UndirectedGraph:
     contained in a maximal one.
     """
     _, ptr, ids = _max_rows(g)
-    adj = _kernels.clique_union_csr(g.n, np.split(ids, ptr[1:-1]))
-    return UndirectedGraph._from_csr(g.labels, *adj)
+    return UndirectedGraph._from_csr(g.labels,
+                                     *_kernels.clique_union_csr(g.n, ptr, ids))

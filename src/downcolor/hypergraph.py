@@ -15,16 +15,17 @@ which the coloring pipeline uses as is; ``down_hypergraph`` wraps it in
 a ``Hypergraph``.
 
 Clique and intersection graphs come from the one conflict builder,
-``_kernels.clique_union_csr``; so do ``digraph.down_graph`` and, through
-``clique_graph``, the exact solver.  Greedy coloring peels and colors
-the hypergraph itself and builds no graph.  ``_peel`` is the one
-peeling routine.  It reads hyperedges as a CSR pair (edge pointer,
-member ids), and a graph as its ``u < v`` pairs, a 2-uniform
-hypergraph.  Each removal is one numpy step: an ``argmin`` pick whose
-first-minimum rule breaks ties on the smallest id, edge survivors found
-by XOR, and a ``np.subtract.at`` decrement that counts a survivor once
-for each edge that dies onto it.  The pick scans all n degrees, so
-selection alone costs O(n) per removal.
+``_kernels.clique_union_csr``, which takes the cliques as CSR rows and
+returns the graph's own CSR; so do ``digraph.down_graph`` and the exact
+solver.  Greedy coloring peels and colors the hypergraph itself and
+builds no graph.  ``_peel`` is the one peeling routine.  It reads
+hyperedges as a CSR pair (edge pointer, member ids), and a graph as its
+``u < v`` pairs, a 2-uniform hypergraph.  Each removal is one numpy
+step: an ``argmin`` pick whose first-minimum rule breaks ties on the
+smallest id, edge survivors found by XOR, and a ``np.subtract.at``
+decrement that counts a survivor once for each edge that dies onto it.
+The pick scans all n degrees, so selection alone costs O(n) per
+removal.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import _kernels
-from .digraph import (Digraph, UndirectedGraph, _check_labels, _gather,
-                      _max_rows, _tuples_csr)
+from .digraph import (Digraph, UndirectedGraph, _Labeled, _check_labels,
+                      _gather, _max_rows, _tuples_csr)
 from .errors import ParseError
 
 
-class Hypergraph:
+class Hypergraph(_Labeled):
     """Immutable hypergraph; edges are stored sorted, in list order."""
 
     __slots__ = ("_labels", "_index", "_edges", "_sigma", "_simple")
@@ -73,16 +74,8 @@ class Hypergraph:
             self._simple = bool(simple) and is_simple
 
     @property
-    def n(self) -> int:
-        return len(self._labels)
-
-    @property
     def m(self) -> int:
         return len(self._edges)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self._labels
 
     @property
     def edges(self) -> tuple[tuple[int, ...], ...]:
@@ -96,15 +89,6 @@ class Hypergraph:
     @property
     def simple(self) -> bool:
         return self._simple
-
-    def id_of(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError(f"unknown vertex label {label!r}") from None
-
-    def label_of(self, u: int) -> str:
-        return self._labels[u]
 
     def edge_label_sets(self) -> Iterator[frozenset[str]]:
         for e in self._edges:
@@ -241,8 +225,8 @@ def up_digraph(h: Hypergraph) -> Digraph:
 
 def clique_graph(h: Hypergraph) -> UndirectedGraph:
     """Graph joining every two vertices that share a hyperedge."""
-    adj = _kernels.clique_union_csr(h.n, h.edges)
-    return UndirectedGraph._from_csr(h.labels, *adj)
+    return UndirectedGraph._from_csr(
+        h.labels, *_kernels.clique_union_csr(h.n, *_tuples_csr(h.edges)))
 
 
 def _incidence(n: int, size: np.ndarray,
@@ -258,8 +242,8 @@ def intersection_graph(h: Hypergraph) -> UndirectedGraph:
     labels = tuple(f"e{i}" for i in range(h.m))
     eptr, members = _tuples_csr(h.edges)
     iptr, inc = _incidence(h.n, np.diff(eptr), members)
-    adj = _kernels.clique_union_csr(h.m, np.split(inc, iptr[1:-1]))
-    return UndirectedGraph._from_csr(labels, *adj)
+    return UndirectedGraph._from_csr(
+        labels, *_kernels.clique_union_csr(h.m, np.array(iptr), inc))
 
 
 def induced_subhypergraph(h: Hypergraph, s: Iterable[int]) -> Hypergraph:
@@ -357,4 +341,4 @@ def degeneracy(h: Hypergraph) -> DegeneracyResult:
 
 def graph_degeneracy(g: UndirectedGraph) -> DegeneracyResult:
     """Degeneracy of a graph via the same peeling, viewed 2-uniform."""
-    return _graph_peel(g.n, *g._csr_arrays())
+    return _graph_peel(g.n, *g._csr)

@@ -286,6 +286,47 @@ def digraph_reference(labels, edges) -> tuple[tuple[tuple[int, ...], ...], ...]:
             tuple(tuple(sorted(p)) for p in parents))
 
 
+def undirected_reference(labels, edges) -> tuple[tuple[int, ...], ...]:
+    """``UndirectedGraph(labels, edges)`` as it validated edge by edge
+    before it became CSR-backed: the sorted neighbour tuples, or the same
+    ``ValueError`` for the first offending pair."""
+    labels = tuple(labels)
+    n = len(labels)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    seen: set[tuple[int, int]] = set()
+    for a, b in edges:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"edge ({a}, {b}) out of range for {n} vertices")
+        if a == b:
+            raise ValueError(f"self-loop at {labels[a]!r}")
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            raise ValueError(f"duplicate edge {labels[key[0]]!r} -- {labels[key[1]]!r}")
+        seen.add(key)
+        adj[a].append(b)
+        adj[b].append(a)
+    return tuple(tuple(sorted(x)) for x in adj)
+
+
+def components_reference(n, edges) -> list[list[int]]:
+    """Connected components by union-find, each sorted, ordered by their
+    smallest vertex."""
+    root = list(range(n))
+
+    def find(u):
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        return u
+
+    for a, b in edges:
+        root[find(a)] = find(b)
+    comps: dict[int, list[int]] = {}
+    for u in range(n):
+        comps.setdefault(find(u), []).append(u)
+    return sorted(comps.values())
+
+
 def parse_digraph_reference(text: str):
     """The line-by-line ``parse_digraph`` with a set of seen pairs, as
     ``(labels, children, parents)``; raises the same ``ParseError``."""
@@ -488,7 +529,7 @@ def dsatur_reference(g, budget: int | None = None) -> tuple[int, int, bool, list
         adj[a] |= 1 << b
         adj[b] |= 1 << a
     deg = [adj[v].bit_count() for v in range(n)]
-    ub = _greedy_colors(n, *g._csr_arrays())
+    ub = _greedy_colors(n, *g._csr)
     best_k, best = int(ub.max()), [int(c) for c in ub]
     clique = greedy_clique_reference(n, adj)
     lb = len(clique)

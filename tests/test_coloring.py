@@ -114,6 +114,27 @@ def test_exact_cap_refusal():
         exact_chromatic(g, cap=5)
 
 
+def test_exact_cap_refused_before_the_conflict_build(monkeypatch):
+    # cliques with fewer than C(n, 2) pairs cannot make the conflict graph
+    # complete, so above the cap nothing is built
+    def refuse(*args, **kw):
+        raise AssertionError("the conflict graph was built above the cap")
+
+    monkeypatch.setattr(_kernels, "_clique_union", refuse)
+    g = parse_digraph(pair_digraph_text(GROTZSCH_EDGES))
+    with pytest.raises(CapExceededError) as ei:
+        down_coloring(g, "exact", cap=10)
+    assert str(ei.value) == "exact solver cap exceeded: 11 vertices > cap 10"
+    h = Hypergraph([f"v{i}" for i in range(40)],
+                   [(i, i + 1, i + 2) for i in range(38)])
+    with pytest.raises(CapExceededError) as ei:
+        exact_strong_chromatic(h)
+    assert str(ei.value) == "exact solver cap exceeded: 40 vertices > cap 30"
+    # a complete union still skips the cap, so it is built
+    with pytest.raises(AssertionError):
+        exact_strong_chromatic(Hypergraph(list("abcd"), [(0, 1, 2, 3)]), cap=2)
+
+
 def test_exact_budget_exhaustion_returns_incumbent():
     # 5-cycle: clique bound 2 < chi = 3, so search must run
     g = UndirectedGraph(list("abcde"), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])

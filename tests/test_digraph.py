@@ -7,6 +7,7 @@ from downcolor import (
     CyclicGraphError,
     Digraph,
     ParseError,
+    UndirectedGraph,
     big_d,
     condense_to_acyclic,
     down_graph,
@@ -21,9 +22,10 @@ from downcolor import (
     down_hypergraph,
 )
 from downcolor.digraph import _lines
-from conftest import (brute_down_edges, digraph_reference,
+from conftest import (brute_down_edges, components_reference, digraph_reference,
                       parse_digraph_reference, random_dag, random_digraph,
-                      reach_closed, topological_order_reference)
+                      reach_closed, topological_order_reference,
+                      undirected_reference)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 
@@ -254,3 +256,81 @@ def test_constructor_errors_match_reference(n, edges):
     assert tuple(map(g.children, range(n))) == children
     assert tuple(map(g.parents, range(n))) == parents
     assert g.edge_count == len(edges)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (3, 0), (0, 5)], "edge (3, 0) out of range for 3 vertices"),
+    ([(0, 1), (0, -1)], "edge (0, -1) out of range for 3 vertices"),
+    ([(0, 1), (2, 2), (1, 0)], "self-loop at 'c'"),
+    ([(0, 2), (1, 2), (2, 0), (2, 2)], "duplicate edge 'a' -- 'c'"),
+])
+def test_undirected_constructor_names_first_offender(edges, message):
+    with pytest.raises(ValueError) as ei:
+        UndirectedGraph(["a", "b", "c"], edges)
+    assert str(ei.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5),
+       st.lists(st.tuples(st.integers(-2, 6), st.integers(-2, 6)), max_size=12))
+def test_undirected_constructor_matches_reference(n, edges):
+    labels = [f"v{i}" for i in range(n)]
+    try:
+        rows = undirected_reference(labels, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as ei:
+            UndirectedGraph(labels, edges)
+        assert str(ei.value) == str(exc)
+        return
+    g = UndirectedGraph(labels, edges)
+    assert tuple(map(g.neighbors, range(n))) == rows
+    assert list(map(g.degree, range(n))) == list(map(len, rows))
+    assert g.edges() == tuple(sorted((min(e), max(e)) for e in edges))
+    assert g.edge_count == len(edges)
+    assert all(g.has_edge(a, b) == (b in rows[a])
+               for a in range(n) for b in range(n))
+
+
+def test_has_edge_out_of_range_is_false():
+    g = UndirectedGraph(list("abc"), [(0, 1), (1, 2), (0, 2)])
+    assert g.has_edge(0, 2) and g.has_edge(2, 0)
+    for a, b in [(-1, 0), (0, -1), (-1, 2), (2, -3), (3, 0), (0, 3), (-1, -1),
+                 (3, 3)]:
+        assert not g.has_edge(a, b)
+
+
+def test_connected_components_match_union_find():
+    rng = random.Random(83)
+    for _ in range(200):
+        n = rng.randint(0, 30)
+        p = rng.choice([0.02, 0.06, 0.15, 0.4])
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < p]
+        rng.shuffle(edges)
+        g = UndirectedGraph([f"v{i}" for i in range(n)], edges)
+        assert g.connected_components() == components_reference(n, edges)
+
+
+def test_undirected_equality_matches_label_pairs():
+    # equal graphs may number their labels differently
+    rng = random.Random(89)
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        labels = [f"v{i}" for i in range(n)]
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < 0.4]
+        g = UndirectedGraph(labels, edges)
+        perm = rng.sample(labels, n)
+        if n and rng.random() < 0.2:
+            perm[rng.randrange(n)] = "x"
+        where = {lab: i for i, lab in enumerate(perm)}
+        moved = [(where.get(labels[a]), where.get(labels[b])) for a, b in edges]
+        moved = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in moved
+                 if a is not None and b is not None]
+        if moved and rng.random() < 0.3:
+            moved.pop(rng.randrange(len(moved)))
+        h = UndirectedGraph(perm, moved)
+        want = (set(g.labels) == set(h.labels)
+                and {frozenset(e) for e in g.edge_labels()}
+                == {frozenset(e) for e in h.edge_labels()})
+        assert (g == h) == want

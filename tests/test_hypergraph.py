@@ -138,7 +138,7 @@ def test_trusted_csr_graphs_equal_validated():
         assert all(g.has_edge(a, b) == ref.has_edge(a, b)
                    for a in range(g.n) for b in range(g.n))
         assert [g.id_of(lab) for lab in g.labels] == list(range(g.n))
-        for got, want in zip(g._csr_arrays(), ref._csr_arrays()):
+        for got, want in zip(g._csr, ref._csr):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
@@ -224,7 +224,7 @@ def assert_peels_match_reference(h):
     g = clique_graph(h)
     want = peel_reference(g.n, g.edges())
     assert astuple(graph_degeneracy(g)) == want
-    assert _greedy_colors(g.n, *g._csr_arrays()).tolist() == \
+    assert _greedy_colors(g.n, *g._csr).tolist() == \
         first_fit_reference(g, want[1])
 
 

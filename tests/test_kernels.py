@@ -6,6 +6,7 @@ import pytest
 from downcolor._kernels import (
     available_backends,
     clique_union_bits,
+    clique_union_csr,
     closure_bits,
     get_backend,
     greedy_color,
@@ -117,6 +118,35 @@ def test_clique_union_matches_pair_oracle():
         # diagonal stays clear
         for u in range(n):
             assert u not in bit_ids(out[u])
+
+
+def test_clique_union_csr_matches_pair_oracle():
+    # cliques as CSR rows, in any order inside a row, with repeated,
+    # nested, single-vertex and empty cliques; n = 0 included
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(0, 140)
+        cliques = []
+        for _ in range(rng.randint(0, 12)):
+            r = rng.random()
+            if cliques and r < 0.2:
+                cliques.append(rng.choice(cliques))
+            elif cliques and r < 0.4:
+                base = rng.choice(cliques)
+                cliques.append(rng.sample(base, rng.randint(0, len(base))))
+            elif n and r < 0.5:
+                cliques.append([rng.randrange(n)])
+            else:
+                cliques.append(rng.sample(range(n), rng.randint(0, min(n, 9))))
+        indptr = np.zeros(len(cliques) + 1, dtype=np.int64)
+        np.cumsum([len(c) for c in cliques], out=indptr[1:])
+        ids = np.array([v for c in cliques for v in c], dtype=np.int32)
+        got_ptr, got_ids = clique_union_csr(n, indptr, ids)
+        want = [sorted({b for c in cliques if a in c for b in c} - {a})
+                for a in range(n)]
+        assert got_ptr.dtype == np.int64 and got_ids.dtype == np.int32
+        assert np.array_equal(got_ptr, np.cumsum([0] + [len(r) for r in want]))
+        assert got_ids.tolist() == [b for row in want for b in row]
 
 
 def test_greedy_color_first_fit():
