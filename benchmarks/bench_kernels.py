@@ -1,7 +1,11 @@
-"""Compare the numba and numpy kernel backends on layered random DAGs.
+"""Time the numpy kernels on a layered random DAG and on a path.
 
 Vertices sit in sqrt(n)-wide layers with edges only between adjacent
 layers, which keeps closures large enough to exercise the bitset paths.
+The closure makes one numpy step per height level, so a path of the same
+n, with n levels, is its worst case; both are timed, through
+``closure_bits`` and through ``Digraph._down_sets()`` (peel, closure and
+decode), with their level counts.
 
     python3 benchmarks/bench_kernels.py --n 3000 --density 0.3 --repeat 5
 """
@@ -12,13 +16,14 @@ import time
 
 import numpy as np
 
+from downcolor import Digraph
 from downcolor._kernels import (
-    available_backends,
     clique_union_bits,
     closure_bits,
     greedy_color,
+    reverse_csr,
     rows_csr,
-    set_backend,
+    sink_levels,
 )
 
 
@@ -45,6 +50,14 @@ def layered_dag(rng: random.Random, n: int, density: float):
     return indptr, np.asarray(flat, dtype=np.int64), order, maxes
 
 
+def path_dag(n: int):
+    """The path 0 -> 1 -> ... -> n-1 as CSR, with a reverse topological
+    order: n levels of one vertex each."""
+    indptr = np.minimum(np.arange(n + 1), n - 1)
+    indices = np.arange(1, n, dtype=np.int64)
+    return indptr, indices, np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
 def best_of(repeat, fn):
     times = []
     for _ in range(repeat):
@@ -52,6 +65,22 @@ def best_of(repeat, fn):
         fn()
         times.append(time.perf_counter() - t0)
     return min(times)
+
+
+def time_closure(name, n, indptr, indices, order, repeat):
+    levels = sink_levels(indptr, *reverse_csr(n, indptr, indices))[1].size - 1
+    g = Digraph((f"v{u}" for u in range(n)),
+                zip(np.repeat(np.arange(n), np.diff(indptr)).tolist(),
+                    indices.tolist()))
+
+    def down_sets():
+        g._down = None  # drop the cached rows so each call rebuilds them
+        g._down_sets()
+
+    t_bits = best_of(repeat, lambda: closure_bits(n, indptr, indices, order))
+    t_down = best_of(repeat, down_sets)
+    print(f"{name:>7}: levels {levels:6d}   closure_bits {t_bits * 1e3:8.2f} ms   "
+          f"_down_sets {t_down * 1e3:8.2f} ms")
 
 
 def main():
@@ -67,30 +96,16 @@ def main():
     indptr, indices, order, maxes = layered_dag(rng, args.n, args.density)
     print(f"n={args.n} edges={indices.size} layers~{round(math.sqrt(args.n))} "
           f"repeat={args.repeat}")
+    time_closure("layered", args.n, indptr, indices, order, args.repeat)
+    time_closure("path", args.n, *path_dag(args.n), args.repeat)
 
-    results = {}
-    for backend in available_backends():
-        set_backend(backend)
-        # warm once per backend; the first numba call compiles
-        bits = closure_bits(args.n, indptr, indices, order)
-        conflict = clique_union_bits(bits, maxes)
-        gp, gi = rows_csr(conflict)
-        greedy_color(order, gp, gi)
-
-        t_close = best_of(args.repeat,
-                          lambda: closure_bits(args.n, indptr, indices, order))
-        t_clique = best_of(args.repeat, lambda: clique_union_bits(bits, maxes))
-        t_greedy = best_of(args.repeat, lambda: greedy_color(order, gp, gi))
-        results[backend] = (t_close, t_clique, t_greedy)
-        print(f"{backend:>6}: closure {t_close * 1e3:8.2f} ms   "
-              f"clique {t_clique * 1e3:8.2f} ms   "
-              f"greedy {t_greedy * 1e3:8.2f} ms")
-
-    if len(results) == 2:
-        # the clique union and the first-fit have one (numpy) build each,
-        # so only the closure compares
-        ratio = results["numpy"][0] / results["numba"][0]
-        print(f"numba speedup on closure: {ratio:.2f}x")
+    bits = closure_bits(args.n, indptr, indices, order)
+    conflict = clique_union_bits(bits, maxes)
+    gp, gi = rows_csr(conflict)
+    t_clique = best_of(args.repeat, lambda: clique_union_bits(bits, maxes))
+    t_greedy = best_of(args.repeat, lambda: greedy_color(order, gp, gi))
+    print(f"clique union {t_clique * 1e3:8.2f} ms   "
+          f"greedy {t_greedy * 1e3:8.2f} ms")
 
 
 if __name__ == "__main__":

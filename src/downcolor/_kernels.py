@@ -1,15 +1,13 @@
-"""Hot inner loops; the closure is compiled with numba when available.
+"""Hot inner loops on CSR arrays and packed bitsets, numpy only.
 
-Three kernels carry most of the work on large digraphs: packed-bitset
-reachability closure, clique union (the one conflict-graph builder, from
-cliques given as CSR rows), and greedy sequential coloring over a CSR
-adjacency, which seeds the exact solver.  The closure has a numba
-``@njit`` build and an equivalent numpy-backend build; the clique union
-and the coloring are numpy only, the coloring a plain Python loop over
-the adjacency as lists.  The active backend is chosen at import time
-from the ``DOWNCOLOR_NUMBA`` environment variable (``0``/``false``
-forces the numpy path) and can be switched at runtime with
-:func:`set_backend`.
+Four kernels carry most of the work on large digraphs: the height peel
+and the level-synchronous reachability closure (:func:`sink_levels`,
+:func:`closure_levels`), clique union (the one conflict-graph builder,
+from cliques given as CSR rows), and greedy sequential coloring over a
+CSR adjacency, which seeds the exact solver.  The peel and the closure
+make one numpy step per height level, so their Python overhead grows
+with the height of the digraph, not with its edge count.  The coloring
+is a plain Python loop over the adjacency as lists.
 
 Vertex ``u`` maps to bit ``u & 63`` of word ``u >> 6``.  Bitsets stay
 inside this module and ``digraph``: :func:`rows_csr` decodes a whole
@@ -21,43 +19,18 @@ assumes a little-endian host.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
+# every kernel has one numpy build; both names stay for callers that
+# record the backend
+HAS_NUMBA = False
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional extra
-    HAS_NUMBA = False
-
-
-def _initial_backend() -> str:
-    flag = os.environ.get("DOWNCOLOR_NUMBA", "").strip().lower()
-    if flag in ("0", "false", "off", "no"):
-        return "numpy"
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-_BACKEND = _initial_backend()
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAS_NUMBA else ("numpy",)
+# bytes of children's bitset rows the closure gathers at once
+_GATHER_BYTES = 1 << 18
 
 
 def get_backend() -> str:
-    return _BACKEND
-
-
-def set_backend(name: str) -> None:
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    global _BACKEND
-    _BACKEND = name
+    return "numpy"
 
 
 def words_for(n: int) -> int:
@@ -71,50 +44,108 @@ def popcounts(bits: np.ndarray) -> np.ndarray:
     return np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
 
 
+def gather_rows(indptr: np.ndarray, ids: np.ndarray,
+                rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the rows ``rows`` of ``(indptr, ids)``, in that order."""
+    start = indptr[rows]
+    size = indptr[rows + 1] - start
+    ptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(size, out=ptr[1:])
+    return ptr, ids[np.arange(ptr[-1]) + np.repeat(start - ptr[:-1], size)]
+
+
+def reverse_csr(n: int, indptr: np.ndarray,
+                indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transpose of a CSR adjacency on ``n`` ids: row ``v`` lists the
+    ``u`` with ``v`` in row ``u``, ascending (int64 row pointers, int32
+    ids), from the sorted ``v*n + u`` keys."""
+    keys = np.sort(indices.astype(np.int64) * n
+                   + np.repeat(np.arange(n), np.diff(indptr)))
+    return np.searchsorted(keys, np.arange(n + 1) * n), (keys % n).astype(np.int32)
+
+
 # ---------------------------------------------------------------- closure
 
-def _closure_np(n, indptr, indices, order):
-    W = words_for(n)
-    bits = np.zeros((n, W), dtype=np.uint64)
-    shifts = np.uint64(1) << (np.arange(n, dtype=np.uint64) & np.uint64(63))
-    for u in order:
-        row = bits[u]
-        row[u >> 6] |= shifts[u]
-        for k in range(indptr[u], indptr[u + 1]):
-            np.bitwise_or(row, bits[indices[k]], out=row)
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of ``x``, ascending.  ``np.unique`` would do,
+    but its first call imports ``numpy.ma`` (10-15 ms and 1.3 MB of RSS
+    on numpy 2.4), and its overhead dominates on the short arrays the
+    peel makes."""
+    if x.size < 2:
+        return x
+    x = np.sort(x)
+    keep = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
+def sink_levels(indptr: np.ndarray, rptr: np.ndarray,
+                rids: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Vertices grouped by height: level ``h`` is
+    ``verts[lptr[h]:lptr[h + 1]]``, ascending, and holds the vertices
+    whose longest path down to a sink has ``h`` edges.
+
+    ``indptr`` are the children row pointers and ``(rptr, rids)`` the
+    parents CSR.  Each step peels the vertices whose children are all
+    peeled, at a cost of the edges into the level plus a constant.
+    None when a cycle stops the peel before every vertex is placed.
+    """
+    left = np.diff(indptr)  # children not yet peeled
+    parts = [np.flatnonzero(left == 0)]
+    while parts[-1].size:
+        v = parts[-1]
+        # a one-vertex level, common in tall thin DAGs, is one slice
+        up = (rids[rptr[v[0]]:rptr[v[0] + 1]] if v.size == 1
+              else gather_rows(rptr, rids, v)[1])
+        np.subtract.at(left, up, 1)
+        parts.append(_distinct(up[left[up] == 0]))  # once per child in the level
+    lptr = np.zeros(len(parts), dtype=np.int64)
+    np.cumsum([p.size for p in parts[:-1]], out=lptr[1:])
+    if lptr[-1] < left.size:
+        return None
+    return np.concatenate(parts), lptr
+
+
+def closure_levels(n: int, indptr: np.ndarray, indices: np.ndarray,
+                   verts: np.ndarray, lptr: np.ndarray) -> np.ndarray:
+    """Closed reachability bitsets, one row per vertex, from the levels
+    :func:`sink_levels` returns: each vertex's own bit, then, level by
+    level above the sinks, the OR of its children's finished rows.
+
+    The children of every vertex are gathered once, level by level.  A
+    level ORs at most ``_GATHER_BYTES`` of child rows per
+    ``reduceat`` (one vertex with more children takes one step alone):
+    the reduction slows several times once its block outgrows the cache.
+    """
+    bits = np.zeros((n, words_for(n)), dtype=np.uint64)
+    own = np.arange(n)
+    bits[own, own >> 6] = np.uint64(1) << (own & 63).astype(np.uint64)
+    step = _GATHER_BYTES // max(8 * bits.shape[1], 1)
+    ptr, kids = gather_rows(indptr, indices, verts)
+    for a, end in zip(lptr[1:-1].tolist(), lptr[2:].tolist()):
+        while a < end:
+            # the vertices from a whose children fit in step rows, at least one
+            b = end if ptr[end] - ptr[a] <= step else min(end, max(
+                a + 1, int(np.searchsorted(ptr, ptr[a] + step, "right")) - 1))
+            bits[verts[a:b]] |= np.bitwise_or.reduceat(
+                bits[kids[ptr[a]:ptr[b]]], ptr[a:b] - ptr[a], axis=0)
+            a = b
     return bits
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _closure_nb(n, indptr, indices, order):  # pragma: no cover - compiled
-        W = (n + 63) >> 6
-        bits = np.zeros((n, W), dtype=np.uint64)
-        one = np.uint64(1)
-        for i in range(n):
-            u = order[i]
-            bits[u, u >> 6] |= one << np.uint64(u & 63)
-            for k in range(indptr[u], indptr[u + 1]):
-                v = indices[k]
-                for w in range(W):
-                    bits[u, w] |= bits[v, w]
-        return bits
 
 
 def closure_bits(n: int, indptr: np.ndarray, indices: np.ndarray,
                  order: np.ndarray) -> np.ndarray:
-    """Closed reachability bitsets, one row per vertex.
+    """Closed reachability bitsets, one row per vertex, of the acyclic
+    CSR adjacency ``(indptr, indices)``.
 
-    ``order`` must list every vertex after all of its out-neighbours
-    (reverse topological order), so each row is its own bit OR-ed with
-    the finished rows of its children.
+    ``order`` (every vertex after all of its out-neighbours) is not
+    read: the levels are peeled from the arrays, and
+    :func:`closure_levels` does the work.
     """
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.uint64)
-    if _BACKEND == "numba":
-        return _closure_nb(n, indptr, indices, order)
-    return _closure_np(n, indptr, indices, order)
+    levels = sink_levels(indptr, *reverse_csr(n, indptr, indices))
+    if levels is None:
+        raise ValueError("closure_bits needs an acyclic adjacency")
+    return closure_levels(n, indptr, indices, *levels)
 
 
 # --------------------------------------------------------- bitsets <-> CSR
@@ -122,15 +153,17 @@ def closure_bits(n: int, indptr: np.ndarray, indices: np.ndarray,
 def rows_csr(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decode bitset rows into CSR: row ``i`` lists its set bit positions,
     ascending, in ``indices[indptr[i]:indptr[i + 1]]``.  Only the nonzero
-    words are unpacked."""
-    row, word = np.nonzero(bits)
-    flags = np.unpackbits(bits[row, word].view(np.uint8).reshape(-1, 8),
-                          axis=1, bitorder="little")
-    hit, bit = np.nonzero(flags)
+    words are unpacked, and their bits are found through a bool view,
+    which ``flatnonzero`` scans several times faster than ``uint8``."""
+    flat = np.flatnonzero(bits)
+    row, word = np.divmod(flat, max(bits.shape[1], 1))
+    pos = np.flatnonzero(np.unpackbits(bits.reshape(-1)[flat].view(np.uint8),
+                                       bitorder="little").view(bool))
+    hit = pos >> 6
     indptr = np.zeros(bits.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(row[hit], minlength=bits.shape[0]), out=indptr[1:])
     ids = word[hit].astype(np.int32) << 6
-    ids += bit
+    ids += (pos & 63).astype(np.int32)
     return indptr, ids
 
 

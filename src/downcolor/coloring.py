@@ -38,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .digraph import (Digraph, UndirectedGraph, _gather, _max_rows,
-                      _tuples_csr, big_d)
+from .digraph import (Digraph, UndirectedGraph, _max_rows, _tuples_csr,
+                      big_d)
 from .errors import CapExceededError, ColoringError
 from .hypergraph import Hypergraph, _down_edges, _graph_peel, _incidence, _peel
 
@@ -388,8 +388,7 @@ def down_coloring(g: Digraph, mode: str = "greedy", *, cap: int | None = None,
     """
     if mode not in ("greedy", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    g.topological_order()
-    keep, eptr, members = _down_edges(g)
+    keep, eptr, members = _down_edges(g)  # acyclicity gate
     if mode == "greedy":
         return _extend_to_maximal(g, keep, _greedy_strong(keep.size, eptr, members),
                                   mode)
@@ -438,7 +437,7 @@ def find_down_violation(g: Digraph, c: Coloring) -> tuple[str, str, str] | None:
     short = _rainbow(eptr, ids, color - 1, c.k)[1]
     if short.size == 0:
         return None
-    eptr, ids = _gather(eptr, ids, short)
+    eptr, ids = _kernels.gather_rows(eptr, ids, short)
     row = np.repeat(tops[short], np.diff(eptr))  # the vertex id
     color = color[ids]
     order = np.lexsort((ids, color, row))
@@ -477,7 +476,6 @@ class BoundReport:
 
 
 def bound_report(g: Digraph) -> BoundReport:
-    g.topological_order()
     if g.edge_count == 0:
         raise ValueError("bound_report requires at least one edge")
     d = big_d(g)

@@ -7,15 +7,21 @@ Vertices carry string labels and dense integer ids (0..n-1, in label
 registration order); the library works on ids internally and uses labels
 at every textual boundary.
 
-A ``Digraph`` holds its edges as children and parents CSR arrays, an
-``UndirectedGraph`` as one symmetric CSR, and either lists its edges on
-demand.  They are validated once, as arrays: range, self-loops, and
-repeats found as equal neighbours among the sorted ``u*n + v`` keys.
-``parse_digraph`` streams the text once into an id buffer and hands the
-arrays to the digraph without a second check.  Each acyclic ``Digraph``
-caches its closed down-sets once, as sorted CSR rows
-(:meth:`Digraph._down_sets`); every stage of the pipeline reads those
-rows.
+A ``Digraph`` holds its edges as children and parents CSR arrays (the
+parents as the transpose of the children), an ``UndirectedGraph`` as one
+symmetric CSR, and either lists its edges on demand.  They are validated
+once, as arrays: range, self-loops, and repeats found as equal
+neighbours among the sorted ``u*n + v`` keys.  ``parse_digraph`` streams
+the text once into an id buffer and hands the arrays to the digraph
+without a second check.  Each acyclic ``Digraph`` caches its closed
+down-sets once, as sorted CSR rows (:meth:`Digraph._down_sets`); every
+stage of the pipeline reads those rows.  They are built from the
+vertices' heights, peeled level by level from the sinks up
+(:meth:`Digraph._levels`), with one numpy step per level, and that peel
+is also the pipeline's acyclicity check: the topological order, a
+Python tuple, is built only on demand, or to name the cycle of a cyclic
+input.  Two graphs compare equal by their sorted ``u*n + v`` keys under
+the label bijection.
 """
 
 from __future__ import annotations
@@ -54,28 +60,17 @@ def _tuples_csr(rows: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray
     return indptr, indices
 
 
-def _gather(indptr: np.ndarray, ids: np.ndarray,
-            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of the rows ``rows`` of ``(indptr, ids)``, in that order."""
-    start = indptr[rows]
-    size = indptr[rows + 1] - start
-    ptr = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(size, out=ptr[1:])
-    return ptr, ids[np.arange(ptr[-1]) + np.repeat(start - ptr[:-1], size)]
-
-
 def _adjacency(n: int, src: np.ndarray, dst: np.ndarray):
-    """Children and parents CSR of the edges ``src[i] -> dst[i]``, rows
-    ascending, from sorted ``u*n + v`` keys; None when an edge is out of
-    range, a self-loop, or a repeat (two equal neighbouring keys)."""
+    """CSR of the edges ``src[i] -> dst[i]``, rows ascending, from sorted
+    ``u*n + v`` keys; None when an edge is out of range, a self-loop, or
+    a repeat (two equal neighbouring keys)."""
     if src.size and (min(src.min(), dst.min()) < 0
                      or max(src.max(), dst.max()) >= n or np.any(src == dst)):
         return None
     keys = np.sort(src.astype(np.int64) * n + dst)
     if np.any(keys[1:] == keys[:-1]):
         return None
-    return tuple((np.searchsorted(k, np.arange(n + 1) * n), (k % n).astype(np.int32))
-                 for k in (keys, np.sort(dst.astype(np.int64) * n + src)))
+    return np.searchsorted(keys, np.arange(n + 1) * n), (keys % n).astype(np.int32)
 
 
 def _first_bad_edge(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, str]:
@@ -88,6 +83,18 @@ def _first_bad_edge(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, str]
     repeat[np.unique(keys, return_index=True)[1]] = False
     i = int(np.flatnonzero(out | (src == dst) | repeat)[0])
     return i, "range" if out[i] else "self-loop" if src[i] == dst[i] else "duplicate"
+
+
+def _same_csr(g, h) -> bool:
+    """Whether ``g`` and ``h`` have the same labels and, once ``h``'s ids
+    are renamed to ``g``'s by label, the same adjacency: its sorted
+    ``u*n + v`` keys against ``g``'s, which its sorted rows already are."""
+    if set(g._labels) != set(h._labels):
+        return False
+    ids = np.array([g._index[lab] for lab in h._labels], dtype=np.int64)
+    (gptr, gids), (hptr, hids) = g._csr, h._csr
+    keys = np.sort(np.repeat(ids, np.diff(hptr)) * g.n + ids[hids])
+    return np.array_equal(keys, np.repeat(np.arange(g.n), np.diff(gptr)) * g.n + gids)
 
 
 class _Labeled:
@@ -136,14 +143,15 @@ class Digraph(_Labeled):
             if kind == "self-loop":
                 raise ValueError(f"self-loop at {labels[u]!r}")
             raise ValueError(f"duplicate edge {labels[u]!r} -> {labels[v]!r}")
-        self._fill(labels, index, *adj)
+        self._fill(labels, index, adj)
 
     def _fill(self, labels: tuple[str, ...], index: dict[str, int],
-              csr: tuple[np.ndarray, np.ndarray],
-              rcsr: tuple[np.ndarray, np.ndarray]) -> Digraph:
-        """Set every field from validated labels and ``_adjacency`` arrays;
-        ``parse_digraph`` fills a bare instance with it."""
-        self._labels, self._index, self._csr, self._rcsr = labels, index, csr, rcsr
+              csr: tuple[np.ndarray, np.ndarray]) -> Digraph:
+        """Set every field from validated labels and the ``_adjacency``
+        arrays, with the parents CSR as their transpose; ``parse_digraph``
+        fills a bare instance with it."""
+        self._labels, self._index, self._csr = labels, index, csr
+        self._rcsr = _kernels.reverse_csr(len(labels), *csr)
         self._topo: tuple[int, ...] | None = None
         self._down: tuple[np.ndarray, np.ndarray] | None = None
         return self
@@ -183,8 +191,7 @@ class Digraph(_Labeled):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return (set(self._labels) == set(other._labels)
-                and set(self.edge_labels()) == set(other.edge_labels()))
+        return _same_csr(self, other)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -229,14 +236,23 @@ class Digraph(_Labeled):
             pos[p] = len(path)
             path.append(p)
 
+    def _levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Vertices grouped by height, peeled from the sinks up on the CSR
+        arrays (see ``_kernels.sink_levels``).  This is the library's
+        acyclicity gate: on a cycle it raises the ``CyclicGraphError`` of
+        :meth:`topological_order`, which is built only then."""
+        levels = _kernels.sink_levels(self._csr[0], *self._rcsr)
+        if levels is None:
+            self.topological_order()  # raises, naming a cycle
+        return levels
+
     def _down_sets(self) -> tuple[np.ndarray, np.ndarray]:
         """Closed down-sets as CSR ``(indptr, ids)``: ``D[u]`` is
-        ``ids[indptr[u]:indptr[u + 1]]``, ascending (acyclic input only).
+        ``ids[indptr[u]:indptr[u + 1]]``, ascending; raises on a cycle.
         The bitset closure they are decoded from is not kept."""
         if self._down is None:
-            order = np.array(self.topological_order()[::-1], dtype=np.int64)
             self._down = _kernels.rows_csr(
-                _kernels.closure_bits(self.n, *self._csr, order))
+                _kernels.closure_levels(self.n, *self._csr, *self._levels()))
         return self._down
 
 
@@ -253,8 +269,8 @@ class UndirectedGraph(_Labeled):
         n = len(labels)
         pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
         a, b = pairs[0::2], pairs[1::2]
-        adj = _adjacency(n, np.concatenate((a, b)), np.concatenate((b, a)))
-        if adj is None:
+        csr = _adjacency(n, np.concatenate((a, b)), np.concatenate((b, a)))
+        if csr is None:
             lo, hi = np.minimum(a, b), np.maximum(a, b)
             i, kind = _first_bad_edge(n, lo, hi)
             if kind == "range":
@@ -263,7 +279,7 @@ class UndirectedGraph(_Labeled):
                 raise ValueError(f"self-loop at {labels[a[i]]!r}")
             raise ValueError(
                 f"duplicate edge {labels[lo[i]]!r} -- {labels[hi[i]]!r}")
-        self._labels, self._index, self._csr = labels, index, adj[0]
+        self._labels, self._index, self._csr = labels, index, csr
 
     @classmethod
     def _from_csr(cls, labels: tuple[str, ...], indptr: np.ndarray,
@@ -325,14 +341,7 @@ class UndirectedGraph(_Labeled):
     def __eq__(self, other) -> bool:
         if not isinstance(other, UndirectedGraph):
             return NotImplemented
-        if set(self._labels) != set(other._labels):
-            return False
-        # other's edges as sorted u*n + v keys of this graph's ids
-        ids = np.array([self._index[lab] for lab in other._labels], dtype=np.int64)
-        a, b = (ids[x] for x in _kernels.csr_edges(*other._csr))
-        keys = np.sort(np.minimum(a, b) * self.n + np.maximum(a, b))
-        a, b = _kernels.csr_edges(*self._csr)
-        return np.array_equal(keys, a * self.n + b)
+        return _same_csr(self, other)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -389,7 +398,7 @@ def parse_digraph(text: str) -> Digraph:
              if len(raw.split("#", 1)[0].split()) == 2), i, None)))
     if bad is not None:
         raise bad
-    return Digraph.__new__(Digraph)._fill(labels, index, *adj)
+    return Digraph.__new__(Digraph)._fill(labels, index, adj)
 
 
 def format_digraph(g: Digraph) -> str:
@@ -405,7 +414,7 @@ def format_digraph(g: Digraph) -> str:
 
 def is_acyclic(g: Digraph) -> bool:
     try:
-        g.topological_order()
+        g._levels()
         return True
     except CyclicGraphError:
         return False
@@ -425,12 +434,12 @@ def _max_rows(g: Digraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows in that order."""
     indptr, ids = g._down_sets()  # acyclicity gate
     tops = np.flatnonzero(np.diff(g._rcsr[0]) == 0)
-    return (tops, *_gather(indptr, ids, tops))
+    return (tops, *_kernels.gather_rows(indptr, ids, tops))
 
 
 def max_vertices(g: Digraph) -> frozenset[int]:
     """Maximal elements of the reachability order: the in-degree-0 vertices."""
-    g.topological_order()
+    g._levels()  # acyclicity gate
     return frozenset(np.flatnonzero(np.diff(g._rcsr[0]) == 0).tolist())
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .digraph import (Digraph, UndirectedGraph, _Labeled, _check_labels,
-                      _gather, _max_rows, _tuples_csr)
+                      _max_rows, _tuples_csr)
 from .errors import ParseError
 
 
@@ -190,7 +190,7 @@ def _down_edges(g: Digraph, closed: bool = False, simplify: bool = True):
         for r in rows.tolist():
             first.setdefault(tuple(flat[ptr[r]:ptr[r + 1]]), r)
         rows = np.array(list(first.values()), dtype=np.int64)
-    return (keep, *_gather(eptr, members, rows))
+    return (keep, *_kernels.gather_rows(eptr, members, rows))
 
 
 def down_hypergraph(g: Digraph, closed: bool = False,

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +10,10 @@ from downcolor import (
     ParseError,
     UndirectedGraph,
     big_d,
+    bound_report,
+    build_compact,
     condense_to_acyclic,
+    down_coloring,
     down_graph,
     down_set,
     format_digraph,
@@ -20,12 +24,15 @@ from downcolor import (
     transitive_closure,
     up_digraph,
     down_hypergraph,
+    verify_ac_property,
+    verify_down_coloring,
 )
+from downcolor import _kernels
 from downcolor.digraph import _lines
-from conftest import (brute_down_edges, components_reference, digraph_reference,
-                      parse_digraph_reference, random_dag, random_digraph,
-                      reach_closed, topological_order_reference,
-                      undirected_reference)
+from conftest import (SCALE_GRAPHS, brute_down_edges, components_reference,
+                      digraph_reference, layered_dag, parse_digraph_reference,
+                      random_dag, random_digraph, reach_closed,
+                      topological_order_reference, undirected_reference)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 
@@ -84,21 +91,109 @@ def test_topological_order_is_valid():
             assert pos[a] < pos[b]
 
 
+def assert_down_sets_match_reach(g):
+    reach = reach_closed(g)
+    indptr, ids = g._down_sets()
+    assert (indptr.dtype, ids.dtype, indptr.size) == (np.int64, np.int32, g.n + 1)
+    assert [ids[indptr[u]:indptr[u + 1]].tolist() for u in range(g.n)] == \
+        [sorted(map(g.id_of, reach[g.label_of(u)])) for u in range(g.n)]
+    return reach
+
+
 def test_down_sets_against_reachability():
     rng = random.Random(11)
-    for _ in range(40):
-        g = random_dag(rng, rng.randint(1, 12), 0.35)
-        reach = reach_closed(g)
-        indptr, ids = g._down_sets()
+    for i in range(150):
+        g = random_dag(rng, rng.randint(1, 12) if i < 40 else rng.randint(0, 70),
+                       0.35 if i < 40 else rng.choice([0.02, 0.08, 0.2, 0.5]))
+        reach = assert_down_sets_match_reach(g)
         for u in g.labels:
             uid = g.id_of(u)
-            row = ids[indptr[uid]:indptr[uid + 1]].tolist()
-            assert row == sorted(row)
-            assert {g.label_of(v) for v in row} == set(reach[u])
             closed = {g.label_of(v) for v in down_set(g, uid)}
             assert closed == set(reach[u])
             opened = {g.label_of(v) for v in down_set(g, uid, closed=False)}
             assert opened == set(reach[u]) - {u}
+
+
+def path_digraph(n):
+    return Digraph([f"p{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+
+
+def ladder_digraph(height):
+    """Two vertices per level, each with an edge to both of the next
+    level's: ``height`` levels of width 2."""
+    return Digraph([f"r{i}" for i in range(2 * height)],
+                   [(2 * i + a, 2 * i + 2 + b) for i in range(height - 1)
+                    for a in (0, 1) for b in (0, 1)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Digraph([], []),
+    lambda: Digraph(["a"], []),
+    lambda: Digraph(list("abcde"), [(3, 1)]),  # isolated vertices around one edge
+    lambda: Digraph(list("abcdef"), [(0, 1), (1, 2), (0, 2), (4, 2)]),
+    lambda: path_digraph(300),
+    lambda: ladder_digraph(150),
+    lambda: layered_dag(random.Random(8), 400, 0.2),
+    *SCALE_GRAPHS.values(),
+], ids=["n0", "n1", "isolated", "diamond", "path300", "ladder150", "layered400",
+        *SCALE_GRAPHS])
+def test_down_sets_match_reach_closed_on_shapes(make):
+    assert_down_sets_match_reach(make())
+
+
+@pytest.mark.parametrize("gather_bytes", [8, 64, 1000])
+def test_down_sets_in_small_gather_steps(monkeypatch, gather_bytes):
+    # levels split into runs of few child rows, down to one vertex whose
+    # children alone exceed the step
+    monkeypatch.setattr(_kernels, "_GATHER_BYTES", gather_bytes)
+    rng = random.Random(gather_bytes)
+    for _ in range(40):
+        assert_down_sets_match_reach(random_dag(rng, rng.randint(0, 90), 0.15))
+    assert_down_sets_match_reach(ladder_digraph(40))
+
+
+@st.composite
+def cyclic_digraphs(draw):
+    """A digraph on 2..8 vertices holding at least one directed cycle,
+    plus random extra edges."""
+    n = draw(st.integers(2, 8))
+    cycle = draw(st.permutations(range(n)))[:draw(st.integers(2, n))]
+    pairs = {(cycle[i - 1], cycle[i]) for i in range(len(cycle))}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=14))
+    pairs |= {(a, b) for a, b in extra if a != b}
+    return [f"v{i}" for i in range(n)], sorted(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclic_digraphs())
+def test_cyclic_input_raises_the_topological_order_error(graph):
+    with pytest.raises(CyclicGraphError) as want:
+        Digraph(*graph).topological_order()
+    for call in (lambda g: g._down_sets(), down_coloring,
+                 lambda g: down_coloring(g, "exact"), bound_report, big_d,
+                 max_vertices, height_two_reduction):
+        with pytest.raises(CyclicGraphError) as got:
+            call(Digraph(*graph))
+        assert (str(got.value), got.value.cycle) == \
+            (str(want.value), want.value.cycle)
+    assert not is_acyclic(Digraph(*graph))
+
+
+def test_pipeline_never_builds_the_topological_order(monkeypatch):
+    def refuse(self):
+        raise AssertionError("topological_order called")
+
+    monkeypatch.setattr(Digraph, "topological_order", refuse)
+    for text in (format_digraph(layered_dag(random.Random(4), 120, 0.3)),
+                 SIX + "lone\n"):
+        g = parse_digraph(text)
+        assert is_acyclic(g)
+        c = down_coloring(g)
+        m = build_compact(g, c)
+        assert verify_down_coloring(g, c) and verify_ac_property(m, g).ok
+        assert bound_report(g).big_d == big_d(g)
+        assert down_graph(height_two_reduction(g)) == down_graph(g)
 
 
 def test_six_example_frozen_values():
@@ -333,4 +428,33 @@ def test_undirected_equality_matches_label_pairs():
         want = (set(g.labels) == set(h.labels)
                 and {frozenset(e) for e in g.edge_labels()}
                 == {frozenset(e) for e in h.edge_labels()})
+        assert (g == h) == want
+
+
+def test_digraph_equality_matches_label_pairs():
+    # equal digraphs may number their labels differently; a reversed
+    # edge makes them unequal
+    rng = random.Random(97)
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        labels = [f"v{i}" for i in range(n)]
+        edges = [(a, b) for a in range(n) for b in range(n)
+                 if a != b and rng.random() < 0.25]
+        g = Digraph(labels, edges)
+        perm = rng.sample(labels, n)
+        if n and rng.random() < 0.2:
+            perm[rng.randrange(n)] = "x"
+        where = {lab: i for i, lab in enumerate(perm)}
+        moved = [(where.get(labels[a]), where.get(labels[b])) for a, b in edges]
+        moved = [(a, b) for a, b in moved if a is not None and b is not None]
+        rng.shuffle(moved)
+        if moved and rng.random() < 0.2:
+            moved.pop()
+        if moved and rng.random() < 0.2:
+            a, b = moved.pop()
+            if (b, a) not in moved:
+                moved.append((b, a))
+        h = Digraph(perm, moved)
+        want = (set(g.labels) == set(h.labels)
+                and set(g.edge_labels()) == set(h.edge_labels()))
         assert (g == h) == want

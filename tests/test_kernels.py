@@ -1,30 +1,18 @@
 import random
 
 import numpy as np
-import pytest
 
 from downcolor._kernels import (
-    available_backends,
     clique_union_bits,
     clique_union_csr,
     closure_bits,
-    get_backend,
     greedy_color,
     popcounts,
+    reverse_csr,
     rows_csr,
-    set_backend,
+    sink_levels,
     words_for,
 )
-
-NEED_NUMBA = pytest.mark.skipif("numba" not in available_backends(),
-                                reason="numba backend unavailable")
-
-
-@pytest.fixture
-def restore_backend():
-    old = get_backend()
-    yield
-    set_backend(old)
 
 
 def csr(n, adj):
@@ -96,6 +84,27 @@ def test_closure_matches_reachability():
         want = reach_sets(n, adj)
         for u in range(n):
             assert set(bit_ids(bits[u])) == want[u]
+
+
+def test_sink_levels_group_by_height():
+    # height: edges on the longest path down to a sink
+    rng = random.Random(19)
+    for _ in range(60):
+        n = rng.randint(0, 60)
+        indptr, indices, order, adj = random_dag_csr(rng, n, rng.choice([0.03, 0.1, 0.3]))
+        height = [0] * n
+        for u in order.tolist():
+            height[u] = max((height[v] + 1 for v in adj.get(u, ())), default=0)
+        verts, lptr = sink_levels(indptr, *reverse_csr(n, indptr, indices))
+        assert lptr[0] == 0 and lptr[-1] == n
+        assert [verts[lptr[h]:lptr[h + 1]].tolist() for h in range(lptr.size - 1)] == \
+            [[u for u in range(n) if height[u] == h] for h in range(max(height, default=-1) + 1)]
+        if indices.size:  # close the longest path into a cycle
+            top = low = height.index(max(height))
+            while adj.get(low):
+                low = next(v for v in adj[low] if height[v] == height[low] - 1)
+            indptr, indices = csr(n, {**adj, low: [top]})
+            assert sink_levels(indptr, *reverse_csr(n, indptr, indices)) is None
 
 
 def test_clique_union_matches_pair_oracle():
@@ -182,23 +191,3 @@ def test_greedy_color_first_fit():
     assert check(7, {}) == [1] * 7
     complete = {i: [j for j in range(9) if j != i] for i in range(9)}
     assert sorted(check(9, complete)) == list(range(1, 10))
-
-
-@NEED_NUMBA
-def test_backends_agree(restore_backend):
-    rng = random.Random(17)
-    for _ in range(10):
-        n = rng.randint(1, 120)
-        indptr, indices, order, adj = random_dag_csr(rng, n, 0.1)
-        results = {}
-        for backend in ("numpy", "numba"):
-            set_backend(backend)
-            results[backend] = closure_bits(n, indptr, indices, order)
-        assert np.array_equal(results["numpy"], results["numba"])
-
-
-def test_set_backend_rejects_unknown(restore_backend):
-    with pytest.raises(ValueError):
-        set_backend("cuda")
-    set_backend("numpy")
-    assert get_backend() == "numpy"
