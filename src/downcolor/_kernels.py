@@ -54,14 +54,18 @@ def gather_rows(indptr: np.ndarray, ids: np.ndarray,
     return ptr, ids[np.arange(ptr[-1]) + np.repeat(start - ptr[:-1], size)]
 
 
+def keys_csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR adjacency on ``n`` ids (int64 row pointers, int32 ids) of the
+    edges ``u -> v`` given as sorted ``u*n + v`` keys."""
+    return np.searchsorted(keys, np.arange(n + 1) * n), (keys % n).astype(np.int32)
+
+
 def reverse_csr(n: int, indptr: np.ndarray,
                 indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The transpose of a CSR adjacency on ``n`` ids: row ``v`` lists the
-    ``u`` with ``v`` in row ``u``, ascending (int64 row pointers, int32
-    ids), from the sorted ``v*n + u`` keys."""
-    keys = np.sort(indices.astype(np.int64) * n
-                   + np.repeat(np.arange(n), np.diff(indptr)))
-    return np.searchsorted(keys, np.arange(n + 1) * n), (keys % n).astype(np.int32)
+    ``u`` with ``v`` in row ``u``, ascending."""
+    return keys_csr(n, np.sort(indices.astype(np.int64) * n
+                               + np.repeat(np.arange(n), np.diff(indptr))))
 
 
 # ---------------------------------------------------------------- closure

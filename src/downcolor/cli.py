@@ -252,7 +252,7 @@ def main(argv=None) -> int:
     except ColoringError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DowncolorError, ValueError, OSError) as exc:
+    except (DowncolorError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

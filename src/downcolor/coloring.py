@@ -363,16 +363,13 @@ def _extend_to_maximal(g: Digraph, keep: np.ndarray, base: list[int],
     color = np.zeros(g.n, dtype=np.int64)
     color[keep] = base
     tops, ptr, ids = _max_rows(g)
-    ptr, near = ptr.tolist(), color[ids].tolist()  # a top's own entry is 0
-    top_color = {}
-    for i, w in enumerate(tops.tolist()):
-        used = set(near[ptr[i]:ptr[i + 1]])
-        c = 1
-        while c in used:
-            c += 1
-        top_color[g.label_of(w)] = c
+    # seen[i, c]: the down-set of top i holds color c; its own entry is 0,
+    # and a column past the largest color is never set
+    seen = np.zeros((tops.size, int(color.max(initial=0)) + 2), dtype=bool)
+    seen[np.repeat(np.arange(tops.size), np.diff(ptr)), color[ids]] = True
+    top_color = zip(map(g.label_of, tops.tolist()), seen.argmin(axis=1).tolist())
     colors = dict(zip(map(g.label_of, keep.tolist()), base))
-    colors.update(sorted(top_color.items()))  # maximal vertices by label
+    colors.update(sorted(top_color))  # maximal vertices by label
     return Coloring(colors, max(colors.values(), default=0), method)
 
 

@@ -44,6 +44,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _exceeds(base: int, exp: int, cap: int) -> bool:
+    """Whether ``base ** exp > cap``, for ``base >= 2``; a power whose
+    exponent passes the cap's bit length exceeds it, so none is built."""
+    return base ** min(exp, cap.bit_length()) > cap
+
+
 def prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, k) with n = p**k, or None."""
     if n < 2:
@@ -156,12 +162,13 @@ class FiniteField:
     __slots__ = ("p", "degree", "order", "modulus", "_elements")
 
     def __init__(self, p: int, k: int = 1):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        if p ** k > MAX_FIELD_ORDER:
+        # the order first, so a huge p meets no trial division
+        if p > 1 and _exceeds(p, k, MAX_FIELD_ORDER):
             raise ValueError(f"field order {p}^{k} exceeds {MAX_FIELD_ORDER}")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
         self.degree = k
         self.order = p ** k
@@ -294,9 +301,9 @@ def affine_design(field: FiniteField, m: int,
     if m < 1:
         raise ValueError("dimension must be >= 1")
     q = field.order
-    v = q ** m
-    if v > cap:
+    if _exceeds(q, m, cap):
         raise ValueError(f"point count {q}^{m} exceeds cap {cap}")
+    v = q ** m
     elems = field.elements()
     zero, one = field.zero, field.one
     points = list(itertools.product(elems, repeat=m))
@@ -437,7 +444,7 @@ def cor4_point(p: int, k: int, m: int, cap: int = DEFAULT_POINT_CAP,
         raise ValueError("dimension must be >= 1")
     field = build_field(p, k)
     sigma = field.order
-    if sigma ** m > cap:
+    if _exceeds(sigma, m, cap):
         raise ValueError(f"point count {p}^{k * m} exceeds cap {cap}")
     geom = (sigma ** m - 1) // (sigma - 1)
     n = sigma ** m + sigma ** (m - 1) * geom

@@ -22,6 +22,14 @@ is also the pipeline's acyclicity check: the topological order, a
 Python tuple, is built only on demand, or to name the cycle of a cyclic
 input.  Two graphs compare equal by their sorted ``u*n + v`` keys under
 the label bijection.
+
+One sweep serves both kinds of component (:func:`_sweep`): connected
+components sweep the symmetric CSR from every vertex in id order, and
+strong components (Kosaraju) sweep the parents CSR in reverse
+depth-first finishing order (:func:`_finish_order`).  Derived digraphs
+(condensation, transitive closure, height-two reduction) are filled
+from deduplicated ``u*n + v`` keys (:func:`_filled`), never through the
+validating constructor.
 """
 
 from __future__ import annotations
@@ -70,7 +78,7 @@ def _adjacency(n: int, src: np.ndarray, dst: np.ndarray):
     keys = np.sort(src.astype(np.int64) * n + dst)
     if np.any(keys[1:] == keys[:-1]):
         return None
-    return np.searchsorted(keys, np.arange(n + 1) * n), (keys % n).astype(np.int32)
+    return _kernels.keys_csr(n, keys)
 
 
 def _first_bad_edge(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, str]:
@@ -99,7 +107,9 @@ def _same_csr(g, h) -> bool:
 
 class _Labeled:
     """String labels with dense ids 0..n-1 in label order, the discipline
-    every graph type keeps in its ``_labels`` and ``_index`` slots."""
+    every graph type keeps in its ``_labels`` and ``_index`` slots.  The
+    two graph types also share their edge listing by label and their
+    equality, by CSR (see ``_same_csr``); ``Hypergraph`` has its own."""
 
     __slots__ = ()
 
@@ -119,6 +129,17 @@ class _Labeled:
 
     def label_of(self, u: int) -> str:
         return self._labels[u]
+
+    def edge_labels(self) -> Iterator[tuple[str, str]]:
+        for u, v in self.edges():
+            yield (self._labels[u], self._labels[v])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return _same_csr(self, other)
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 class Digraph(_Labeled):
@@ -183,17 +204,6 @@ class Digraph(_Labeled):
         indptr, ids = self._csr
         src = np.repeat(np.arange(self.n), np.diff(indptr))
         return zip(src.tolist(), ids.tolist())
-
-    def edge_labels(self) -> Iterator[tuple[str, str]]:
-        for u, v in self.edges():
-            yield (self._labels[u], self._labels[v])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Digraph):
-            return NotImplemented
-        return _same_csr(self, other)
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, edges={self.edge_count})"
@@ -308,10 +318,6 @@ class UndirectedGraph(_Labeled):
         # a list first: tuple() of a bare zip builds noticeably slower
         return tuple(list(zip(src.tolist(), dst.tolist())))
 
-    def edge_labels(self) -> Iterator[tuple[str, str]]:
-        for a, b in self.edges():
-            yield (self._labels[a], self._labels[b])
-
     def has_edge(self, a: int, b: int) -> bool:
         return 0 <= a < self.n and 0 <= b < self.n and b in self.neighbors(a)
 
@@ -319,31 +325,13 @@ class UndirectedGraph(_Labeled):
         return 2 * self.edge_count == self.n * (self.n - 1)
 
     def connected_components(self) -> list[list[int]]:
-        ptr, ids = (a.tolist() for a in self._csr)
-        seen = [False] * self.n
+        """Components, each ascending, in the order of their smallest vertex."""
         comps: list[list[int]] = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            seen[s] = True
-            comp = [s]
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for v in ids[ptr[u]:ptr[u + 1]]:
-                    if not seen[v]:
-                        seen[v] = True
-                        comp.append(v)
-                        queue.append(v)
-            comps.append(sorted(comp))
+        for v, c in enumerate(_sweep(self.n, range(self.n), self._csr)):
+            if c == len(comps):
+                comps.append([])
+            comps[c].append(v)
         return comps
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UndirectedGraph):
-            return NotImplemented
-        return _same_csr(self, other)
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return f"UndirectedGraph(n={self.n}, edges={self.edge_count})"
@@ -452,56 +440,59 @@ def big_d(g: Digraph) -> int:
 
 # ------------------------------------------------------- transformations
 
-def _scc(g: Digraph) -> tuple[list[int], list[list[int]]]:
-    """Iterative Tarjan; returns (component id per vertex, components)."""
-    n = g.n
-    index = [-1] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack: list[int] = []
-    comp = [-1] * n
-    comps: list[list[int]] = []
-    counter = 0
-    ptr, ids = (a.tolist() for a in g._csr)
+def _finish_order(n: int, csr: tuple[np.ndarray, np.ndarray]) -> list[int]:
+    """The vertices in the order a depth-first search along the CSR
+    adjacency ``csr`` finishes them, roots tried ascending."""
+    ptr, ids = (a.tolist() for a in csr)
+    nxt = ptr[:-1]  # each vertex's next child position
+    seen = [False] * n
+    order: list[int] = []
     for root in range(n):
-        if index[root] != -1:
+        if seen[root]:
             continue
-        # (vertex, position of its next child edge in ids)
-        work: list[tuple[int, int]] = [(root, ptr[root])]
-        while work:
-            v, pi = work[-1]
-            if index[v] == -1:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            descend = False
-            for i in range(pi, ptr[v + 1]):
-                w = ids[i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, ptr[w]))
-                    descend = True
-                    break
-                if onstack[w]:
-                    low[v] = min(low[v], index[w])
-            if descend:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                members: list[int] = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp[w] = len(comps)
-                    members.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(members))
-    return comp, comps
+        seen[root] = True
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            i, end = nxt[v], ptr[v + 1]
+            while i < end and seen[ids[i]]:
+                i += 1
+            nxt[v] = i + 1
+            if i < end:
+                seen[ids[i]] = True
+                stack.append(ids[i])
+            else:
+                order.append(stack.pop())
+    return order
+
+
+def _sweep(n: int, roots: Iterable[int], csr: tuple[np.ndarray, np.ndarray]) -> list[int]:
+    """A component id per vertex: each of ``roots`` not reached yet opens
+    the next id and claims every vertex it reaches along ``csr``."""
+    ptr, ids = (a.tolist() for a in csr)
+    comp = [-1] * n
+    c = 0
+    for root in roots:
+        if comp[root] >= 0:
+            continue
+        comp[root] = c
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in ids[ptr[u]:ptr[u + 1]]:
+                if comp[v] < 0:
+                    comp[v] = c
+                    stack.append(v)
+        c += 1
+    return comp
+
+
+def _filled(g: Digraph, src: np.ndarray, dst: np.ndarray) -> Digraph:
+    """Digraph on ``g``'s labels with the edges ``src[i] -> dst[i]``, in
+    range and loop-free, repeats merged; filled without a second check."""
+    keys = _kernels._distinct(src.astype(np.int64) * g.n + dst)
+    return Digraph.__new__(Digraph)._fill(g._labels, g._index,
+                                          _kernels.keys_csr(g.n, keys))
 
 
 def condense_to_acyclic(g: Digraph) -> Digraph:
@@ -513,27 +504,26 @@ def condense_to_acyclic(g: Digraph) -> Digraph:
     acyclic on the same vertex set, and its down-graph coincides with
     the reachability-based conflict graph of the input.
     """
-    comp, comps = _scc(g)
-    reps = [min(members, key=g.label_of) for members in comps]
-    edges: set[tuple[int, int]] = set()
-    for ci, members in enumerate(comps):
-        r = reps[ci]
-        for v in members:
-            if v != r:
-                edges.add((r, v))
-    for x, y in g.edges():
-        if comp[x] != comp[y]:
-            edges.add((reps[comp[x]], reps[comp[y]]))
-    return Digraph(g.labels, sorted(edges))
+    n = g.n
+    # Kosaraju: sweep the parents from the latest-finished vertex first
+    comp = np.array(_sweep(n, reversed(_finish_order(n, g._csr)), g._rcsr),
+                    dtype=np.int64)
+    by_label = np.array(sorted(range(n), key=g.label_of), dtype=np.int64)
+    first = np.full(n, n)  # per component, its smallest label's rank
+    np.minimum.at(first, comp, np.argsort(by_label))
+    rep = by_label[first[comp]]
+    src = np.concatenate((rep[np.repeat(np.arange(n), np.diff(g._csr[0]))], rep))
+    dst = np.concatenate((rep[g._csr[1]], np.arange(n)))
+    keep = src != dst
+    return _filled(g, src[keep], dst[keep])
 
 
-def _below(g: Digraph, tops: Iterable[int]) -> Digraph:
-    """``g``'s vertices with an edge from each of ``tops`` to every vertex
-    strictly below it."""
-    indptr, ids = g._down_sets()
-    return Digraph(g.labels, [(u, v) for u in sorted(tops)
-                              for v in ids[indptr[u]:indptr[u + 1]].tolist()
-                              if v != u])
+def _below(g: Digraph, tops: np.ndarray, ptr: np.ndarray, ids: np.ndarray) -> Digraph:
+    """``g``'s vertices with an edge from each of ``tops`` to every other
+    vertex of its closed down-set, the CSR row ``ids[ptr[i]:ptr[i + 1]]``."""
+    src = np.repeat(tops, np.diff(ptr))
+    keep = ids != src
+    return _filled(g, src[keep], ids[keep])
 
 
 def height_two_reduction(g: Digraph) -> Digraph:
@@ -542,12 +532,12 @@ def height_two_reduction(g: Digraph) -> Digraph:
     The result has the same vertex set and the same down-graph, with all
     ancestor chains flattened to height two.
     """
-    return _below(g, max_vertices(g))
+    return _below(g, *_max_rows(g))
 
 
 def transitive_closure(g: Digraph) -> Digraph:
     """Edge (u, v) for every v strictly below u."""
-    return _below(g, range(g.n))
+    return _below(g, np.arange(g.n), *g._down_sets())
 
 
 def down_graph(g: Digraph) -> UndirectedGraph:

@@ -135,16 +135,8 @@ def sigma(h: Hypergraph) -> int:
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the edge-per-line format: whitespace-separated member labels,
     single-token lines declaring isolated vertices, ``#`` comments."""
-    labels: list[str] = []
     index: dict[str, int] = {}
     edges: list[tuple[int, ...]] = []
-
-    def vid(tok: str) -> int:
-        if tok not in index:
-            index[tok] = len(labels)
-            labels.append(tok)
-        return index[tok]
-
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -152,10 +144,10 @@ def parse_hypergraph(text: str) -> Hypergraph:
         toks = line.split()
         if len(set(toks)) != len(toks):
             raise ParseError("repeated vertex inside an edge", lineno)
-        ids = [vid(t) for t in toks]
+        ids = tuple(index.setdefault(t, len(index)) for t in toks)
         if len(ids) >= 2:
-            edges.append(tuple(ids))
-    return Hypergraph(labels, edges)
+            edges.append(ids)
+    return Hypergraph(tuple(index), edges)
 
 
 def format_hypergraph(h: Hypergraph) -> str:
@@ -219,8 +211,11 @@ def up_digraph(h: Hypergraph) -> Digraph:
     if clash:
         raise ValueError(f"vertex labels collide with top labels: {sorted(clash)}")
     labels = h.labels + tops
-    edges = [(h.n + i, u) for i, e in enumerate(h.edges) for u in e]
-    return Digraph(labels, edges)
+    # row h.n + i lists edge i's members, sorted and distinct
+    eptr, members = _tuples_csr(h.edges)
+    return Digraph.__new__(Digraph)._fill(
+        labels, {lab: i for i, lab in enumerate(labels)},
+        (np.concatenate((np.zeros(h.n, dtype=np.int64), eptr)), members))
 
 
 def clique_graph(h: Hypergraph) -> UndirectedGraph:

@@ -327,6 +327,92 @@ def components_reference(n, edges) -> list[list[int]]:
     return sorted(comps.values())
 
 
+def _tarjan(g: Digraph) -> tuple[list[int], list[list[int]]]:
+    """Iterative Tarjan; returns (component id per vertex, components)."""
+    n = g.n
+    index = [-1] * n
+    low = [0] * n
+    onstack = [False] * n
+    stack: list[int] = []
+    comp = [-1] * n
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        # (vertex, position of its next child)
+        work: list[tuple[int, int]] = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if index[v] == -1:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                onstack[v] = True
+            kids = g.children(v)
+            descend = False
+            for i in range(pi, len(kids)):
+                w = kids[i]
+                if index[w] == -1:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    descend = True
+                    break
+                if onstack[w]:
+                    low[v] = min(low[v], index[w])
+            if descend:
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                members: list[int] = []
+                while True:
+                    w = stack.pop()
+                    onstack[w] = False
+                    comp[w] = len(comps)
+                    members.append(w)
+                    if w == v:
+                        break
+                comps.append(sorted(members))
+    return comp, comps
+
+
+def condense_reference(g: Digraph) -> Digraph:
+    """``condense_to_acyclic`` as it was built from Tarjan's components and
+    a set of id pairs, through the validating constructor."""
+    comp, comps = _tarjan(g)
+    reps = [min(members, key=g.label_of) for members in comps]
+    edges: set[tuple[int, int]] = set()
+    for ci, members in enumerate(comps):
+        edges.update((reps[ci], v) for v in members if v != reps[ci])
+    for x, y in g.edges():
+        if comp[x] != comp[y]:
+            edges.add((reps[comp[x]], reps[comp[y]]))
+    return Digraph(g.labels, sorted(edges))
+
+
+def up_digraph_reference(h: Hypergraph) -> Digraph:
+    """``up_digraph`` of a simple hypergraph as an edge list through the
+    validating constructor: top ``w<i>`` above the members of edge i."""
+    return Digraph(h.labels + tuple(f"w{i}" for i in range(h.m)),
+                   [(h.n + i, u) for i, e in enumerate(h.edges) for u in e])
+
+
+def extend_to_maximal_reference(g: Digraph, c) -> dict[str, int]:
+    """``c``'s colors of the vertices with a parent, in id order, then
+    each maximal vertex by label with the smallest color missing from
+    its open down-set, found by a set per vertex."""
+    reach = reach_closed(g)
+    tops = {lab for lab in g.labels if not g.parents(g.id_of(lab))}
+    out = {lab: c.colors[lab] for lab in g.labels if lab not in tops}
+    for w in sorted(tops):
+        used = {out[v] for v in reach[w] if v != w}
+        out[w] = min(set(range(1, len(used) + 2)) - used)
+    return out
+
+
 def parse_digraph_reference(text: str):
     """The line-by-line ``parse_digraph`` with a set of seen pairs, as
     ``(labels, children, parents)``; raises the same ``ParseError``."""

@@ -186,6 +186,23 @@ def test_discrepancy_cor4_rows(capsys):
     assert [r.split(",")[1] for r in out[1:]] == ["3", "10", "36"]
 
 
+def test_huge_field_or_dimension_exits_one_at_once(capsys):
+    p = "1000000000000000003"
+    assert main(["gen", "affine", p, "1", "1"]) == 1
+    assert main(["discrepancy", "--cor4", p, "1", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: field order {p}^1 exceeds 1048576"] * 2
+    assert main(["gen", "affine", "3", "1", "100000000"]) == 1
+    assert capsys.readouterr().err == "error: point count 3^100000000 exceeds cap 4096\n"
+
+
+def test_discrepancy_overflow_exits_one(capsys):
+    assert main(["discrepancy", "--sigma", "2", "--n", "9" * 400]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
+
+
 def test_discrepancy_flag_conflicts(capsys):
     assert main(["discrepancy"]) == 1
     assert main(["discrepancy", "--sigma", "2"]) == 1

@@ -37,7 +37,8 @@ from downcolor import _kernels, cli
 from downcolor.coloring import _greedy_clique
 from conftest import (GROTZSCH_EDGES, SCALE_GRAPHS, brute_chromatic,
                       brute_violation, dsatur_reference,
-                      greedy_clique_reference, pair_digraph_text, random_dag,
+                      extend_to_maximal_reference, greedy_clique_reference,
+                      layered_dag, pair_digraph_text, random_dag,
                       random_hypergraph)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
@@ -341,6 +342,23 @@ def test_down_coloring_case_split():
         ks = exact_strong_chromatic(h).k
         want = ks + 1 if ks == h.sigma else ks
         assert down_coloring(g, "exact").k == want
+
+
+def test_maximal_extension_matches_per_top_first_fit():
+    rng = random.Random(83)
+    graphs = [random_dag(rng, rng.randint(0, 14), rng.choice([0.1, 0.3, 0.6]))
+              for _ in range(60)]
+    # every vertex maximal, and one with many maximal vertices
+    graphs += [parse_digraph("a\nc\nb\n"), layered_dag(rng, 80, 0.2)]
+    for g in graphs:
+        for mode in ("greedy", "exact") if g.n <= 30 else ("greedy",):
+            try:
+                c = down_coloring(g, mode, budget=500)
+            except CapExceededError as exc:
+                c = exc.partial
+            want = extend_to_maximal_reference(g, c)
+            assert list(c.colors.items()) == list(want.items())
+            assert c.k == max(want.values(), default=0)
 
 
 def test_down_coloring_deterministic():

@@ -49,6 +49,20 @@ def test_field_rejects_bad_parameters():
         build_field(2, 25)
 
 
+def test_field_order_checked_before_primality():
+    # neither trial division up to sqrt(p) nor p ** k would finish on these
+    for p, k in [(1000000000000000003, 1), (10 ** 400 + 1, 3), (3, 10 ** 12)]:
+        with pytest.raises(ValueError, match="exceeds"):
+            build_field(p, k)
+    with pytest.raises(ValueError, match="not prime"):
+        build_field(1, 10 ** 12)
+    # nor would the power of a huge dimension
+    with pytest.raises(ValueError, match="exceeds cap"):
+        affine_design(build_field(3), 10 ** 8)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        cor4_point(3, 1, 10 ** 8)
+
+
 def test_field_moduli():
     # first monic irreducible in the fixed candidate order
     assert build_field(2, 2).modulus == (1, 1, 1)       # x^2 + x + 1

@@ -30,9 +30,11 @@ from downcolor import (
 from downcolor import _kernels
 from downcolor.digraph import _lines
 from conftest import (SCALE_GRAPHS, brute_down_edges, components_reference,
-                      digraph_reference, layered_dag, parse_digraph_reference,
-                      random_dag, random_digraph, reach_closed,
-                      topological_order_reference, undirected_reference)
+                      condense_reference, digraph_reference, hierarchy,
+                      layered_dag, parse_digraph_reference, random_dag,
+                      random_digraph, random_hypergraph, reach_closed,
+                      topological_order_reference, undirected_reference,
+                      up_digraph_reference)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 
@@ -258,6 +260,56 @@ def test_condensation_identity_on_dags():
     for _ in range(15):
         g = random_dag(rng, rng.randint(1, 10), 0.4)
         assert condense_to_acyclic(g) == g
+
+
+def assert_same_digraph(got, want):
+    """Equal labels, children and parents CSR arrays (values and dtypes)
+    and ``format_digraph`` text."""
+    assert got.labels == want.labels
+    for a, b in zip(got._csr + got._rcsr, want._csr + want._rcsr):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert format_digraph(got) == format_digraph(want)
+
+
+def test_condensation_matches_tarjan_reference():
+    rng = random.Random(31)
+    graphs = [random_digraph(rng, rng.randint(0, 40), p)
+              for p in (0.01, 0.03, 0.06, 0.12, 0.3) for _ in range(30)]
+    n = 300
+    graphs += [
+        Digraph(["a", "b"], [(0, 1), (1, 0)]),
+        # nested cycles: 0-1-2-0 inside 0..5, a tail 6 -> 7, and 8 alone
+        Digraph([f"x{i}" for i in range(9)],
+                [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 2),
+                 (5, 0), (6, 7), (4, 6)]),
+        # one long cycle, labelled so its smallest label is not vertex 0
+        Digraph([f"c{(i * 7) % n:03d}" for i in range(n)],
+                [(i, (i + 1) % n) for i in range(n)]),
+    ]
+    for g in graphs:
+        assert_same_digraph(condense_to_acyclic(g), condense_reference(g))
+
+
+def test_closures_match_reachability_oracle():
+    rng = random.Random(37)
+    graphs = [random_dag(rng, rng.randint(0, 30), rng.choice([0.05, 0.2, 0.5]))
+              for _ in range(40)]
+    graphs += [layered_dag(rng, 60, 0.3), hierarchy(rng, 120)]
+    for g in graphs:
+        reach = reach_closed(g)
+        tops = {lab for lab in g.labels if not g.parents(g.id_of(lab))}
+        for got, sources in ((transitive_closure(g), g.labels),
+                             (height_two_reduction(g), tops)):
+            pairs = sorted((g.id_of(u), g.id_of(v)) for u in sources
+                           for v in reach[u] if v != u)
+            assert_same_digraph(got, Digraph(g.labels, pairs))
+
+
+def test_up_digraph_matches_edge_list_construction():
+    rng = random.Random(41)
+    for _ in range(150):
+        h = random_hypergraph(rng, max_n=12, max_m=10).simplify()
+        assert_same_digraph(up_digraph(h), up_digraph_reference(h))
 
 
 def test_up_down_roundtrip():
