@@ -19,7 +19,6 @@ import time
 import downcolor as dc
 from downcolor import _kernels
 from downcolor.coloring import _dense, _dsatur, _greedy_clique, _greedy_colors
-from downcolor.hypergraph import _down_edges
 
 
 def partial_planes(q: int, seed: int, count: int):
@@ -58,8 +57,8 @@ def main():
     stopped_s, stopped = 0.0, 0
     for g in partial_planes(args.q, args.seed, args.count):
         g.topological_order()
-        keep, eptr, members = _down_edges(g)
-        n = keep.size
+        h = dc.down_hypergraph(g)
+        n, (eptr, members) = h.n, h._csr
 
         def conflict():
             csr = _kernels.clique_union_csr(n, eptr, members)

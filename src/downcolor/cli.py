@@ -74,32 +74,29 @@ def cmd_analyze(args) -> int:
 
 def cmd_color(args) -> int:
     text = _read(args.graph)
-    if args.strong:
-        h = parse_hypergraph(text)
-        if args.exact:
-            res = exact_strong_chromatic(h, cap=args.cap, budget=args.budget)
-            if not res.exact:
-                print(f"budget exhausted: {res.lower} <= chi_s <= {res.k}; "
-                      "emitting the incumbent coloring", file=sys.stderr)
-                _write(args.output, coloring_to_json(res.coloring))
-                return 3
-            col = res.coloring
-        else:
-            col = greedy_strong_coloring(h)
+    stop = None  # the bracket of a budget stop, whose incumbent is emitted
+    if args.strong and args.exact:
+        res = exact_strong_chromatic(parse_hypergraph(text), cap=args.cap,
+                                     budget=args.budget)
+        col = res.coloring
+        if not res.exact:
+            stop = f"{res.lower} <= chi_s <= {res.k}"
+    elif args.strong:
+        col = greedy_strong_coloring(parse_hypergraph(text))
     else:
         g = parse_digraph(text)
-        mode = "exact" if args.exact else "greedy"
         try:
-            col = down_coloring(g, mode, cap=args.cap, budget=args.budget)
+            col = down_coloring(g, "exact" if args.exact else "greedy",
+                                cap=args.cap, budget=args.budget)
         except CapExceededError as exc:
             if exc.partial is None:
                 raise
-            print(f"budget exhausted: {exc.lower} <= chi_d <= {exc.upper}; "
-                  "emitting the incumbent coloring", file=sys.stderr)
-            _write(args.output, coloring_to_json(exc.partial))
-            return 3
+            col, stop = exc.partial, f"{exc.lower} <= chi_d <= {exc.upper}"
+    if stop is not None:
+        print(f"budget exhausted: {stop}; emitting the incumbent coloring",
+              file=sys.stderr)
     _write(args.output, coloring_to_json(col))
-    return 0
+    return 0 if stop is None else 3
 
 
 def cmd_compact(args) -> int:

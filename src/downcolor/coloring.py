@@ -38,10 +38,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .digraph import (Digraph, UndirectedGraph, _max_rows, _tuples_csr,
-                      big_d)
+from .digraph import Digraph, UndirectedGraph, _max_rows, big_d
 from .errors import CapExceededError, ColoringError
-from .hypergraph import Hypergraph, _down_edges, _graph_peel, _incidence, _peel
+from .hypergraph import (Hypergraph, _graph_peel, _incidence, _peel, degeneracy,
+                         down_hypergraph)
 
 DEFAULT_EXACT_CAP = 30
 
@@ -89,8 +89,16 @@ def coloring_to_json(c: Coloring) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _load_json(text: str):
+    """``json.loads``, refusing too deep a nesting as a ``ValueError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply") from None
+
+
 def coloring_from_json(text: str) -> Coloring:
-    doc = json.loads(text)
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ValueError("coloring document must be a JSON object")
     try:
@@ -141,7 +149,7 @@ def greedy_strong_coloring(h: Hypergraph) -> Coloring:
     """First-fit along the reversed peeling order of ``h`` itself, so
     k <= ind(H)*(sigma - 1) + 1: a vertex's colored co-members lie in the
     at most ind(H) edges alive when the peel removed it."""
-    colors = _greedy_strong(h.n, *_tuples_csr(h.edges))
+    colors = _greedy_strong(h.n, *h._csr)
     return Coloring({h.label_of(u): colors[u] for u in range(h.n)},
                     max(colors, default=0), "greedy")
 
@@ -326,17 +334,6 @@ def _exact(labels: tuple[str, ...], indptr: np.ndarray, indices: np.ndarray,
     return ExactResult(best_k, coloring, best_k if exact else len(clique), exact)
 
 
-def _exact_cliques(labels: tuple[str, ...], eptr: np.ndarray, members: np.ndarray,
-                   cap: int | None, budget: int | None) -> ExactResult:
-    """``_exact`` of the union of the cliques ``members[eptr[i]:eptr[i + 1]]``.
-    Cliques holding fewer than C(n, 2) pairs cannot make it complete, so
-    above the cap it is refused before it is built."""
-    n, size = len(labels), np.diff(eptr)
-    if int((size * (size - 1)).sum()) < n * (n - 1):
-        _refuse_above_cap(n, cap)
-    return _exact(labels, *_kernels.clique_union_csr(n, eptr, members), cap, budget)
-
-
 def exact_chromatic(g: UndirectedGraph, cap: int | None = None,
                     budget: int | None = None) -> ExactResult:
     """Exact chromatic number by DSATUR branch and bound.
@@ -349,17 +346,22 @@ def exact_chromatic(g: UndirectedGraph, cap: int | None = None,
 
 def exact_strong_chromatic(h: Hypergraph, cap: int | None = None,
                            budget: int | None = None) -> ExactResult:
-    """Exact strong chromatic number: exact coloring of the clique graph."""
-    return _exact_cliques(h.labels, *_tuples_csr(h.edges), cap, budget)
+    """Exact strong chromatic number: exact coloring of the clique graph.
+    Edges holding fewer than C(n, 2) pairs cannot make that graph
+    complete, so above the cap it is refused before it is built."""
+    n, size = h.n, np.diff(h._csr[0])
+    if int((size * (size - 1)).sum()) < n * (n - 1):
+        _refuse_above_cap(n, cap)
+    return _exact(h.labels, *_kernels.clique_union_csr(n, *h._csr), cap, budget)
 
 
 # --------------------------------------------------------- down-coloring
 
-def _extend_to_maximal(g: Digraph, keep: np.ndarray, base: list[int],
-                       method: str) -> Coloring:
-    """``base`` on the vertices ``keep``, and on each maximal vertex the
-    smallest color missing from its open down-set, which is all it
-    conflicts with: no two maximal vertices share a down-set."""
+def _extend_to_maximal(g: Digraph, base: list[int], method: str) -> Coloring:
+    """``base`` on the vertices with a parent, in id order, and on each
+    maximal vertex the smallest color missing from its open down-set, all
+    it conflicts with: no two maximal vertices share a down-set."""
+    keep = np.flatnonzero(np.diff(g._rcsr[0]) > 0)
     color = np.zeros(g.n, dtype=np.int64)
     color[keep] = base
     tops, ptr, ids = _max_rows(g)
@@ -377,21 +379,19 @@ def down_coloring(g: Digraph, mode: str = "greedy", *, cap: int | None = None,
                   budget: int | None = None) -> Coloring:
     """Color ``g`` so that each closed down-set is rainbow.
 
-    Strong-colors the open down-hypergraph, kept as CSR arrays, then
-    extends to the maximal vertices.  In exact mode the result size is the
-    down-chromatic number.  A budget-exhausted exact run whose coloring
+    Strong-colors the open down-hypergraph, then extends to the maximal
+    vertices.  In exact mode the result size is the down-chromatic
+    number.  A budget-exhausted exact run whose coloring
     still sits above max(clique bound, D) raises :class:`CapExceededError`
     carrying that coloring; one that reached the bound is proved optimal.
     """
     if mode not in ("greedy", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    keep, eptr, members = _down_edges(g)  # acyclicity gate
+    h = down_hypergraph(g)  # acyclicity gate
     if mode == "greedy":
-        return _extend_to_maximal(g, keep, _greedy_strong(keep.size, eptr, members),
-                                  mode)
-    labels = tuple(g.label_of(u) for u in keep.tolist())
-    res = _exact_cliques(labels, eptr, members, cap, budget)
-    c = _extend_to_maximal(g, keep, list(res.coloring.colors.values()), mode)
+        return _extend_to_maximal(g, _greedy_strong(h.n, *h._csr), mode)
+    res = exact_strong_chromatic(h, cap, budget)
+    c = _extend_to_maximal(g, list(res.coloring.colors.values()), mode)
     # a closed down-set of D vertices is rainbow, so D bounds from below too
     lower = max(res.lower, big_d(g))
     if not res.exact and c.k > lower:
@@ -476,8 +476,7 @@ def bound_report(g: Digraph) -> BoundReport:
     if g.edge_count == 0:
         raise ValueError("bound_report requires at least one edge")
     d = big_d(g)
-    keep, eptr, members = _down_edges(g)
-    ind = _peel(keep.size, eptr, members).value
+    ind = degeneracy(down_hypergraph(g)).value
     cor1 = d if ind <= 1 else ind * (d - 2) + 1
     return BoundReport(big_d=d, sigma_h=d - 1, ind_h=ind,
                        cor1_bound=cor1, lower_bound=d)

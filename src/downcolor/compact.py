@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import Coloring, _check_total, _rainbow, find_down_violation
+from .coloring import (Coloring, _check_total, _load_json, _rainbow,
+                       find_down_violation)
 from .digraph import Digraph
-from .errors import ColoringError
+from .errors import ColoringError, ParseError
 
 
 @dataclass(frozen=True)
@@ -149,25 +150,29 @@ def to_csv(m: CompactMatrix) -> str:
 
 
 def from_csv(text: str) -> CompactMatrix:
+    """Read a table from CSV; a record the reader rejects (say, a field
+    over ``csv.field_size_limit()``) raises a ``ParseError`` with its line."""
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty CSV document") from None
-    if not header or header[0] != "vertex":
-        raise ValueError("first CSV column must be 'vertex'")
-    k = len(header) - 1
-    if header[1:] != [f"c{i}" for i in range(1, k + 1)]:
-        raise ValueError("CSV columns must be named c1..ck")
-    rows: dict[str, tuple[str | None, ...]] = {}
-    for rec in reader:
-        if not rec:
-            continue
-        if len(rec) != k + 1:
-            raise ValueError(f"row {rec[0]!r} has {len(rec) - 1} cells, expected {k}")
-        if rec[0] in rows:
-            raise ValueError(f"duplicate row {rec[0]!r}")
-        rows[rec[0]] = tuple([x or None for x in rec[1:]])
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty CSV document")
+        if not header or header[0] != "vertex":
+            raise ValueError("first CSV column must be 'vertex'")
+        k = len(header) - 1
+        if header[1:] != [f"c{i}" for i in range(1, k + 1)]:
+            raise ValueError("CSV columns must be named c1..ck")
+        rows: dict[str, tuple[str | None, ...]] = {}
+        for rec in reader:
+            if not rec:
+                continue
+            if len(rec) != k + 1:
+                raise ValueError(f"row {rec[0]!r} has {len(rec) - 1} cells, expected {k}")
+            if rec[0] in rows:
+                raise ValueError(f"duplicate row {rec[0]!r}")
+            rows[rec[0]] = tuple([x or None for x in rec[1:]])
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num) from None
     return CompactMatrix(k, tuple(sorted(rows)), rows)
 
 
@@ -177,7 +182,7 @@ def to_json(m: CompactMatrix) -> str:
 
 
 def from_json(text: str) -> CompactMatrix:
-    doc = json.loads(text)
+    doc = _load_json(text)
     if not isinstance(doc, dict) or "k" not in doc or "rows" not in doc:
         raise ValueError("compact document needs 'k' and 'rows'")
     k = doc["k"]

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+import sys
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import BibdError
 from .hypergraph import Hypergraph
@@ -354,31 +356,28 @@ def validate_bibd(h: Hypergraph) -> DesignParams:
     v, b = h.n, h.m
     if v < 2 or b < 1:
         raise ValueError("a design needs at least two points and one block")
-    sizes = {len(e) for e in h.edges}
+    eptr, members = h._csr
+    sizes = sorted(set(np.diff(eptr).tolist()))
     if len(sizes) != 1:
-        raise BibdError(f"block sizes vary: {sorted(sizes)}",
-                        reason="non-uniform-block-size")
-    ksize = sizes.pop()
+        raise BibdError(f"block sizes vary: {sizes}", reason="non-uniform-block-size")
+    ksize = sizes[0]
     if ksize < 2 or ksize >= v:
         raise ValueError(f"block size {ksize} must lie in 2..{v - 1}")
-    reps = Counter(u for e in h.edges for u in e)
-    rvals = {reps.get(u, 0) for u in range(v)}
+    rvals = sorted(set(np.bincount(members, minlength=v).tolist()))
     if len(rvals) != 1:
-        raise BibdError(f"replication varies: {sorted(rvals)}",
-                        reason="non-constant-replication")
-    r = rvals.pop()
-    pairs: Counter[tuple[int, int]] = Counter()
-    for e in h.edges:
-        for i in range(len(e)):
-            for j in range(i + 1, len(e)):
-                pairs[(e[i], e[j])] += 1
-    lams = set(pairs.values())
-    if len(pairs) < v * (v - 1) // 2:
+        raise BibdError(f"replication varies: {rvals}", reason="non-constant-replication")
+    # a key u*v + w per pair u < w of each block; a run of equal keys is a pair's cover
+    i, j = np.triu_indices(ksize, 1)
+    blocks = members.reshape(b, ksize).astype(np.int64)
+    keys = np.sort((blocks[:, i] * v + blocks[:, j]).ravel())
+    ends = np.flatnonzero(np.append(keys[1:] != keys[:-1], True)) + 1
+    lams = set(np.diff(ends, prepend=0).tolist())
+    if ends.size < v * (v - 1) // 2:
         lams.add(0)
     if len(lams) != 1:
         raise BibdError(f"pair coverage varies: {sorted(lams)}",
                         reason="non-constant-pair-coverage")
-    return DesignParams(v=v, b=b, r=r, block_size=ksize, lambda_=lams.pop())
+    return DesignParams(v=v, b=b, r=rvals[0], block_size=ksize, lambda_=lams.pop())
 
 
 # ------------------------------------------------------------ discrepancy
@@ -388,13 +387,19 @@ def r_plus(sigma: int, n: float) -> float:
 
     Evaluated in a rationalized form that avoids the cancellation of the
     textbook quadratic formula; the defining residual is checked to
-    1e-9 * n.
+    1e-9 * n.  A ``sigma`` or ``n`` (or nan) past the float range is refused.
     """
     if sigma < 2:
         raise ValueError("sigma must be >= 2")
     if n <= 0:
         raise ValueError("n must be positive")
     s = sigma * (sigma - 1)
+    if (s - 1) ** 2 > sys.float_info.max:
+        raise ValueError("sigma is too large for a float")
+    limit = sys.float_info.max / (4 * s)
+    if not n <= limit:  # compared exactly, so a huge int never overflows
+        raise ValueError(f"n must be a finite number at most {limit:.6g} "
+                         f"for sigma = {sigma}")
     x = math.sqrt(s * n) / (math.sqrt(1 + (s - 1) ** 2 / (4 * s * n))
                             + (s - 1) / math.sqrt(4 * s * n))
     residual = x + x * (x - 1) / s - n

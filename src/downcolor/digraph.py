@@ -37,7 +37,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -56,16 +56,6 @@ def _check_labels(labels: tuple[str, ...]) -> dict[str, int]:
             raise ValueError(f"duplicate vertex label {lab!r}")
         index[lab] = i
     return index
-
-
-def _tuples_csr(rows: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays of a sequence of sorted id tuples: int64 row pointers,
-    int32 ids, as ``_kernels.rows_csr`` returns them."""
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(rows), dtype=np.int32,
-                          count=int(indptr[-1]))
-    return indptr, indices
 
 
 def _adjacency(n: int, src: np.ndarray, dst: np.ndarray):

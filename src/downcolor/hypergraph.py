@@ -4,15 +4,18 @@ A hypergraph here is a labeled vertex set plus a list of hyperedges.
 The list may be a proper multiset, and edges of cardinality below two
 may be present; :meth:`Hypergraph.simplify` merges duplicates and drops
 the trivial edges.  Degrees count the non-trivial edges containing a
-vertex, with multiplicity.
+vertex, with multiplicity.  The edges are held as one CSR pair, which
+every function here reads; the tuples of ``Hypergraph.edges`` are built
+only when asked for.  One row dedup, :func:`_distinct_rows`, serves the
+simplicity check and ``simplify``, which the down-hypergraph runs.
 
 The dictionary with digraphs: ``down_hypergraph`` collects the open (or
 closed) down-sets of the maximal vertices, ``up_digraph`` goes back by
 hanging a fresh top vertex over every hyperedge.  On simple hypergraphs
 and on height-two digraphs with distinct tops these are inverse to each
-other.  The down-hypergraph is built as a CSR pair (``_down_edges``),
-which the coloring pipeline uses as is; ``down_hypergraph`` wraps it in
-a ``Hypergraph``.
+other.  ``down_hypergraph`` fills its ``Hypergraph`` from the cached
+down-set rows without a second check, and the coloring pipeline colors
+that object.
 
 Clique and intersection graphs come from the one conflict builder,
 ``_kernels.clique_union_csr``, which takes the cliques as CSR rows and
@@ -21,38 +24,37 @@ solver.  Greedy coloring peels and colors the hypergraph itself and
 builds no graph.  ``_peel`` is the one peeling routine.  It reads
 hyperedges as a CSR pair (edge pointer, member ids), and a graph as its
 ``u < v`` pairs, a 2-uniform hypergraph.  Each removal is one numpy
-step: an ``argmin`` pick whose first-minimum rule breaks ties on the
-smallest id, edge survivors found by XOR, and a ``np.subtract.at``
-decrement that counts a survivor once for each edge that dies onto it.
-The pick scans all n degrees, so selection alone costs O(n) per
-removal.
+step whose ``argmin`` pick scans all n degrees, so selection alone
+costs O(n) per removal.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import _kernels
-from .digraph import (Digraph, UndirectedGraph, _Labeled, _check_labels,
-                      _max_rows, _tuples_csr)
+from .digraph import Digraph, UndirectedGraph, _Labeled, _check_labels, _max_rows
 from .errors import ParseError
 
 
 class Hypergraph(_Labeled):
-    """Immutable hypergraph; edges are stored sorted, in list order."""
+    """Immutable hypergraph.  Its edges are one CSR pair (int64 edge
+    pointers, int32 member ids, each edge sorted, in list order);
+    ``edges`` lists them as tuples, built on first access."""
 
-    __slots__ = ("_labels", "_index", "_edges", "_sigma", "_simple")
+    __slots__ = ("_labels", "_index", "_csr", "_simple", "_edges")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[Iterable[int]],
                  simple: bool | None = None):
         """``simple=None`` detects simplicity; ``simple=True`` asserts it."""
-        self._labels = tuple(labels)
-        self._index = _check_labels(self._labels)
-        n = len(self._labels)
+        labels = tuple(labels)
+        index = _check_labels(labels)
+        n = len(labels)
         normalized: list[tuple[int, ...]] = []
         for e in edges:
             members = tuple(sorted(e))
@@ -62,53 +64,59 @@ class Hypergraph(_Labeled):
             if len(set(members)) != len(members):
                 raise ValueError(f"repeated vertex inside edge {members}")
             normalized.append(members)
-        self._edges = tuple(normalized)
-        self._sigma = max((len(e) for e in self._edges), default=0)
-        is_simple = (len(set(self._edges)) == len(self._edges)
-                     and all(len(e) >= 2 for e in self._edges))
-        if simple is None:
-            self._simple = is_simple
-        elif simple and not is_simple:
+        eptr = np.cumsum([0, *map(len, normalized)], dtype=np.int64)
+        csr = eptr, np.fromiter(chain.from_iterable(normalized), np.int32, eptr[-1])
+        if simple and _distinct_rows(*csr, 2).size != len(normalized):
             raise ValueError("hypergraph declared simple has duplicate or trivial edges")
-        else:
-            self._simple = bool(simple) and is_simple
+        self._fill(labels, index, csr, None if simple is None else bool(simple))
+
+    def _fill(self, labels: tuple[str, ...], index: dict[str, int],
+              csr: tuple[np.ndarray, np.ndarray], simple: bool | None) -> Hypergraph:
+        """Set every field from validated labels and edges given as CSR,
+        with ``simple=None`` detected on first access; the library's
+        builders fill a bare instance with it."""
+        self._labels, self._index, self._csr, self._simple = labels, index, csr, simple
+        self._edges: tuple[tuple[int, ...], ...] | None = None
+        return self
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return self._csr[0].size - 1
 
     @property
     def edges(self) -> tuple[tuple[int, ...], ...]:
+        if self._edges is None:
+            ptr, flat = (a.tolist() for a in self._csr)
+            self._edges = tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
         return self._edges
 
     @property
     def sigma(self) -> int:
         """Largest edge cardinality (0 when there are no edges)."""
-        return self._sigma
+        return int(np.diff(self._csr[0]).max(initial=0))
 
     @property
     def simple(self) -> bool:
+        if self._simple is None:
+            self._simple = _distinct_rows(*self._csr, 2).size == self.m
         return self._simple
 
     def edge_label_sets(self) -> Iterator[frozenset[str]]:
-        for e in self._edges:
+        for e in self.edges:
             yield frozenset(self._labels[u] for u in e)
 
     def degree(self, u: int) -> int:
         """Number of non-trivial edges containing ``u``, with multiplicity."""
         if not 0 <= u < self.n:
             raise ValueError(f"vertex id {u} out of range")
-        return sum(1 for e in self._edges if len(e) >= 2 and u in e)
+        size = np.diff(self._csr[0])
+        return int(np.count_nonzero(self._csr[1][np.repeat(size >= 2, size)] == u))
 
     def simplify(self) -> "Hypergraph":
         """Merge duplicate edges and drop edges of cardinality < 2."""
-        seen: set[tuple[int, ...]] = set()
-        kept: list[tuple[int, ...]] = []
-        for e in self._edges:
-            if len(e) >= 2 and e not in seen:
-                seen.add(e)
-                kept.append(e)
-        return Hypergraph(self._labels, kept, simple=True)
+        rows = _distinct_rows(*self._csr, 2)
+        return Hypergraph.__new__(Hypergraph)._fill(
+            self._labels, self._index, _kernels.gather_rows(*self._csr, rows), True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
@@ -119,7 +127,17 @@ class Hypergraph(_Labeled):
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"Hypergraph(n={self.n}, m={self.m}, sigma={self._sigma})"
+        return f"Hypergraph(n={self.n}, m={self.m}, sigma={self.sigma})"
+
+
+def _distinct_rows(eptr: np.ndarray, members: np.ndarray, least: int) -> np.ndarray:
+    """The CSR rows, ascending, with at least ``least`` members that equal
+    no earlier row; rows are compared by the bytes of their members."""
+    ptr, data, w = eptr.tolist(), members.tobytes(), members.itemsize
+    first: dict[bytes, int] = {}
+    for r in np.flatnonzero(np.diff(eptr) >= least).tolist():
+        first.setdefault(data[w * ptr[r]:w * ptr[r + 1]], r)
+    return np.array(list(first.values()), dtype=np.int64)
 
 
 def degree(h: Hypergraph, u: int) -> int:
@@ -138,10 +156,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     index: dict[str, int] = {}
     edges: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+        toks = raw.split("#", 1)[0].split()
         if len(set(toks)) != len(toks):
             raise ParseError("repeated vertex inside an edge", lineno)
         ids = tuple(index.setdefault(t, len(index)) for t in toks)
@@ -153,37 +168,15 @@ def parse_hypergraph(text: str) -> Hypergraph:
 def format_hypergraph(h: Hypergraph) -> str:
     """Serialize to the edge-per-line format, members and lines sorted;
     vertices in no edge appear on trailing single-token lines."""
-    lines = sorted(" ".join(sorted(h.label_of(u) for u in e)) for e in h.edges)
-    covered = {u for e in h.edges for u in e}
-    lines += sorted(h.label_of(u) for u in range(h.n) if u not in covered)
+    eptr, members = h._csr
+    names, ptr = [h.label_of(u) for u in members.tolist()], eptr.tolist()
+    lines = sorted(" ".join(sorted(names[a:b])) for a, b in zip(ptr, ptr[1:]))
+    bare = np.flatnonzero(np.bincount(members, minlength=h.n) == 0)
+    lines += sorted(h.label_of(u) for u in bare.tolist())
     return "".join(line + "\n" for line in lines)
 
 
 # ------------------------------------------------------------- dictionary
-
-def _down_edges(g: Digraph, closed: bool = False, simplify: bool = True):
-    """``down_hypergraph`` as arrays ``(keep, eptr, members)``: the ids of
-    ``g`` it keeps as vertices, ascending, and its edges, in the same
-    order, as CSR rows of positions in ``keep``.  The open variant keeps
-    the vertices with a parent, which are all below some maximal one."""
-    tops, eptr, members = _max_rows(g)
-    if closed:
-        keep = np.arange(g.n)
-    else:
-        members = members[members != np.repeat(tops, np.diff(eptr))]
-        eptr = eptr - np.arange(eptr.size)  # each row loses its own top
-        below = np.diff(g._rcsr[0]) > 0
-        keep = np.flatnonzero(below)
-        members = (np.cumsum(below, dtype=np.int32) - 1)[members]
-    rows = np.flatnonzero(np.diff(eptr) >= 1 + simplify)
-    if simplify:  # the first of each distinct row
-        ptr, flat = eptr.tolist(), members.tolist()
-        first: dict[tuple[int, ...], int] = {}
-        for r in rows.tolist():
-            first.setdefault(tuple(flat[ptr[r]:ptr[r + 1]]), r)
-        rows = np.array(list(first.values()), dtype=np.int64)
-    return (keep, *_kernels.gather_rows(eptr, members, rows))
-
 
 def down_hypergraph(g: Digraph, closed: bool = False,
                     simplify: bool = True) -> Hypergraph:
@@ -193,13 +186,22 @@ def down_hypergraph(g: Digraph, closed: bool = False,
     level (all non-maximal vertices), edges are the open down-sets.
     Closed variant: vertex set is all of ``g``, edges are the closed
     down-sets.  Empty down-sets are never kept; ``simplify`` additionally
-    merges duplicates and drops singletons.
+    merges duplicates and drops singletons.  Edges follow the maximal
+    vertices in id order, and the vertices keep ``g``'s id order.
     """
-    keep, eptr, members = _down_edges(g, closed, simplify)
-    ptr, flat = eptr.tolist(), members.tolist()
-    return Hypergraph(tuple(g.label_of(u) for u in keep.tolist()),
-                      [flat[a:b] for a, b in zip(ptr, ptr[1:])],
-                      simple=True if simplify else None)
+    tops, eptr, members = _max_rows(g)  # acyclicity gate
+    if closed:
+        labels, index = g._labels, g._index
+    else:
+        members = members[members != np.repeat(tops, np.diff(eptr))]
+        eptr = eptr - np.arange(eptr.size)  # each row loses its own top
+        below = np.diff(g._rcsr[0]) > 0  # the vertices with a parent
+        labels = tuple(g.label_of(u) for u in np.flatnonzero(below).tolist())
+        index = {lab: i for i, lab in enumerate(labels)}
+        members = (np.cumsum(below, dtype=np.int32) - 1)[members]
+    h = Hypergraph.__new__(Hypergraph)._fill(labels, index, _kernels.gather_rows(
+        eptr, members, np.flatnonzero(np.diff(eptr) >= 1)), None)
+    return h.simplify() if simplify else h
 
 
 def up_digraph(h: Hypergraph) -> Digraph:
@@ -212,7 +214,7 @@ def up_digraph(h: Hypergraph) -> Digraph:
         raise ValueError(f"vertex labels collide with top labels: {sorted(clash)}")
     labels = h.labels + tops
     # row h.n + i lists edge i's members, sorted and distinct
-    eptr, members = _tuples_csr(h.edges)
+    eptr, members = h._csr
     return Digraph.__new__(Digraph)._fill(
         labels, {lab: i for i, lab in enumerate(labels)},
         (np.concatenate((np.zeros(h.n, dtype=np.int64), eptr)), members))
@@ -221,7 +223,7 @@ def up_digraph(h: Hypergraph) -> Digraph:
 def clique_graph(h: Hypergraph) -> UndirectedGraph:
     """Graph joining every two vertices that share a hyperedge."""
     return UndirectedGraph._from_csr(
-        h.labels, *_kernels.clique_union_csr(h.n, *_tuples_csr(h.edges)))
+        h.labels, *_kernels.clique_union_csr(h.n, *h._csr))
 
 
 def _incidence(n: int, size: np.ndarray,
@@ -235,7 +237,7 @@ def _incidence(n: int, size: np.ndarray,
 def intersection_graph(h: Hypergraph) -> UndirectedGraph:
     """Graph on the hyperedges, joined when they share a vertex."""
     labels = tuple(f"e{i}" for i in range(h.m))
-    eptr, members = _tuples_csr(h.edges)
+    eptr, members = h._csr
     iptr, inc = _incidence(h.n, np.diff(eptr), members)
     return UndirectedGraph._from_csr(
         labels, *_kernels.clique_union_csr(h.m, np.array(iptr), inc))
@@ -248,15 +250,16 @@ def induced_subhypergraph(h: Hypergraph, s: Iterable[int]) -> Hypergraph:
     for u in ids:
         if not 0 <= u < h.n:
             raise ValueError(f"vertex id {u} out of range")
-    smask = set(ids)
-    remap = {u: i for i, u in enumerate(ids)}
+    pos = np.full(h.n, -1, dtype=np.int32)  # new id, or -1 outside s
+    pos[np.array(ids, dtype=np.int64)] = np.arange(len(ids), dtype=np.int32)
+    cut = pos[h._csr[1]]
+    row = np.repeat(np.arange(h.m), np.diff(h._csr[0]))[cut >= 0]
+    size = np.bincount(row, minlength=h.m)  # members left in each edge
     labels = tuple(h.label_of(u) for u in ids)
-    edges: list[tuple[int, ...]] = []
-    for e in h.edges:
-        cut = tuple(remap[x] for x in e if x in smask)
-        if len(cut) >= 2:
-            edges.append(cut)
-    return Hypergraph(labels, edges, simple=False)
+    return Hypergraph.__new__(Hypergraph)._fill(
+        labels, {lab: i for i, lab in enumerate(labels)},
+        (np.concatenate(([0], np.cumsum(size[size >= 2]))),
+         cut[cut >= 0][size[row] >= 2]), False)
 
 
 # ------------------------------------------------------------- degeneracy
@@ -331,7 +334,7 @@ def _graph_peel(n: int, indptr: np.ndarray, indices: np.ndarray) -> DegeneracyRe
 
 def degeneracy(h: Hypergraph) -> DegeneracyResult:
     """Peeling degeneracy; degrees count edges with multiplicity."""
-    return _peel(h.n, *_tuples_csr(h.edges))
+    return _peel(h.n, *h._csr)
 
 
 def graph_degeneracy(g: UndirectedGraph) -> DegeneracyResult:

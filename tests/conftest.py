@@ -12,10 +12,10 @@ import heapq
 import io
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 
-from downcolor import Digraph, Hypergraph, ParseError
+from downcolor import BibdError, Digraph, Hypergraph, ParseError
 
 
 # ---------------------------------------------------------------- corpora
@@ -470,6 +470,125 @@ def topological_order_reference(labels, children, parents):
         if p in path:
             return [labels[v] for v in reversed(path[path.index(p):] + [p])]
         path.append(p)
+
+
+# ------------------------------------------------------------ hypergraph
+
+class TupleHypergraph:
+    """``Hypergraph`` as it stored sorted id tuples before it held CSR:
+    the per-edge checks with their texts, simplicity through a set of the
+    tuples, and ``simplify``, ``format_hypergraph`` and
+    ``induced_subhypergraph`` on the tuples.  Labels are taken as valid."""
+
+    def __init__(self, labels, edges, simple=None):
+        self.labels = tuple(labels)
+        n = len(self.labels)
+        normalized = []
+        for e in edges:
+            members = tuple(sorted(e))
+            for u in members:
+                if not 0 <= u < n:
+                    raise ValueError(f"edge member {u} out of range for {n} vertices")
+            if len(set(members)) != len(members):
+                raise ValueError(f"repeated vertex inside edge {members}")
+            normalized.append(members)
+        self.edges = tuple(normalized)
+        self.m = len(self.edges)
+        self.sigma = max((len(e) for e in self.edges), default=0)
+        is_simple = (len(set(self.edges)) == len(self.edges)
+                     and all(len(e) >= 2 for e in self.edges))
+        if simple is None:
+            self.simple = is_simple
+        elif simple and not is_simple:
+            raise ValueError("hypergraph declared simple has duplicate or trivial edges")
+        else:
+            self.simple = bool(simple) and is_simple
+
+    def degree(self, u: int) -> int:
+        if not 0 <= u < len(self.labels):
+            raise ValueError(f"vertex id {u} out of range")
+        return sum(1 for e in self.edges if len(e) >= 2 and u in e)
+
+    def simplify(self) -> "TupleHypergraph":
+        seen: set[tuple[int, ...]] = set()
+        kept = []
+        for e in self.edges:
+            if len(e) >= 2 and e not in seen:
+                seen.add(e)
+                kept.append(e)
+        return TupleHypergraph(self.labels, kept, simple=True)
+
+    def format(self) -> str:
+        lines = sorted(" ".join(sorted(self.labels[u] for u in e)) for e in self.edges)
+        covered = {u for e in self.edges for u in e}
+        lines += sorted(lab for u, lab in enumerate(self.labels) if u not in covered)
+        return "".join(line + "\n" for line in lines)
+
+    def induced(self, s) -> "TupleHypergraph":
+        ids = sorted(set(s))
+        for u in ids:
+            if not 0 <= u < len(self.labels):
+                raise ValueError(f"vertex id {u} out of range")
+        remap = {u: i for i, u in enumerate(ids)}
+        cuts = [tuple(remap[x] for x in e if x in remap) for e in self.edges]
+        return TupleHypergraph([self.labels[u] for u in ids],
+                               [c for c in cuts if len(c) >= 2], simple=False)
+
+
+def hypergraph_reference(labels, edges, simple=None) -> TupleHypergraph:
+    """``Hypergraph(labels, edges, simple)`` as the tuple store built it,
+    raising the same ``ValueError``."""
+    return TupleHypergraph(labels, edges, simple)
+
+
+def parse_hypergraph_reference(text: str) -> TupleHypergraph:
+    """``parse_hypergraph`` line by line onto the tuple store, raising the
+    same ``ParseError``."""
+    index: dict[str, int] = {}
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        toks = raw.split("#", 1)[0].split()
+        if len(set(toks)) != len(toks):
+            raise ParseError("repeated vertex inside an edge", lineno)
+        ids = [index.setdefault(t, len(index)) for t in toks]
+        if len(ids) >= 2:
+            edges.append(ids)
+    return TupleHypergraph(index, edges)
+
+
+def distinct_rows_reference(rows, least: int) -> list[int]:
+    """Positions of the rows with at least ``least`` members that equal
+    no earlier row, through a dict of tuples."""
+    first: dict[tuple[int, ...], int] = {}
+    for r, row in enumerate(rows):
+        if len(row) >= least:
+            first.setdefault(tuple(row), r)
+    return list(first.values())
+
+
+def validate_bibd_reference(h: Hypergraph):
+    """``validate_bibd`` on the edge tuples, with Counters of points and
+    of point pairs, as ``(v, b, r, block size, lambda)``; raises the same
+    ``ValueError`` or ``BibdError`` text."""
+    v, b, edges = h.n, h.m, h.edges
+    if v < 2 or b < 1:
+        raise ValueError("a design needs at least two points and one block")
+    sizes = {len(e) for e in edges}
+    if len(sizes) != 1:
+        raise BibdError(f"block sizes vary: {sorted(sizes)}", "non-uniform-block-size")
+    ksize = sizes.pop()
+    if ksize < 2 or ksize >= v:
+        raise ValueError(f"block size {ksize} must lie in 2..{v - 1}")
+    reps = Counter(u for e in edges for u in e)
+    rvals = {reps.get(u, 0) for u in range(v)}
+    if len(rvals) != 1:
+        raise BibdError(f"replication varies: {sorted(rvals)}", "non-constant-replication")
+    pairs = Counter(pair for e in edges for pair in combinations(e, 2))
+    lams = set(pairs.values()) | ({0} if len(pairs) < v * (v - 1) // 2 else set())
+    if len(lams) != 1:
+        raise BibdError(f"pair coverage varies: {sorted(lams)}",
+                        "non-constant-pair-coverage")
+    return v, b, rvals.pop(), ksize, lams.pop()
 
 
 # ------------------------------------------------------ down-hypergraph

@@ -203,6 +203,24 @@ def test_discrepancy_overflow_exits_one(capsys):
     assert cap.err.startswith("error: ") and cap.err.count("\n") == 1
 
 
+def test_discrepancy_names_the_largest_usable_n(capsys):
+    assert main(["discrepancy", "--sigma", "2", "--n", "1" + "0" * 400]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == ("error: n must be a finite number at most 2.24712e+307 "
+                       "for sigma = 2\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "compact"])
+def test_deeply_nested_coloring_exits_one(six, tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main([command, six, "--coloring", str(deep)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: JSON document is nested too deeply\n"
+
+
 def test_discrepancy_flag_conflicts(capsys):
     assert main(["discrepancy"]) == 1
     assert main(["discrepancy", "--sigma", "2"]) == 1

@@ -79,6 +79,11 @@ def test_coloring_json_rejects_malformed(text):
         coloring_from_json(text)
 
 
+def test_coloring_json_refuses_deep_nesting_as_value_error():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        coloring_from_json("[" * 100000 + "]" * 100000)
+
+
 # ------------------------------------------------------------ exact solver
 
 def test_exact_matches_brute_oracle():

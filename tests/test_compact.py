@@ -1,3 +1,4 @@
+import csv
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from downcolor import (
     Coloring,
     ColoringError,
     CompactMatrix,
+    ParseError,
     build_compact,
     canonical_columns,
     down_coloring,
@@ -149,6 +151,21 @@ def test_csv_rejects_malformed(text):
 def test_json_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_compact(text, "json")
+
+
+def test_readers_refuse_deep_json_and_long_csv_fields_as_value_error():
+    deep = "[" * 100000 + "]" * 100000
+    with pytest.raises(ValueError, match="nested too deeply"):
+        parse_compact(deep, "json")
+    # a label over the csv module's field limit (131072 characters): the
+    # CSV reader names the line, and the limit, process-global, stays put
+    g = parse_digraph("x" * 140000 + " b\n")
+    m = build_compact(g, down_coloring(g))
+    with pytest.raises(ParseError) as ei:
+        parse_compact(serialize(m, "csv"), "csv")
+    assert ei.value.line == 3 and str(ei.value).startswith("line 3: field larger")
+    assert csv.field_size_limit() == 131072
+    assert parse_compact(serialize(m, "json"), "json") == m
 
 
 def mutate(rng, m, labels):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,7 @@ from downcolor import (
     r_plus,
     validate_bibd,
 )
+from conftest import validate_bibd_reference
 
 
 # ------------------------------------------------------------ number theory
@@ -165,6 +167,41 @@ def test_validate_bibd_rejections():
         validate_bibd(Hypergraph(list("ab"), [(0, 1)]))  # k = v is trivial
 
 
+def test_validate_bibd_matches_counter_reference():
+    # whole designs, doubled or with a line repeated or dropped, the
+    # k-subsets of a v-set, and random block systems, mostly uniform
+    rng = random.Random(41)
+    cases = [affine_design(build_field(p, k), m)[0]
+             for p, k, m in [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2)]]
+    cases += [hkm_design(k, m) for k in (1, 2, 3) for m in (1, 2)]
+    cases += [Hypergraph([f"p{i}" for i in range(v)], combinations(range(v), k))
+              for v in range(2, 7) for k in range(2, v)]
+    for h in cases[:4]:
+        for lines in (h.edges * 2, h.edges + h.edges[:1], h.edges[1:]):
+            cases.append(Hypergraph(h.labels, lines, simple=False))
+        for _ in range(10):
+            lines = rng.sample(h.edges, rng.randint(0, h.m))
+            cases.append(Hypergraph(h.labels, lines, simple=False))
+    for _ in range(200):
+        v, k = rng.randint(1, 7), rng.randint(1, 4)
+        size = (lambda: min(k, v)) if rng.random() < 0.7 else (lambda: rng.randint(1, v))
+        blocks = [rng.sample(range(v), size()) for _ in range(rng.randint(0, 6))]
+        if blocks and rng.random() < 0.3:
+            blocks.append(rng.choice(blocks))
+        cases.append(Hypergraph([f"p{i}" for i in range(v)], blocks, simple=False))
+    for h in cases:
+        try:
+            want = validate_bibd_reference(h)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as ei:
+                validate_bibd(h)
+            assert str(ei.value) == str(exc)
+            assert getattr(ei.value, "reason", None) == getattr(exc, "reason", None)
+            continue
+        got = validate_bibd(h)
+        assert (got.v, got.b, got.r, got.block_size, got.lambda_) == want
+
+
 def test_validate_bibd_counts_isolated_vertices():
     with pytest.raises(BibdError):
         validate_bibd(Hypergraph(list("abcde"), [(0, 1), (2, 3)]))
@@ -190,6 +227,22 @@ def test_r_plus_agrees_with_quadratic_formula():
             assert x == pytest.approx(quad_root(sigma, n), rel=1e-9)
             s = sigma * (sigma - 1)
             assert abs(x + x * (x - 1) / s - n) <= 1e-9 * n
+
+
+def test_r_plus_refuses_n_past_the_float_range():
+    # sigma = 2: s = 2, and 4*s*n stays finite up to max / 8
+    limit = sys.float_info.max / 8
+    for n in (10 ** 400, 1e308, math.inf, math.nan):
+        for f in (r_plus, ds_bounds):
+            with pytest.raises(ValueError) as ei:
+                f(2, n)
+            assert str(ei.value) == ("n must be a finite number at most "
+                                     "2.24712e+307 for sigma = 2")
+    x = r_plus(2, limit)
+    assert x == pytest.approx(math.sqrt(2 * limit), rel=1e-9)
+    assert math.isfinite(ds_bounds(2, limit).cor2)
+    with pytest.raises(ValueError, match="sigma is too large"):
+        r_plus(10 ** 100, 5)
 
 
 def test_ds_bounds():

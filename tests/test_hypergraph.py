@@ -2,6 +2,7 @@ import random
 from dataclasses import astuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
@@ -27,9 +28,12 @@ from downcolor import (
     up_digraph,
 )
 from downcolor.coloring import _greedy_colors, greedy_strong_coloring
-from conftest import (SCALE_GRAPHS, brute_degeneracy, down_hypergraph_reference,
-                      greedy_down_coloring_reference, peel_reference,
-                      random_dag, random_hypergraph, strong_first_fit_reference)
+from downcolor.hypergraph import _distinct_rows
+from conftest import (SCALE_GRAPHS, brute_degeneracy, distinct_rows_reference,
+                      down_hypergraph_reference, greedy_down_coloring_reference,
+                      hypergraph_reference, parse_hypergraph_reference,
+                      peel_reference, random_dag, random_hypergraph,
+                      strong_first_fit_reference)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 
@@ -243,3 +247,128 @@ def test_graph_degeneracy_examples():
     assert graph_degeneracy(g).value == 2
     path = Hypergraph(list("abcd"), [(0, 1), (1, 2), (2, 3)])
     assert degeneracy(path).value == 1
+
+
+# -------------------------------------------- the CSR store against tuples
+
+def assert_same_hypergraph(h, ref):
+    assert (h.labels, h.edges, h.simple, h.m, h.sigma) == (
+        ref.labels, ref.edges, ref.simple, ref.m, ref.sigma)
+    assert [h.id_of(lab) for lab in h.labels] == list(range(h.n))
+    eptr, members = h._csr
+    assert (eptr.dtype, members.dtype) == (np.int64, np.int32)
+    assert h.edges is h.edges  # built once
+
+
+@st.composite
+def member_lists(draw):
+    """A vertex count and member lists that may hold negative and
+    out-of-range ids, repeats inside an edge, repeated edges, and empty
+    and singleton edges."""
+    n = draw(st.integers(0, 6))
+    member = (st.integers(0, n - 1) if n and draw(st.booleans())
+              else st.integers(-2, n + 1))
+    edges = draw(st.lists(st.lists(member, max_size=4, unique=draw(st.booleans())),
+                          max_size=8))
+    if edges and draw(st.booleans()):
+        edges.append(draw(st.permutations(draw(st.sampled_from(edges)))))
+    return n, edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(member_lists(), st.sampled_from([None, True, False]),
+       st.lists(st.integers(-1, 7), max_size=6))
+def test_hypergraph_matches_tuple_reference(case, simple, s):
+    n, edges = case
+    labels = [f"u{i}" for i in range(n)]
+    try:
+        ref = hypergraph_reference(labels, edges, simple)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as ei:
+            Hypergraph(labels, edges, simple)
+        assert str(ei.value) == str(exc)
+        return
+    h = Hypergraph(labels, edges, simple)
+    assert_same_hypergraph(h, ref)
+    for u in range(-1, n + 1):
+        try:
+            want = ref.degree(u)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as ei:
+                h.degree(u)
+            assert str(ei.value) == str(exc)
+        else:
+            assert h.degree(u) == want
+    assert_same_hypergraph(h.simplify(), ref.simplify())
+    assert format_hypergraph(h) == ref.format()
+    try:
+        want = ref.induced(s)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as ei:
+            induced_subhypergraph(h, s)
+        assert str(ei.value) == str(exc)
+    else:
+        assert_same_hypergraph(induced_subhypergraph(h, s), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=10),
+       st.integers(0, 3))
+def test_distinct_rows_matches_dict_of_tuples(rows, least):
+    eptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=eptr[1:])
+    members = np.array([x for r in rows for x in r], dtype=np.int32)
+    got = _distinct_rows(eptr, members, least)
+    assert got.dtype == np.int64
+    assert got.tolist() == distinct_rows_reference(rows, least)
+
+
+token = st.sampled_from(["a", "b", "c", "d", "e"])
+
+
+@st.composite
+def hypergraph_texts(draw):
+    """Edge-per-line texts of 0-4 tokens, repeats inside a line included,
+    with comments that may hold tokens, blank lines, tabs and assorted
+    line breaks."""
+    out = []
+    for _ in range(draw(st.integers(0, 10))):
+        toks = draw(st.lists(token, max_size=4))
+        line = draw(st.sampled_from(["", " ", "\t"]))
+        line += "".join(draw(st.sampled_from([" ", "\t", "  "])) + t for t in toks)
+        if draw(st.booleans()) and draw(st.booleans()):
+            line += draw(st.sampled_from(["#", " # ", "#a b "]))
+            line += " ".join(draw(st.lists(token, max_size=3)))
+        out.append(line + draw(st.sampled_from(["\n", "\r\n", "\r", "\x0c"])))
+    return "".join(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergraph_texts())
+def test_parse_hypergraph_matches_reference(text):
+    try:
+        ref = parse_hypergraph_reference(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as ei:
+            parse_hypergraph(text)
+        assert (str(ei.value), ei.value.line) == (str(exc), exc.line)
+        return
+    h = parse_hypergraph(text)
+    assert_same_hypergraph(h, ref)
+    assert parse_hypergraph(format_hypergraph(h)) == h
+
+
+def test_down_hypergraph_fill_matches_constructor():
+    # down_hypergraph fills its Hypergraph without the constructor's
+    # checks; the result must be the one the constructor builds
+    rng = random.Random(71)
+    for _ in range(100):
+        g = random_dag(rng, rng.randint(0, 12), rng.uniform(0.1, 0.6))
+        for closed in (False, True):
+            for simplify in (False, True):
+                h = down_hypergraph(g, closed=closed, simplify=simplify)
+                ref = hypergraph_reference(h.labels, h.edges)
+                assert_same_hypergraph(h, ref)
+                assert_same_hypergraph(h.simplify(), ref.simplify())
+                assert [h.degree(u) for u in range(h.n)] == [
+                    ref.degree(u) for u in range(h.n)]
