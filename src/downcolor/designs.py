@@ -5,7 +5,8 @@ the smallest monic irreducible polynomial of degree k (coefficients
 compared most-significant first; for k = 1 this degenerates to plain
 arithmetic mod p).  ``affine_design`` builds the points and lines of the
 m-dimensional affine space over such a field: a resolvable 2-design with
-block size q and every point pair on exactly one line.
+block size q and every point pair on exactly one line, each line built
+once, on integer arrays of point ids.
 
 These designs witness near-tight instances of the strong-coloring
 discrepancy ratio: ``r_plus`` evaluates the positive root of
@@ -295,44 +296,41 @@ def affine_design(field: FiniteField, m: int,
                   cap: int = DEFAULT_POINT_CAP) -> tuple[Hypergraph, DesignParams]:
     """Points and lines of the affine space of dimension m over ``field``.
 
-    Lines are the cosets ``{a + t*b}`` over all t; each is canonicalized
-    as its set of points and deduplicated.  Directions are normalized to
-    leading coefficient one so every line is met q^(m-1) times instead of
-    q^m (q-1) times.  Point labels join coordinate encodings with dots.
+    A point id's base-p digits are its coordinates' coefficient vectors,
+    so points add digit-wise mod p.  Each line ``{a + t*b}`` is built once:
+    b's first nonzero coordinate, the pivot, is one, and a is the line's
+    point whose pivot coordinate is zero.  Lines are sorted and listed in
+    order; point labels join coordinate encodings with dots.
     """
     if m < 1:
         raise ValueError("dimension must be >= 1")
-    q = field.order
+    q, p = field.order, field.p
     if _exceeds(q, m, cap):
         raise ValueError(f"point count {q}^{m} exceeds cap {cap}")
     v = q ** m
     elems = field.elements()
-    zero, one = field.zero, field.one
-    points = list(itertools.product(elems, repeat=m))
-    labels = [".".join(str(c.value) for c in pt) for pt in points]
-    pid = {pt: i for i, pt in enumerate(points)}
-
-    def canonical(b: tuple[FieldElement, ...]) -> bool:
-        for c in b:
-            if c != zero:
-                return c == one
-        return False
-
-    directions = [b for b in points if canonical(b)]
-    seen: set[frozenset[int]] = set()
-    blocks: list[tuple[int, ...]] = []
-    for b in directions:
-        for a in points:
-            line = frozenset(pid[tuple(a[i] + t * b[i] for i in range(m))]
-                             for t in elems)
-            if line not in seen:
-                seen.add(line)
-                blocks.append(tuple(sorted(line)))
-    blocks.sort()
-    h = Hypergraph(labels, blocks, simple=True)
-    params = DesignParams(v=v, b=len(blocks), r=(q ** m - 1) // (q - 1),
-                          block_size=q, lambda_=1)
-    return h, params
+    labels = tuple(map(".".join, itertools.product(map(str, range(q)), repeat=m)))
+    place = q ** np.arange(m - 1, -1, -1)  # a coordinate's weight in a point id
+    lines = []
+    for j in range(m):
+        base = np.flatnonzero(np.arange(v) // place[j] % q == 0)[:, None]
+        for tail in itertools.product(elems, repeat=m - 1 - j):
+            # the ids of t*b over all t, where b is one at j and ``tail`` after it
+            tb = np.array([[t.value, *((t * c).value for c in tail)]
+                           for t in elems]) @ place[j:]
+            line, w = 0, 1
+            while w < v:  # digit-wise a + t*b mod p
+                line = line + (base // w + tb // w) % p * w
+                w *= p
+            lines.append(line)
+    rows = np.sort(np.concatenate(lines), axis=1)
+    # two lines share at most one point, so their first two members order them
+    rows = rows[np.argsort(rows[:, 0] * v + rows[:, 1])]
+    csr = np.arange(0, rows.size + 1, q, dtype=np.int64), rows.ravel().astype(np.int32)
+    h = Hypergraph.__new__(Hypergraph)._fill(
+        labels, {lab: i for i, lab in enumerate(labels)}, csr, True)
+    return h, DesignParams(v=v, b=len(rows), r=(v - 1) // (q - 1),
+                           block_size=q, lambda_=1)
 
 
 def hkm_design(k: int, m: int) -> Hypergraph:
@@ -385,14 +383,15 @@ def validate_bibd(h: Hypergraph) -> DesignParams:
 def r_plus(sigma: int, n: float) -> float:
     """Positive root of x + x(x-1)/(sigma(sigma-1)) = n.
 
-    Evaluated in a rationalized form that avoids the cancellation of the
-    textbook quadratic formula; the defining residual is checked to
-    1e-9 * n.  A ``sigma`` or ``n`` (or nan) past the float range is refused.
+    Evaluated as ``2sn / ((s-1) + hypot(s-1, 2 sqrt(sn)))``, s = sigma(sigma-1),
+    which neither cancels, overflows nor underflows; the residual is checked
+    to 1e-9 * n.  An ``n`` below the normal floats, or a ``sigma`` or ``n``
+    (or nan) past the float range, is refused.
     """
     if sigma < 2:
         raise ValueError("sigma must be >= 2")
-    if n <= 0:
-        raise ValueError("n must be positive")
+    if n < sys.float_info.min:
+        raise ValueError(f"n must be a normal float, at least {sys.float_info.min:.6g}")
     s = sigma * (sigma - 1)
     if (s - 1) ** 2 > sys.float_info.max:
         raise ValueError("sigma is too large for a float")
@@ -400,10 +399,9 @@ def r_plus(sigma: int, n: float) -> float:
     if not n <= limit:  # compared exactly, so a huge int never overflows
         raise ValueError(f"n must be a finite number at most {limit:.6g} "
                          f"for sigma = {sigma}")
-    x = math.sqrt(s * n) / (math.sqrt(1 + (s - 1) ** 2 / (4 * s * n))
-                            + (s - 1) / math.sqrt(4 * s * n))
+    x = 2 * s * n / ((s - 1) + math.hypot(s - 1, 2 * math.sqrt(s * n)))
     residual = x + x * (x - 1) / s - n
-    if abs(residual) > 1e-9 * max(1.0, n):  # pragma: no cover - numeric guard
+    if abs(residual) > 1e-9 * n:  # pragma: no cover - numeric guard
         raise ArithmeticError(f"r_plus residual {residual} too large")
     return x
 

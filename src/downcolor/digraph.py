@@ -83,23 +83,9 @@ def _first_bad_edge(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, str]
     return i, "range" if out[i] else "self-loop" if src[i] == dst[i] else "duplicate"
 
 
-def _same_csr(g, h) -> bool:
-    """Whether ``g`` and ``h`` have the same labels and, once ``h``'s ids
-    are renamed to ``g``'s by label, the same adjacency: its sorted
-    ``u*n + v`` keys against ``g``'s, which its sorted rows already are."""
-    if set(g._labels) != set(h._labels):
-        return False
-    ids = np.array([g._index[lab] for lab in h._labels], dtype=np.int64)
-    (gptr, gids), (hptr, hids) = g._csr, h._csr
-    keys = np.sort(np.repeat(ids, np.diff(hptr)) * g.n + ids[hids])
-    return np.array_equal(keys, np.repeat(np.arange(g.n), np.diff(gptr)) * g.n + gids)
-
-
 class _Labeled:
     """String labels with dense ids 0..n-1 in label order, the discipline
-    every graph type keeps in its ``_labels`` and ``_index`` slots.  The
-    two graph types also share their edge listing by label and their
-    equality, by CSR (see ``_same_csr``); ``Hypergraph`` has its own."""
+    every graph type keeps in its ``_labels`` and ``_index`` slots."""
 
     __slots__ = ()
 
@@ -120,19 +106,32 @@ class _Labeled:
     def label_of(self, u: int) -> str:
         return self._labels[u]
 
+
+class _Graph(_Labeled):
+    """The two graph types' edge pairs by label, and their equality."""
+
+    __slots__ = ()
+
     def edge_labels(self) -> Iterator[tuple[str, str]]:
         for u, v in self.edges():
             yield (self._labels[u], self._labels[v])
 
     def __eq__(self, other) -> bool:
+        # same labels and, other's ids renamed to ours, the same u*n + v keys
         if not isinstance(other, type(self)):
             return NotImplemented
-        return _same_csr(self, other)
+        if set(self._labels) != set(other._labels):
+            return False
+        n = self.n
+        ids = np.array([self._index[lab] for lab in other._labels], dtype=np.int64)
+        (gptr, gids), (hptr, hids) = self._csr, other._csr
+        keys = np.sort(np.repeat(ids, np.diff(hptr)) * n + ids[hids])
+        return np.array_equal(keys, np.repeat(np.arange(n), np.diff(gptr)) * n + gids)
 
     __hash__ = None  # type: ignore[assignment]
 
 
-class Digraph(_Labeled):
+class Digraph(_Graph):
     """Immutable digraph; edges run ancestor -> descendant.  Children and
     parents are CSR arrays (int64 row pointers, int32 ids, rows
     ascending); ``children``/``parents`` slice them into tuples."""
@@ -256,7 +255,7 @@ class Digraph(_Labeled):
         return self._down
 
 
-class UndirectedGraph(_Labeled):
+class UndirectedGraph(_Graph):
     """Immutable undirected graph.  Its adjacency is one symmetric CSR
     (int64 row pointers, int32 ids, rows ascending); ``edges()`` lists
     the ``u < v`` pairs on demand."""

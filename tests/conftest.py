@@ -3,7 +3,7 @@
 Oracles here use plain Python sets and backtracking only, so they share
 no code path with the package internals they check; ``dsatur_reference``
 shares only the exact solver's greedy upper bound, not its clique seed
-or its search.
+or its search, and ``affine_design_reference`` only the field arithmetic.
 """
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ import io
 import math
 import random
 from collections import Counter, deque
-from itertools import combinations
+from itertools import combinations, product
 
-from downcolor import BibdError, Digraph, Hypergraph, ParseError
+from downcolor import BibdError, DesignParams, Digraph, Hypergraph, ParseError
 
 
 # ---------------------------------------------------------------- corpora
@@ -589,6 +589,39 @@ def validate_bibd_reference(h: Hypergraph):
         raise BibdError(f"pair coverage varies: {sorted(lams)}",
                         "non-constant-pair-coverage")
     return v, b, rvals.pop(), ksize, lams.pop()
+
+
+def affine_design_reference(field, m: int):
+    """``affine_design`` point by point on field elements: every line
+    ``{a + t*b}`` for every point a and every direction b whose first
+    nonzero coordinate is one, deduplicated through a set of point sets,
+    then sorted; within the point cap."""
+    q = field.order
+    elems = field.elements()
+    zero, one = field.zero, field.one
+    points = list(product(elems, repeat=m))
+    labels = [".".join(str(c.value) for c in pt) for pt in points]
+    pid = {pt: i for i, pt in enumerate(points)}
+
+    def canonical(b) -> bool:
+        for c in b:
+            if c != zero:
+                return c == one
+        return False
+
+    seen: set[frozenset[int]] = set()
+    blocks: list[tuple[int, ...]] = []
+    for b in filter(canonical, points):
+        for a in points:
+            line = frozenset(pid[tuple(a[i] + t * b[i] for i in range(m))]
+                             for t in elems)
+            if line not in seen:
+                seen.add(line)
+                blocks.append(tuple(sorted(line)))
+    blocks.sort()
+    h = Hypergraph(labels, blocks, simple=True)
+    return h, DesignParams(v=q ** m, b=len(blocks), r=(q ** m - 1) // (q - 1),
+                           block_size=q, lambda_=1)
 
 
 # ------------------------------------------------------ down-hypergraph

@@ -1,3 +1,5 @@
+import decimal
+import hashlib
 import math
 import random
 import sys
@@ -14,13 +16,14 @@ from downcolor import (
     cor4_point,
     degeneracy,
     ds_bounds,
+    format_hypergraph,
     hkm_design,
     is_prime,
     prime_power,
     r_plus,
     validate_bibd,
 )
-from conftest import validate_bibd_reference
+from conftest import affine_design_reference, validate_bibd_reference
 
 
 # ------------------------------------------------------------ number theory
@@ -142,6 +145,44 @@ def test_affine_design_cap():
         affine_design(build_field(2), 13)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_affine_design_matches_reference(q):
+    field = build_field(*prime_power(q))
+    m = 1
+    while q ** m <= 128:
+        h, params = affine_design(field, m)
+        ref, ref_params = affine_design_reference(field, m)
+        assert h.labels == ref.labels
+        assert h.edges == ref.edges  # in order: samplers index lines by position
+        assert h.simple and ref.simple
+        assert params == ref_params
+        assert [a.dtype for a in h._csr] == [a.dtype for a in ref._csr]
+        m += 1
+
+
+@pytest.mark.parametrize("p,k,m,digest", [
+    (2, 4, 2, "32643898f3c19199e74d317aa76942aca3fd13e8328d6b85d1233932fe53afef"),
+    (5, 1, 3, "436888c2f7e460b7c3c077f8aac5f8420dd60335d1881c4070bdb3c9e4afc9fb"),
+    (3, 2, 3, "92a06fcd3f6f11243b56d1a77087e3bacbff968c5b4d1386779c96d19185ecd7"),
+    (7, 1, 4, "659062f112786d68bbbea2bbaf3443568fd738d9745e5e265ea90637992e4d96"),
+])
+def test_affine_design_pinned_digest(p, k, m, digest):
+    # designs whose point-by-point reference takes seconds to minutes
+    h, _ = affine_design(build_field(p, k), m)
+    assert hashlib.sha256(format_hypergraph(h).encode()).hexdigest() == digest
+
+
+def test_discrepancy_witnesses_match_reference():
+    for p, k, m in [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2)]:
+        w = cor4_point(p, k, m).witness
+        ref, _ = affine_design_reference(build_field(p, k), m)
+        assert (w.labels, w.edges) == (ref.labels, ref.edges)
+    for sigma in (2, 3, 4, 5, 7, 8, 9):
+        w = cor3_point(sigma, sigma + 1).witness
+        ref, _ = affine_design_reference(build_field(*prime_power(sigma)), 2)
+        assert (w.labels, w.edges) == (ref.labels, ref.edges)
+
+
 def test_hkm_design_shape():
     h = hkm_design(3, 2)
     assert h.n == 6 and h.m == 3
@@ -243,6 +284,30 @@ def test_r_plus_refuses_n_past_the_float_range():
     assert math.isfinite(ds_bounds(2, limit).cor2)
     with pytest.raises(ValueError, match="sigma is too large"):
         r_plus(10 ** 100, 5)
+
+
+def r_plus_decimal(sigma, n):
+    """The cancellation-free form of the root in 60-digit decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        s, n = decimal.Decimal(sigma * (sigma - 1)), decimal.Decimal(n)
+        return 2 * s * n / ((s - 1) + ((s - 1) ** 2 + 4 * s * n).sqrt())
+
+
+def test_r_plus_relative_accuracy_over_the_float_range():
+    for sigma in (2, 3, 6, 50, 10 ** 6):
+        limit = sys.float_info.max / (4 * sigma * (sigma - 1))
+        for n in [float(f"1e{e}") for e in range(-320, 301)] + [2.3e-308]:
+            if n < sys.float_info.min:  # the root would be subnormal
+                with pytest.raises(ValueError) as ei:
+                    r_plus(sigma, n)
+                assert str(ei.value) == "n must be a normal float, at least 2.22507e-308"
+            elif n > limit:
+                with pytest.raises(ValueError, match="finite number at most"):
+                    r_plus(sigma, n)
+            else:
+                x = decimal.Decimal(r_plus(sigma, n))
+                assert abs(x / r_plus_decimal(sigma, n) - 1) <= 1e-9, (sigma, n)
 
 
 def test_ds_bounds():

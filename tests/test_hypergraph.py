@@ -147,6 +147,18 @@ def test_trusted_csr_graphs_equal_validated():
             assert np.array_equal(got, want)
 
 
+def test_edge_labels_on_graphs_only():
+    g = parse_digraph("a b\nb c\n")
+    assert list(g.edge_labels()) == [("a", "b"), ("b", "c")]
+    u = UndirectedGraph(["a", "b", "c"], [(2, 0), (1, 2)])
+    assert list(u.edge_labels()) == [("a", "c"), ("b", "c")]
+    # a hyperedge is no pair: a hypergraph lists its edges by label sets
+    h = parse_hypergraph("a b c\n")
+    with pytest.raises(AttributeError):
+        h.edge_labels()
+    assert list(h.edge_label_sets()) == [frozenset("abc")]
+
+
 def test_induced_subhypergraph_keeps_pairs_with_multiplicity():
     h = Hypergraph(list("abcd"), [(0, 1, 2), (0, 1, 3), (0, 3)], simple=False)
     s = induced_subhypergraph(h, [0, 1])
