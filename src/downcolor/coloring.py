@@ -8,9 +8,11 @@ strongly, then hand each maximal vertex the smallest color missing from
 its open down-set.
 
 The greedy strong coloring never builds the clique graph.  It peels the
-hypergraph itself smallest-last and runs first-fit along the reversed
-order, one Python-int mask of used colors per hyperedge, which is the
-constructive side of the bound ind(H)*(D - 2) + 1 on down-colorings.
+hypergraph itself smallest-last, through the bucket queue of
+``hypergraph._peel_incidence``, and runs first-fit along the reversed
+order over the incidence that peel built, one Python-int mask of used
+colors per hyperedge; this is the constructive side of the bound
+ind(H)*(D - 2) + 1 on down-colorings.
 
 The exact solver is a DSATUR-style branch and bound over the clique
 graph, taken as CSR and scattered once into a dense bool matrix.  It is
@@ -40,7 +42,7 @@ import numpy as np
 from . import _kernels
 from .digraph import Digraph, UndirectedGraph, _max_rows, big_d
 from .errors import CapExceededError, ColoringError
-from .hypergraph import (Hypergraph, _graph_peel, _incidence, _peel, degeneracy,
+from .hypergraph import (Hypergraph, _graph_peel, _peel_incidence, degeneracy,
                          down_hypergraph)
 
 DEFAULT_EXACT_CAP = 30
@@ -128,12 +130,13 @@ def _greedy_strong(n: int, eptr: np.ndarray, members: np.ndarray) -> list[int]:
     """Colors by id of first-fit along the reversed peeling order of the
     hyperedges ``members[eptr[i]:eptr[i + 1]]``.  Each edge keeps a mask
     of its colors; a vertex takes the lowest color missing from the OR of
-    its edges' masks."""
-    iptr, inc = _incidence(n, np.diff(eptr), members)
-    inc = inc.tolist()
+    its edges' masks.  The masks follow the peel's own incidence, which
+    leaves out edges below two members: such an edge constrains nobody
+    else."""
+    peel, iptr, inc = _peel_incidence(n, eptr, members)
     used = [0] * (eptr.size - 1)
     colors = [0] * n
-    for v in reversed(_peel(n, eptr, members).order):
+    for v in reversed(peel.order):
         es = inc[iptr[v]:iptr[v + 1]]
         f = 0
         for e in es:

@@ -299,34 +299,47 @@ def affine_design(field: FiniteField, m: int,
     A point id's base-p digits are its coordinates' coefficient vectors,
     so points add digit-wise mod p.  Each line ``{a + t*b}`` is built once:
     b's first nonzero coordinate, the pivot, is one, and a is the line's
-    point whose pivot coordinate is zero.  Lines are sorted and listed in
-    order; point labels join coordinate encodings with dots.
+    point whose pivot coordinate is zero.  The lines of one pivot come
+    out of one broadcast sum that takes a's free digits one at a time,
+    so the work is a few passes over the output; ids stay int32 while
+    the row key below fits.  Lines are sorted and listed in order; point
+    labels join coordinate encodings with dots.
     """
     if m < 1:
         raise ValueError("dimension must be >= 1")
-    q, p = field.order, field.p
+    q, p, k = field.order, field.p, field.degree
     if _exceeds(q, m, cap):
         raise ValueError(f"point count {q}^{m} exceeds cap {cap}")
     v = q ** m
     elems = field.elements()
     labels = tuple(map(".".join, itertools.product(map(str, range(q)), repeat=m)))
-    place = q ** np.arange(m - 1, -1, -1)  # a coordinate's weight in a point id
+    ids = np.int32 if v * v <= 1 << 31 else np.int64  # holds the row key below
+    place = q ** np.arange(m - 1, -1, -1, dtype=ids)  # a coordinate's weight in a point id
+    weight = p ** np.arange(m * k - 1, -1, -1, dtype=ids)  # a digit's weight
+    free = np.arange(p, dtype=ids)[:, None]  # the values a free digit of a takes
     lines = []
     for j in range(m):
-        base = np.flatnonzero(np.arange(v) // place[j] % q == 0)[:, None]
-        for tail in itertools.product(elems, repeat=m - 1 - j):
-            # the ids of t*b over all t, where b is one at j and ``tail`` after it
-            tb = np.array([[t.value, *((t * c).value for c in tail)]
-                           for t in elems]) @ place[j:]
-            line, w = 0, 1
-            while w < v:  # digit-wise a + t*b mod p
-                line = line + (base // w + tb // w) % p * w
-                w *= p
-            lines.append(line)
-    rows = np.sort(np.concatenate(lines), axis=1)
+        # row i: the ids of t*b over all t, where b is one at j and has
+        # the i-th ``tail`` after it
+        tb = np.array([[[t.value, *((t * c).value for c in tail)] for t in elems]
+                       for tail in itertools.product(elems, repeat=m - 1 - j)],
+                      dtype=ids) @ place[j:]
+        digit = tb[..., None] // weight % p
+        # a + t*b for every a whose pivot coordinate is zero, ascending:
+        # the pivot digits are t's, and each other digit of a runs over
+        # 0..p-1 in turn, added to t*b's digit mod p
+        line = (tb // place[j] * place[j])[:, None]
+        for d in (*range(j * k), *range((j + 1) * k, m * k)):
+            step = (digit[:, None, :, d] + free) % p * weight[d]
+            line = (line[:, :, None] + step[:, None]).reshape(len(tb), -1, q)
+        lines.append(line.reshape(-1, q))
+    rows = np.concatenate(lines)
+    del lines
+    rows.sort(axis=1)
     # two lines share at most one point, so their first two members order them
     rows = rows[np.argsort(rows[:, 0] * v + rows[:, 1])]
-    csr = np.arange(0, rows.size + 1, q, dtype=np.int64), rows.ravel().astype(np.int32)
+    csr = (np.arange(0, rows.size + 1, q, dtype=np.int64),
+           rows.astype(np.int32, copy=False).ravel())
     h = Hypergraph.__new__(Hypergraph)._fill(
         labels, {lab: i for i, lab in enumerate(labels)}, csr, True)
     return h, DesignParams(v=v, b=len(rows), r=(v - 1) // (q - 1),

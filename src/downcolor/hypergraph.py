@@ -23,13 +23,16 @@ returns the graph's own CSR; so do ``digraph.down_graph`` and the exact
 solver.  Greedy coloring peels and colors the hypergraph itself and
 builds no graph.  ``_peel`` is the one peeling routine.  It reads
 hyperedges as a CSR pair (edge pointer, member ids), and a graph as its
-``u < v`` pairs, a 2-uniform hypergraph.  Each removal is one numpy
-step whose ``argmin`` pick scans all n degrees, so selection alone
-costs O(n) per removal.
+``u < v`` pairs, a 2-uniform hypergraph.  It picks from a bucket queue,
+one ``heapq`` of ids per degree, so a peel costs linear steps in n, the
+memberships and the largest degree, plus one heap step per degree
+decrement.  ``_peel_incidence`` also hands back the live-edge incidence
+it walked, which the greedy strong coloring reuses for first-fit.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -230,7 +233,10 @@ def _incidence(n: int, size: np.ndarray,
                members: np.ndarray) -> tuple[list[int], np.ndarray]:
     """The edges through each vertex, ascending, as CSR (pointers as a
     list, edge ids), for edges of sizes ``size`` laid out in ``members``."""
-    inc = np.repeat(np.arange(size.size), size)[np.argsort(members, kind="stable")]
+    # numpy's stable sort is a radix sort on 16-bit keys, several times
+    # faster than its merge sort on wider ones
+    keys = members.astype(np.uint16) if n <= 1 << 16 else members
+    inc = np.repeat(np.arange(size.size), size)[np.argsort(keys, kind="stable")]
     return [0] + np.cumsum(np.bincount(members, minlength=n)).tolist(), inc
 
 
@@ -281,47 +287,73 @@ def _peel(n: int, eptr: np.ndarray, members: np.ndarray) -> DegeneracyResult:
     Edges of cardinality below two never count.  The returned value is
     the largest degree seen at a removal, which equals the maximum over
     induced subhypergraphs of their minimum degree.
+    """
+    return _peel_incidence(n, eptr, members)[0]
 
-    Each removal is one array step.  Removed vertices hold a degree
-    above any real one, and ``argmin`` returns the first minimum, so the
-    pick is the alive vertex with the smallest ``deg * n + id``: the
-    (degree, id) order a heap of such pairs would pop.  Every edge keeps
-    its live size and the XOR of its alive members, so an edge that
-    shrinks to one member names its survivor directly.  A step shrinks
-    every edge of the removed vertex: a dead edge there has that vertex
-    as its survivor, so it drops from one member to none and never
-    counts again.  Two edges can die onto the same survivor in one step
-    (duplicate edges, or edges that differ only in vertices already
-    removed), so the decrement is ``np.subtract.at``, which counts
-    repeated indices, not a fancy-index ``-=``, which would count each
-    survivor once.
+
+def _peel_incidence(n: int, eptr: np.ndarray, members: np.ndarray
+                    ) -> tuple[DegeneracyResult, list[int], list[int]]:
+    """``_peel``, with the incidence it walked: the live edges (those of
+    cardinality at least two, renumbered in order) through each vertex,
+    as CSR lists (pointers, edge ids).
+
+    The pick is a bucket queue (Matula and Beck, J. ACM 1983): one list
+    per degree holds the alive ids as a ``heapq`` heap, so a bucket pops
+    its smallest id first.  Deletion is lazy: a vertex whose degree drops
+    is pushed into its new bucket, and a popped id whose current degree
+    differs from the bucket's is stale and skipped.  ``d`` is the lowest
+    bucket that may hold an alive vertex; a removal can drop a survivor
+    by more than one (duplicate edges, or edges that differ only in
+    vertices already removed, die onto it together), so every decrement
+    below ``d`` lowers it.  Every edge keeps its live size and the XOR of
+    its alive members, so an edge that shrinks to one member names its
+    survivor directly; a dead edge is skipped when that survivor goes.
+    Selection costs O(n + max degree) over the whole peel, plus a heap
+    step per decrement.
     """
     size = np.diff(eptr)
     live = size >= 2
     members = members[np.repeat(live, size)]
     size = size[live]
-    xor = np.bitwise_xor.reduceat(members, np.cumsum(size) - size)
-    deg = np.bincount(members, minlength=n)
+    xor = np.bitwise_xor.reduceat(members, np.cumsum(size) - size).tolist()
     iptr, inc = _incidence(n, size, members)
-    removed = np.iinfo(deg.dtype).max
+    inc = inc.tolist()
+    size = size.tolist()
+    deg = [b - a for a, b in zip(iptr, iptr[1:])]
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for u, k in enumerate(deg):  # ascending ids: each bucket starts a heap
+        buckets[k].append(u)
+    heappop, heappush = heapq.heappop, heapq.heappush
     order: list[int] = []
-    value = 0
+    value = d = 0
     for _ in range(n):
-        u = int(deg.argmin())
-        d = int(deg[u])
-        deg[u] = removed
+        while True:
+            bucket = buckets[d]
+            if not bucket:
+                d += 1
+            elif deg[u := heappop(bucket)] == d:
+                break
+        deg[u] = -1
         order.append(u)
         if d == 0:
             continue
-        value = max(value, d)
-        e = inc[iptr[u]:iptr[u + 1]]
-        left = size[e] - 1
-        size[e] = left
-        xor[e] ^= u
-        dying = e[left == 1]
-        if dying.size:
-            np.subtract.at(deg, xor[dying], 1)
-    return DegeneracyResult(value, tuple(order))
+        if d > value:
+            value = d
+        for e in inc[iptr[u]:iptr[u + 1]]:
+            s = size[e] - 1
+            if s == 0:  # died earlier, onto u
+                continue
+            size[e] = s
+            if s > 1:
+                xor[e] ^= u
+            else:  # dies now, onto its last member
+                w = xor[e] ^ u
+                k = deg[w] - 1
+                deg[w] = k
+                heappush(buckets[k], w)
+                if k < d:
+                    d = k
+    return DegeneracyResult(value, tuple(order)), iptr, inc
 
 
 def _graph_peel(n: int, indptr: np.ndarray, indices: np.ndarray) -> DegeneracyResult:

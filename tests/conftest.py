@@ -207,10 +207,10 @@ def brute_degeneracy(h: Hypergraph) -> int:
 
 
 def peel_reference(n: int, edges) -> tuple[int, tuple[int, ...]]:
-    """The heap peeling that ``hypergraph._peel`` used before it became an
-    array step, as ``(value, order)``: min degree first, ties on the
-    smallest id, degrees counted with multiplicity, edges of cardinality
-    below two ignored."""
+    """Min-degree peeling on one heap of (degree, id) pairs, written apart
+    from ``hypergraph._peel`` and its bucket queue, as ``(value, order)``:
+    min degree first, ties on the smallest id, degrees counted with
+    multiplicity, edges of cardinality below two ignored."""
     edges = [e for e in edges if len(e) >= 2]
     size = [len(e) for e in edges]
     inc: list[list[int]] = [[] for _ in range(n)]

@@ -202,12 +202,13 @@ def test_degeneracy_matches_subset_oracle():
         assert degeneracy(h).value == brute_degeneracy(h)
 
 
-def peel_case(rng):
+def peel_case(rng, n=None, edges_per_vertex=2):
     """Hypergraph with empty, singleton and repeated edges, and edges that
-    differ only in a few vertices; n = 0 and n = 1 included."""
-    n = rng.randint(0, 24)
+    differ only in a few vertices; by default n = 0 to 24, so n = 0 and
+    n = 1 are included."""
+    n = rng.randint(0, 24) if n is None else n
     edges = []
-    for _ in range(rng.randint(0, 2 * n + 2)):
+    for _ in range(rng.randint(0, edges_per_vertex * n + 2)):
         if edges and rng.random() < 0.3:
             e = set(rng.choice(edges))
             if e and rng.random() < 0.5:
@@ -248,6 +249,17 @@ def test_peel_matches_heap_reference():
     rng = random.Random(53)
     for _ in range(300):
         assert_peels_match_reference(peel_case(rng))
+    # n in the hundreds, degrees over dozens of buckets
+    for _ in range(6):
+        assert_peels_match_reference(peel_case(rng, rng.randint(100, 400), 8))
+    # removing u kills both copies of (u, w): w falls from 3 to 1, two
+    # below u's 3, while x only falls to 2, so w must go next
+    u, w, x, y1, y2, y3, y4 = range(7)
+    h = Hypergraph([f"u{i}" for i in range(7)],
+                   [(u, w), (u, w), (u, x), (w, y1), (x, y2), (x, y3),
+                    (y1, y2), (y1, y3), (y1, y4), (y2, y3), (y2, y4), (y3, y4)])
+    assert degeneracy(h).order[:2] == (u, w)
+    assert_peels_match_reference(h)
     # the down-hypergraphs of the pinned pipeline-scale colorings
     for make in SCALE_GRAPHS.values():
         assert_peels_match_reference(down_hypergraph(make()))
