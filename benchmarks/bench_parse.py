@@ -1,4 +1,5 @@
-"""Time ``parse_digraph`` on a large edge list, with its peak memory.
+"""Time ``parse_digraph`` on a large edge list, then the closure, with
+their peak memory.
 
 The input is a seeded three-level hierarchy: levels of n/2, n/3 and n/6
 vertices, and every vertex above the bottom level has three distinct
@@ -6,7 +7,10 @@ random children one level down (the sparse-hierarchy rule of the
 pipeline benchmark).  It is written to a temporary file, and a fresh
 interpreter runs ``parse_digraph(Path(f).read_text())`` on it, so the
 peak RSS reported covers the interpreter, the text and the parse, and
-nothing the generator held.
+nothing the generator held.  The same interpreter then builds the
+closed down-sets (``g._down_sets()``) and reports their time, their
+total size sum |D[u]| in ids, the layout that built them, and how far
+they raised the peak RSS above the parse's.
 
     python3 benchmarks/bench_parse.py --n 1000000 --seed 1
 """
@@ -22,12 +26,18 @@ import numpy as np
 OUT_DEGREE = 3
 
 CHILD = """
-import sys, time
+import resource, sys, time
 from pathlib import Path
 from downcolor import parse_digraph
+peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 t0 = time.perf_counter()
 g = parse_digraph(Path(sys.argv[1]).read_text())
-print(time.perf_counter() - t0, g.n, g.edge_count)
+t1 = time.perf_counter()
+parse_peak = peak()
+_, ids = g._down_sets()
+t2 = time.perf_counter()
+layout = "csr" if g._bits_level is None else f"bitsets-from-level-{g._bits_level}"
+print(t1 - t0, g.n, g.edge_count, t2 - t1, ids.size, layout, peak() - parse_peak)
 """
 
 
@@ -72,10 +82,12 @@ def main():
                               capture_output=True, text=True, check=True)
     finally:
         os.unlink(path)
-    wall, n, m = done.stdout.split()
+    wall, n, m, closure, sum_d, layout, growth = done.stdout.split()
     peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     print(f"n={n} edges={m} text={size_mb:.1f} MB")
     print(f"parse_s={float(wall):.3f} child_peak_rss_mb={peak:.1f}")
+    print(f"closure_s={float(closure):.3f} sum_d={sum_d} layout={layout} "
+          f"closure_peak_growth_mb={float(growth):.1f}")
 
 
 if __name__ == "__main__":

@@ -2,12 +2,21 @@
 
 Four kernels carry most of the work on large digraphs: the height peel
 and the level-synchronous reachability closure (:func:`sink_levels`,
-:func:`closure_levels`), clique union (the one conflict-graph builder,
+:func:`closure_csr`), clique union (the one conflict-graph builder,
 from cliques given as CSR rows), and greedy sequential coloring over a
 CSR adjacency, which seeds the exact solver.  The peel and the closure
-make one numpy step per height level, so their Python overhead grows
+make a few numpy steps per height level, so their Python overhead grows
 with the height of the digraph, not with its edge count.  The coloring
 is a plain Python loop over the adjacency as lists.
+
+The closure is built as sorted CSR rows first: each level merges its
+children's finished rows, the successor-list closure of Goralcikova and
+Koubek (1979) one level at a time.  On dense DAGs, where the rows would
+outgrow the ``n*ceil(n/64)``-word bitset matrix, the remaining levels
+OR bitset rows instead (:func:`closure_levels`), decoded at the end.
+Either layout is held to ``_CLOSURE_BYTES``; a closure that fits
+neither raises ``ValueError``, which the command line reports with exit
+code 1.
 
 Vertex ``u`` maps to bit ``u & 63`` of word ``u >> 6``.  Bitsets stay
 inside this module and ``digraph``: :func:`rows_csr` decodes a whole
@@ -25,8 +34,18 @@ import numpy as np
 # record the backend
 HAS_NUMBA = False
 
-# bytes of children's bitset rows the closure gathers at once
+# bytes of children's rows, bitsets or int32 ids, the closure gathers at once
 _GATHER_BYTES = 1 << 18
+
+# the closure merges CSR rows while the ids it holds, plus a charge per
+# height level for the merge's fixed cost there, stay within this many
+# times the n*ceil(n/64) words of the bitset matrix, and ORs bitsets past
+# it; the merge costs about 55 us more per level than the OR does
+_IDS_PER_WORD = 1
+_IDS_PER_LEVEL = 1024
+
+# bytes either closure layout may take
+_CLOSURE_BYTES = 1 << 30
 
 
 def get_backend() -> str:
@@ -110,31 +129,152 @@ def sink_levels(indptr: np.ndarray, rptr: np.ndarray,
     return np.concatenate(parts), lptr
 
 
+def _runs(cum: np.ndarray, a: int, end: int, step: int):
+    """Split ``a..end`` into runs ``[a, b)`` with ``cum[b] - cum[a] <= step``;
+    an index whose own span exceeds ``step`` is a run alone."""
+    while a < end:
+        b = end if cum[end] - cum[a] <= step else min(end, max(
+            a + 1, int(np.searchsorted(cum, cum[a] + step, "right")) - 1))
+        yield a, b
+        a = b
+
+
+def _own_bits(n: int) -> np.ndarray:
+    """An n-row bitset matrix holding each vertex's own bit."""
+    bits = np.zeros((n, words_for(n)), dtype=np.uint64)
+    own = np.arange(n)
+    bits[own, own >> 6] = np.uint64(1) << (own & 63).astype(np.uint64)
+    return bits
+
+
+def _or_levels(bits: np.ndarray, verts: np.ndarray, lptr: np.ndarray,
+               ptr: np.ndarray, kids: np.ndarray, first: int) -> np.ndarray:
+    """OR into each vertex's bitset row its children's finished rows,
+    level by level from level ``first`` up; ``(ptr, kids)`` are the
+    children of ``verts`` in that order.
+
+    A level ORs at most ``_GATHER_BYTES`` of child rows per ``reduceat``
+    (one vertex with more children takes one step alone): the reduction
+    slows several times once its block outgrows the cache.
+    """
+    step = _GATHER_BYTES // max(8 * bits.shape[1], 1)
+    for a, end in zip(lptr[first:-1].tolist(), lptr[first + 1:].tolist()):
+        for a, b in _runs(ptr, a, end, step):
+            bits[verts[a:b]] |= np.bitwise_or.reduceat(
+                bits[kids[ptr[a]:ptr[b]]], ptr[a:b] - ptr[a], axis=0)
+    return bits
+
+
 def closure_levels(n: int, indptr: np.ndarray, indices: np.ndarray,
                    verts: np.ndarray, lptr: np.ndarray) -> np.ndarray:
     """Closed reachability bitsets, one row per vertex, from the levels
     :func:`sink_levels` returns: each vertex's own bit, then, level by
-    level above the sinks, the OR of its children's finished rows.
+    level above the sinks, the OR of its children's finished rows."""
+    return _or_levels(_own_bits(n), verts, lptr,
+                      *gather_rows(indptr, indices, verts), 1)
 
-    The children of every vertex are gathered once, level by level.  A
-    level ORs at most ``_GATHER_BYTES`` of child rows per
-    ``reduceat`` (one vertex with more children takes one step alone):
-    the reduction slows several times once its block outgrows the cache.
+
+def _too_large(n: int, ids: int) -> ValueError:
+    return ValueError(
+        f"the closure of {n} vertices is too large: its bitsets take "
+        f"{8 * n * words_for(n):,} bytes and the merge of its CSR rows "
+        f"{4 * ids:,} bytes, over the {_CLOSURE_BYTES:,}-byte budget")
+
+
+def closure_csr(n: int, indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray,
+                lptr: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], int | None]:
+    """Closed down-sets as sorted CSR rows (int64 row pointers, int32
+    ids), from the levels :func:`sink_levels` returns, and the level from
+    which they were ORed as bitsets (None when merged throughout).
+
+    The merge walks the levels from the sinks up.  Each level gathers
+    its vertices' finished child rows plus each vertex's own id, as
+    int64 ``row << 32 | id`` keys, and sorts and dedups them once, in
+    runs of at most ``_GATHER_BYTES`` of gathered ids; the rows are put
+    in id order at the end.
+
+    Bitsets take over (:func:`_or_levels`, then :func:`rows_csr`) where
+    the merge would hold more than ``_IDS_PER_WORD`` times the bitset
+    matrix's ``n*ceil(n/64)`` words, less ``_IDS_PER_LEVEL`` per level:
+    before any merge when the free lower bound on ``sum |D[u]|``, n plus
+    the larger of the edge count and the sum of the heights, passes that
+    limit, else at the first level whose gathered ids, added to the
+    finished rows, would.  The switch reuses the one gather of the
+    children and ORs the finished rows into the bitsets.
+
+    Neither layout may pass ``_CLOSURE_BYTES``: bitsets take 8 bytes a
+    word, the merge 4 per id it holds.  A merge over budget hands over
+    to bitsets that fit, bitsets over budget leave the merge to run on,
+    and when neither fits a ``ValueError`` names n and both sizes.
     """
-    bits = np.zeros((n, words_for(n)), dtype=np.uint64)
-    own = np.arange(n)
-    bits[own, own >> 6] = np.uint64(1) << (own & 63).astype(np.uint64)
-    step = _GATHER_BYTES // max(8 * bits.shape[1], 1)
+    words = words_for(n)
+    limit = _IDS_PER_WORD * n * words - _IDS_PER_LEVEL * (lptr.size - 1)
+    fits = 8 * n * words <= _CLOSURE_BYTES
+    # sum |D[u]| >= n + the edge count, and >= n + the sum of the heights
+    low = n + max(indices.size, (lptr.size - 2) * n - sum(lptr[1:-1].tolist()))
+    if low > limit or 4 * low > _CLOSURE_BYTES:
+        if fits:
+            return rows_csr(closure_levels(n, indptr, indices, verts, lptr)), 1
+        if 4 * low > _CLOSURE_BYTES:
+            raise _too_large(n, low)
     ptr, kids = gather_rows(indptr, indices, verts)
-    for a, end in zip(lptr[1:-1].tolist(), lptr[2:].tolist()):
-        while a < end:
-            # the vertices from a whose children fit in step rows, at least one
-            b = end if ptr[end] - ptr[a] <= step else min(end, max(
-                a + 1, int(np.searchsorted(ptr, ptr[a] + step, "right")) - 1))
-            bits[verts[a:b]] |= np.bitwise_or.reduceat(
-                bits[kids[ptr[a]:ptr[b]]], ptr[a:b] - ptr[a], axis=0)
-            a = b
-    return bits
+    rank = np.empty(n, dtype=np.int32)
+    rank[verts] = np.arange(n, dtype=np.int32)
+    sinks = int(lptr[1]) if n else 0
+    rowptr = np.zeros(n + 1, dtype=np.int64)
+    rowptr[1:sinks + 1] = np.arange(1, sinks + 1)
+    buf = np.empty(low, dtype=np.int32)
+    buf[:sinks] = verts[:sinks]
+    step = max(_GATHER_BYTES // 4, 1)
+    for h in range(1, lptr.size - 1):
+        a, end = int(lptr[h]), int(lptr[h + 1])
+        used, k0 = int(rowptr[a]), int(ptr[a])
+        krank = rank[kids[k0:ptr[end]]]
+        start = rowptr[krank]
+        size = rowptr[krank + 1] - start
+        kptr = ptr[a:end + 1] - k0  # each vertex's children in krank
+        got = np.add.reduceat(size, kptr[:-1])  # ids each vertex gathers
+        cum = np.zeros(end - a + 1, dtype=np.int64)  # and its own id
+        np.cumsum(got + 1, out=cum[1:])
+        total = used + int(cum[-1])
+        if total > limit or 4 * total > _CLOSURE_BYTES:
+            if fits:  # the merged rows, then bitsets from this level
+                bits = _own_bits(n)
+                _set_bits(bits, np.repeat(verts[:a], np.diff(rowptr[:a + 1])),
+                          buf[:used])
+                return rows_csr(_or_levels(bits, verts, lptr, ptr, kids, h)), h
+            if 4 * total > _CLOSURE_BYTES:
+                raise _too_large(n, total)
+        if total > buf.size:
+            grown = np.empty(max(total, min(2 * buf.size, _CLOSURE_BYTES // 4)),
+                             dtype=np.int32)
+            grown[:used] = buf[:used]
+            buf = grown
+        # gathered position of each child's row, less its position in buf
+        shift = np.cumsum(size) - size - start
+        for i, j in _runs(cum, 0, end - a, step):
+            gi, gj = int(cum[i]) - i, int(cum[j]) - j
+            ki, kj = kptr[i], kptr[j]
+            row = np.arange(j - i, dtype=np.int64) << 32
+            keys = np.empty(gj - gi + j - i, dtype=np.int64)
+            keys[:gj - gi] = np.repeat(row, got[i:j])
+            keys[:gj - gi] |= buf[np.arange(gi, gj)
+                                  - np.repeat(shift[ki:kj], size[ki:kj])]
+            np.bitwise_or(row, verts[a + i:a + j], out=keys[gj - gi:])
+            keys = _distinct(keys)
+            at = int(rowptr[a + i])
+            np.cumsum(np.bincount(keys >> 32, minlength=j - i),
+                      out=rowptr[a + i + 1:a + j + 1])
+            rowptr[a + i + 1:a + j + 1] += at
+            buf[at:at + keys.size] = keys
+    # the rows, in level order, into id order
+    size = np.diff(rowptr)[rank]
+    out = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(size, out=out[1:])
+    ids = np.empty(int(out[-1]), dtype=np.int32)
+    for lo, hi in _runs(out, 0, n, step):
+        ids[out[lo]:out[hi]] = gather_rows(rowptr, buf, rank[lo:hi])[1]
+    return (out, ids), None
 
 
 def closure_bits(n: int, indptr: np.ndarray, indices: np.ndarray,
@@ -171,11 +311,16 @@ def rows_csr(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indptr, ids
 
 
+def _set_bits(bits: np.ndarray, row: np.ndarray, ids: np.ndarray) -> None:
+    """Set bit ``ids[i]`` of row ``row[i]`` of ``bits``, for every ``i``."""
+    np.bitwise_or.at(bits, (row, ids >> 6),
+                     np.uint64(1) << (ids & 63).astype(np.uint64))
+
+
 def pack_rows(n: int, indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Bitset rows over ``n`` ids; row ``i`` holds ``ids[indptr[i]:indptr[i + 1]]``."""
     out = np.zeros((indptr.size - 1, words_for(n)), dtype=np.uint64)
-    np.bitwise_or.at(out, (np.repeat(np.arange(indptr.size - 1), np.diff(indptr)),
-                           ids >> 6), np.uint64(1) << (ids & 63).astype(np.uint64))
+    _set_bits(out, np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), ids)
     return out
 
 

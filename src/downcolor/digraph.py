@@ -17,11 +17,13 @@ without a second check.  Each acyclic ``Digraph`` caches its closed
 down-sets once, as sorted CSR rows (:meth:`Digraph._down_sets`); every
 stage of the pipeline reads those rows.  They are built from the
 vertices' heights, peeled level by level from the sinks up
-(:meth:`Digraph._levels`), with one numpy step per level, and that peel
-is also the pipeline's acyclicity check: the topological order, a
-Python tuple, is built only on demand, or to name the cycle of a cyclic
-input.  Two graphs compare equal by their sorted ``u*n + v`` keys under
-the label bijection.
+(:meth:`Digraph._levels`), and merged as CSR rows a level at a time;
+only a dense DAG, whose rows would outgrow its bitset matrix, finishes
+on bitsets, and a closure too large for both raises ``ValueError``.
+The peel is also the pipeline's acyclicity check: the topological
+order, a Python tuple, is built only on demand, or to name the cycle of
+a cyclic input.  Two graphs compare equal by their sorted ``u*n + v``
+keys under the label bijection.
 
 One sweep serves both kinds of component (:func:`_sweep`): connected
 components sweep the symmetric CSR from every vertex in id order, and
@@ -136,7 +138,8 @@ class Digraph(_Graph):
     parents are CSR arrays (int64 row pointers, int32 ids, rows
     ascending); ``children``/``parents`` slice them into tuples."""
 
-    __slots__ = ("_labels", "_index", "_csr", "_rcsr", "_topo", "_down")
+    __slots__ = ("_labels", "_index", "_csr", "_rcsr", "_topo", "_down",
+                 "_bits_level")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[int, int]]):
         labels = tuple(labels)
@@ -164,6 +167,7 @@ class Digraph(_Graph):
         self._rcsr = _kernels.reverse_csr(len(labels), *csr)
         self._topo: tuple[int, ...] | None = None
         self._down: tuple[np.ndarray, np.ndarray] | None = None
+        self._bits_level: int | None = None
         return self
 
     @classmethod
@@ -248,10 +252,20 @@ class Digraph(_Graph):
     def _down_sets(self) -> tuple[np.ndarray, np.ndarray]:
         """Closed down-sets as CSR ``(indptr, ids)``: ``D[u]`` is
         ``ids[indptr[u]:indptr[u + 1]]``, ascending; raises on a cycle.
-        The bitset closure they are decoded from is not kept."""
+
+        The rows are merged level by level from the sinks up, as CSR,
+        while the ids the merge holds stay small against the
+        n*ceil(n/64)-word bitset matrix; past that (dense DAGs) the
+        remaining levels are ORed as bitsets and decoded
+        (:func:`_kernels.closure_csr`).  ``_bits_level`` keeps the level
+        the bitsets took over at, None when the merge built every row.
+        A closure too large for either layout's byte budget raises
+        ``ValueError`` naming n and the bytes each needs, which the CLI
+        reports with exit code 1.
+        """
         if self._down is None:
-            self._down = _kernels.rows_csr(
-                _kernels.closure_levels(self.n, *self._csr, *self._levels()))
+            self._down, self._bits_level = _kernels.closure_csr(
+                self.n, *self._csr, *self._levels())
         return self._down
 
 

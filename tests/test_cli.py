@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from downcolor import (Hypergraph, cli, coloring_from_json, format_digraph,
-                       is_acyclic, parse_digraph, up_digraph,
+from downcolor import (Hypergraph, _kernels, cli, coloring_from_json,
+                       format_digraph, is_acyclic, parse_digraph, up_digraph,
                        verify_down_coloring)
 from downcolor.cli import main
 from conftest import GROTZSCH_EDGES, brute_down_edges, pair_digraph_text
@@ -241,6 +241,14 @@ def test_out_of_memory_exits_one(six, monkeypatch, capsys):
     assert main(["color", six]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+def test_closure_over_budget_exits_one(six, monkeypatch, capsys):
+    monkeypatch.setattr(_kernels, "_CLOSURE_BYTES", 20)
+    assert main(["color", six]) == 1
+    assert capsys.readouterr().err == (
+        "error: the closure of 6 vertices is too large: its bitsets take 48 "
+        "bytes and the merge of its CSR rows 48 bytes, over the 20-byte budget\n")
 
 
 def test_parse_error_reports_line(tmp_path, capsys):

@@ -128,19 +128,84 @@ def ladder_digraph(height):
                     for a in (0, 1) for b in (0, 1)])
 
 
-@pytest.mark.parametrize("make", [
-    lambda: Digraph([], []),
-    lambda: Digraph(["a"], []),
-    lambda: Digraph(list("abcde"), [(3, 1)]),  # isolated vertices around one edge
-    lambda: Digraph(list("abcdef"), [(0, 1), (1, 2), (0, 2), (4, 2)]),
-    lambda: path_digraph(300),
-    lambda: ladder_digraph(150),
-    lambda: layered_dag(random.Random(8), 400, 0.2),
-    *SCALE_GRAPHS.values(),
-], ids=["n0", "n1", "isolated", "diamond", "path300", "ladder150", "layered400",
-        *SCALE_GRAPHS])
+SHAPES = {
+    "n0": lambda: Digraph([], []),
+    "n1": lambda: Digraph(["a"], []),
+    "isolated": lambda: Digraph(list("abcde"), [(3, 1)]),  # around one edge
+    "diamond": lambda: Digraph(list("abcdef"), [(0, 1), (1, 2), (0, 2), (4, 2)]),
+    "path300": lambda: path_digraph(300),
+    "ladder150": lambda: ladder_digraph(150),
+    "layered400": lambda: layered_dag(random.Random(8), 400, 0.2),
+    **SCALE_GRAPHS,
+}
+
+
+@pytest.mark.parametrize("make", SHAPES.values(), ids=SHAPES)
 def test_down_sets_match_reach_closed_on_shapes(make):
     assert_down_sets_match_reach(make())
+
+
+def force_layout(monkeypatch, ids_per_word):
+    """Merge CSR rows while the ids the merge holds stay within
+    ``ids_per_word`` times the bitset words, with no charge per level."""
+    monkeypatch.setattr(_kernels, "_IDS_PER_WORD", ids_per_word)
+    monkeypatch.setattr(_kernels, "_IDS_PER_LEVEL", 0)
+
+
+@pytest.mark.parametrize("layout", ["merge", "bitsets"])
+@pytest.mark.parametrize("make", SHAPES.values(), ids=SHAPES)
+def test_down_sets_in_either_layout(monkeypatch, make, layout):
+    # the merge all the way up, or bitsets from the first level
+    force_layout(monkeypatch, 1 << 40 if layout == "merge" else 0)
+    g = make()
+    assert_down_sets_match_reach(g)
+    assert g._bits_level == (None if layout == "merge" or g.n == 0 else 1)
+
+
+def merge_volumes(g, reach):
+    """Per height level, the ids the merge holds once that level is
+    gathered: the rows of the levels below, and each vertex of the level
+    with its children's rows."""
+    verts, lptr = g._levels()
+    size = [len(reach[g.label_of(u)]) for u in range(g.n)]
+    done = np.cumsum([0] + [size[u] for u in verts.tolist()])
+    return [int(done[a]) + sum(1 + sum(size[c] for c in g.children(u))
+                               for u in verts[a:b].tolist())
+            for a, b in zip(lptr[:-1].tolist(), lptr[1:].tolist())]
+
+
+@pytest.mark.parametrize("gather_bytes", [8, 1 << 18])
+def test_down_sets_switch_to_bitsets_at_every_level(monkeypatch, gather_bytes):
+    # the limit is put just above the lower bound n + max(edges, sum of
+    # heights) and above each level's volume in turn; the bitsets take
+    # over at the first level past it, or before any merge when the lower
+    # bound passes it
+    monkeypatch.setattr(_kernels, "_GATHER_BYTES", gather_bytes)
+    rng = random.Random(gather_bytes)
+    switched = set()
+    for i in range(40):
+        if i % 4 == 0:
+            g = hierarchy(rng, rng.randint(18, 90), rng.randint(1, 3))
+        else:
+            g = random_dag(rng, rng.randint(1, 70), rng.choice([0.03, 0.06, 0.12]))
+        reach = reach_closed(g)
+        volumes = merge_volumes(g, reach)
+        lptr = g._levels()[1]
+        low = g.n + max(g.edge_count,
+                        int(np.diff(lptr) @ np.arange(lptr.size - 1)))
+        words = g.n * _kernels.words_for(g.n)
+        for limit in [-1, low, *volumes]:
+            force_layout(monkeypatch, (limit + 0.5) / words)
+            g._down = None
+            assert_down_sets_match_reach(g)
+            if low > limit + 0.5:
+                want = 1
+            else:
+                want = next((h for h, v in enumerate(volumes)
+                             if v > limit + 0.5), None)
+            assert g._bits_level == want
+            switched.add(want)
+    assert {None, 1, 2, 3, 4} <= switched
 
 
 @pytest.mark.parametrize("gather_bytes", [8, 64, 1000])
@@ -152,6 +217,31 @@ def test_down_sets_in_small_gather_steps(monkeypatch, gather_bytes):
     for _ in range(40):
         assert_down_sets_match_reach(random_dag(rng, rng.randint(0, 90), 0.15))
     assert_down_sets_match_reach(ladder_digraph(40))
+
+
+def test_closure_too_large_for_either_layout_raises(monkeypatch):
+    # path300: bitsets of 300 * 5 words, and a merge that would hold at
+    # least 300 + (0 + 1 + ... + 299) ids, one per vertex and height
+    monkeypatch.setattr(_kernels, "_CLOSURE_BYTES", 10_000)
+    msg = ("the closure of 300 vertices is too large: its bitsets take "
+           "12,000 bytes and the merge of its CSR rows 180,600 bytes, over "
+           "the 10,000-byte budget")
+    for call in (lambda g: g._down_sets(), down_coloring):
+        with pytest.raises(ValueError) as ei:
+            call(path_digraph(300))
+        assert str(ei.value) == msg
+
+
+@pytest.mark.parametrize("budget, layout", [(12_000, 1), (100_000, None)])
+def test_closure_takes_the_layout_that_fits(monkeypatch, budget, layout):
+    # path300 fits in its 12,000 bytes of bitsets but not in the merge;
+    # the hierarchy's merge fits in 100,000 bytes but its 288,000 bytes
+    # of bitsets do not, so the merge runs on past the volume limit
+    monkeypatch.setattr(_kernels, "_CLOSURE_BYTES", budget)
+    force_layout(monkeypatch, 0 if layout is None else 1 << 40)
+    g = path_digraph(300) if layout else hierarchy(random.Random(2), 1500)
+    assert_down_sets_match_reach(g)
+    assert g._bits_level == layout
 
 
 @st.composite
