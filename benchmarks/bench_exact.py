@@ -5,8 +5,9 @@ of AG(2, q), as in the pipeline benchmark's exact workload, and the
 solver runs on the conflict graph of its open down-hypergraph, as
 ``down_coloring(g, "exact")`` does.  Four stages are timed apart, each
 as the best of ``--repeat`` runs: the conflict build (clique union to
-CSR, then the dense bool matrix), the first-fit upper-bound seed, the
-greedy clique seed, and the DSATUR search.  A search that stops at the
+CSR, then the dense bool matrix), the first-fit upper-bound seed (the
+greedy strong coloring of the graph's ``u < v`` pairs), the greedy
+clique seed, and the DSATUR search.  A search that stops at the
 node budget has expanded exactly ``--budget`` nodes, so its time per
 node is printed too.
 
@@ -18,7 +19,7 @@ import time
 
 import downcolor as dc
 from downcolor import _kernels
-from downcolor.coloring import _dense, _dsatur, _greedy_clique, _greedy_colors
+from downcolor.coloring import _dense, _dsatur, _greedy_clique, _greedy_strong
 
 
 def partial_planes(q: int, seed: int, count: int):
@@ -66,10 +67,10 @@ def main():
 
         t = {}
         t["conflict"], ((indptr, indices), a) = best_of(args.repeat, conflict)
-        t["ub_seed"], ub = best_of(
-            args.repeat, lambda: _greedy_colors(n, indptr, indices))
+        t["ub_seed"], ub = best_of(args.repeat, lambda: _greedy_strong(
+            n, *_kernels.csr_edges(indptr, indices)))
         t["clique_seed"], clique = best_of(args.repeat, lambda: _greedy_clique(a))
-        best_k = int(ub.max())
+        best_k = max(ub)
         exact = True
         t["search"] = 0.0
         if len(clique) < best_k:

@@ -1,13 +1,13 @@
 """Hot inner loops on CSR arrays and packed bitsets, numpy only.
 
-Four kernels carry most of the work on large digraphs: the height peel
-and the level-synchronous reachability closure (:func:`sink_levels`,
-:func:`closure_csr`), clique union (the one conflict-graph builder,
-from cliques given as CSR rows), and greedy sequential coloring over a
-CSR adjacency, which seeds the exact solver.  The peel and the closure
-make a few numpy steps per height level, so their Python overhead grows
-with the height of the digraph, not with its edge count.  The coloring
-is a plain Python loop over the adjacency as lists.
+Three kernels carry most of the work on large digraphs: the height
+peel and the level-synchronous reachability closure (:func:`sink_levels`,
+:func:`closure_csr`), and clique union (the one conflict-graph builder,
+from cliques given as CSR rows).  They make a few numpy steps per height
+level or clique, so their Python overhead grows with the height of the
+digraph, not with its edge count.  :func:`greedy_color` is kept only for
+the benchmarks that time it; the library's one first-fit is the greedy
+strong coloring's, which seeds the exact solver too.
 
 The closure is built as sorted CSR rows first: each level merges its
 children's finished rows, the successor-list closure of Goralcikova and
@@ -16,7 +16,7 @@ outgrow the ``n*ceil(n/64)``-word bitset matrix, the remaining levels
 OR bitset rows instead (:func:`closure_levels`), decoded at the end.
 Either layout is held to ``_CLOSURE_BYTES``; a closure that fits
 neither raises ``ValueError``, which the command line reports with exit
-code 1.
+code 1.  So is the conflict builder, its bitsets and then its CSR ids.
 
 Vertex ``u`` maps to bit ``u & 63`` of word ``u >> 6``.  Bitsets stay
 inside this module and ``digraph``: :func:`rows_csr` decodes a whole
@@ -325,11 +325,13 @@ def pack_rows(n: int, indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def csr_edges(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edges ``u < v`` of a symmetric CSR adjacency as two id arrays
-    ``(u, v)``; sorted when the rows are."""
+    """Edges ``u < v`` of a symmetric CSR adjacency as the CSR rows of a
+    2-uniform hypergraph ``(eptr, members)``, each row ``u, v``; sorted
+    when the adjacency rows are."""
     src = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
     up = src < indices
-    return src[up], indices[up]
+    members = np.stack((src[up], indices[up]), axis=1).ravel()
+    return np.arange(0, members.size + 1, 2), members
 
 
 # ----------------------------------------------------------- clique union
@@ -346,11 +348,25 @@ def _clique_union(n, members, indptr, ids):
     return adj
 
 
+def _check_conflict(n: int, what: str, size: int) -> None:
+    """Refuse a conflict graph of ``n`` vertices whose ``what`` would take
+    ``size`` bytes, over the closure's budget."""
+    if size > _CLOSURE_BYTES:
+        raise ValueError(
+            f"the conflict graph of {n} vertices is too large: its {what} "
+            f"take {size:,} bytes, over the {_CLOSURE_BYTES:,}-byte budget")
+
+
 def clique_union_csr(n: int, indptr: np.ndarray,
                      ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted symmetric CSR adjacency, without self-loops, of the union of
-    cliques on ``n`` ids; clique ``i`` is ``ids[indptr[i]:indptr[i + 1]]``."""
-    return rows_csr(_clique_union(n, pack_rows(n, indptr, ids), indptr, ids))
+    cliques on ``n`` ids; clique ``i`` is ``ids[indptr[i]:indptr[i + 1]]``.
+    Its bitsets, then its CSR ids, are held to ``_CLOSURE_BYTES`` before
+    they are built, or a ``ValueError`` names n and the bytes."""
+    _check_conflict(n, "bitsets", 8 * (indptr.size - 1 + n) * words_for(n))
+    adj = _clique_union(n, pack_rows(n, indptr, ids), indptr, ids)
+    _check_conflict(n, "adjacency lists", 4 * int(popcounts(adj).sum()))
+    return rows_csr(adj)
 
 
 def clique_union_bits(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -358,9 +374,13 @@ def clique_union_bits(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
     Each entry of ``rows`` selects a bitset row of ``bits``; the vertices
     set in that row become pairwise adjacent.  The diagonal is cleared.
+    The bytes are held to ``_CLOSURE_BYTES`` as in :func:`clique_union_csr`.
     """
+    n = bits.shape[0]
+    _check_conflict(n, "bitsets", 8 * (rows.size + n) * bits.shape[1])
     members = bits[rows]
-    return _clique_union(bits.shape[0], members, *rows_csr(members))
+    _check_conflict(n, "clique lists", 4 * int(popcounts(members).sum()))
+    return _clique_union(n, members, *rows_csr(members))
 
 
 # --------------------------------------------------------- greedy coloring
@@ -368,7 +388,8 @@ def clique_union_bits(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def greedy_color(order: np.ndarray, indptr: np.ndarray,
                  indices: np.ndarray) -> np.ndarray:
     """First-fit coloring along ``order``: each vertex gets the smallest
-    color, 1-based, not used by an already-colored neighbour."""
+    color, 1-based, not used by an already-colored neighbour.  Only the
+    benchmarks call it."""
     ptr, ids = indptr.tolist(), indices.tolist()
     colors = [0] * order.shape[0]
     for v in order.tolist():

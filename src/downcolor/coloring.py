@@ -16,8 +16,9 @@ ind(H)*(D - 2) + 1 on down-colorings.
 
 The exact solver is a DSATUR-style branch and bound over the clique
 graph, taken as CSR and scattered once into a dense bool matrix.  It is
-seeded with a first-fit upper bound and a greedy clique grown from every
-start at once, one float32 matrix product per step.  The search is
+seeded with the greedy strong coloring of the graph's ``u < v`` pairs,
+the one first-fit, and a greedy clique grown from every start at once,
+one float32 matrix product per step.  The search is
 iterative, with an explicit stack, so its depth is not bound by Python's
 recursion limit.  Vertices are renumbered by degree (descending, then
 id) and the uncolored ones are kept as Python-int bitmasks, one per
@@ -42,8 +43,7 @@ import numpy as np
 from . import _kernels
 from .digraph import Digraph, UndirectedGraph, _max_rows, big_d
 from .errors import CapExceededError, ColoringError
-from .hypergraph import (Hypergraph, _graph_peel, _peel_incidence, degeneracy,
-                         down_hypergraph)
+from .hypergraph import Hypergraph, _peel_incidence, degeneracy, down_hypergraph
 
 DEFAULT_EXACT_CAP = 30
 
@@ -117,14 +117,6 @@ def coloring_from_json(text: str) -> Coloring:
 
 
 # ------------------------------------------------------- greedy coloring
-
-def _greedy_colors(n: int, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """First-fit over a CSR graph along the reversed degeneracy order;
-    uses at most one more color than the graph's degeneracy."""
-    order = _graph_peel(n, indptr, indices).order
-    return _kernels.greedy_color(np.array(order[::-1], dtype=np.int64),
-                                 indptr, indices)
-
 
 def _greedy_strong(n: int, eptr: np.ndarray, members: np.ndarray) -> list[int]:
     """Colors by id of first-fit along the reversed peeling order of the
@@ -324,7 +316,7 @@ def _exact(labels: tuple[str, ...], indptr: np.ndarray, indices: np.ndarray,
     _refuse_above_cap(n, cap)
 
     a = _dense(indptr, indices)
-    best = _greedy_colors(n, indptr, indices).tolist()
+    best = _greedy_strong(n, *_kernels.csr_edges(indptr, indices))
     best_k = max(best)
     clique = _greedy_clique(a)
     exact = True

@@ -317,9 +317,9 @@ class UndirectedGraph(_Graph):
         return len(self.neighbors(u))
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        src, dst = _kernels.csr_edges(*self._csr)
+        ids = _kernels.csr_edges(*self._csr)[1].tolist()
         # a list first: tuple() of a bare zip builds noticeably slower
-        return tuple(list(zip(src.tolist(), dst.tolist())))
+        return tuple(list(zip(ids[0::2], ids[1::2])))
 
     def has_edge(self, a: int, b: int) -> bool:
         return 0 <= a < self.n and 0 <= b < self.n and b in self.neighbors(a)

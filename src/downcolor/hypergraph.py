@@ -23,11 +23,13 @@ returns the graph's own CSR; so do ``digraph.down_graph`` and the exact
 solver.  Greedy coloring peels and colors the hypergraph itself and
 builds no graph.  ``_peel`` is the one peeling routine.  It reads
 hyperedges as a CSR pair (edge pointer, member ids), and a graph as its
-``u < v`` pairs, a 2-uniform hypergraph.  It picks from a bucket queue,
-one ``heapq`` of ids per degree, so a peel costs linear steps in n, the
-memberships and the largest degree, plus one heap step per degree
-decrement.  ``_peel_incidence`` also hands back the live-edge incidence
-it walked, which the greedy strong coloring reuses for first-fit.
+``u < v`` pairs, a 2-uniform hypergraph (``_kernels.csr_edges``), as
+``graph_degeneracy`` and the exact solver's seed do.  It picks from a
+bucket queue, one ``heapq`` of ids per degree, so a peel costs linear
+steps in n, the memberships and the largest degree, plus one heap step
+per degree decrement.  ``_peel_incidence`` also hands back the
+live-edge incidence it walked, which the greedy strong coloring reuses
+for first-fit.
 """
 
 from __future__ import annotations
@@ -265,7 +267,7 @@ def induced_subhypergraph(h: Hypergraph, s: Iterable[int]) -> Hypergraph:
     return Hypergraph.__new__(Hypergraph)._fill(
         labels, {lab: i for i, lab in enumerate(labels)},
         (np.concatenate(([0], np.cumsum(size[size >= 2]))),
-         cut[cut >= 0][size[row] >= 2]), False)
+         cut[cut >= 0][size[row] >= 2]), None)
 
 
 # ------------------------------------------------------------- degeneracy
@@ -356,19 +358,12 @@ def _peel_incidence(n: int, eptr: np.ndarray, members: np.ndarray
     return DegeneracyResult(value, tuple(order)), iptr, inc
 
 
-def _graph_peel(n: int, indptr: np.ndarray, indices: np.ndarray) -> DegeneracyResult:
-    """``_peel`` of a symmetric CSR graph, its ``u < v`` pairs read as a
-    2-uniform hypergraph."""
-    src, dst = _kernels.csr_edges(indptr, indices)
-    return _peel(n, np.arange(0, 2 * src.size + 1, 2),
-                 np.stack((src, dst), axis=1).ravel())
-
-
 def degeneracy(h: Hypergraph) -> DegeneracyResult:
     """Peeling degeneracy; degrees count edges with multiplicity."""
     return _peel(h.n, *h._csr)
 
 
 def graph_degeneracy(g: UndirectedGraph) -> DegeneracyResult:
-    """Degeneracy of a graph via the same peeling, viewed 2-uniform."""
-    return _graph_peel(g.n, *g._csr)
+    """Degeneracy of a graph via the same peeling, its ``u < v`` pairs
+    read as a 2-uniform hypergraph."""
+    return _peel(g.n, *_kernels.csr_edges(*g._csr))

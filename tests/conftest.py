@@ -1,9 +1,8 @@
 """Shared corpus generators and brute-force oracles.
 
 Oracles here use plain Python sets and backtracking only, so they share
-no code path with the package internals they check; ``dsatur_reference``
-shares only the exact solver's greedy upper bound, not its clique seed
-or its search, and ``affine_design_reference`` only the field arithmetic.
+no code path with the package internals they check;
+``affine_design_reference`` shares only the field arithmetic.
 """
 from __future__ import annotations
 
@@ -241,6 +240,20 @@ def peel_reference(n: int, edges) -> tuple[int, tuple[int, ...]]:
                         heapq.heappush(heap, (deg[w], w))
                         break
     return value, tuple(order)
+
+
+def first_fit_reference(g, order) -> list[int]:
+    """First-fit along the reversed ``order`` over a graph's neighbours:
+    each vertex takes the smallest color no colored neighbour holds.
+    Colors by vertex id."""
+    colors = [0] * g.n
+    for v in reversed(order):
+        used = {colors[w] for w in g.neighbors(v)}
+        c = 1
+        while c in used:
+            c += 1
+        colors[v] = c
+    return colors
 
 
 def strong_first_fit_reference(h: Hypergraph, order) -> list[int]:
@@ -532,7 +545,7 @@ class TupleHypergraph:
         remap = {u: i for i, u in enumerate(ids)}
         cuts = [tuple(remap[x] for x in e if x in remap) for e in self.edges]
         return TupleHypergraph([self.labels[u] for u in ids],
-                               [c for c in cuts if len(c) >= 2], simple=False)
+                               [c for c in cuts if len(c) >= 2], simple=None)
 
 
 def hypergraph_reference(labels, edges, simple=None) -> TupleHypergraph:
@@ -753,12 +766,11 @@ def greedy_clique_reference(n: int, adj: list[int]) -> list[int]:
 def dsatur_reference(g, budget: int | None = None) -> tuple[int, int, bool, list[int]]:
     """The recursive DSATUR branch and bound that ``exact_chromatic`` used
     before its search became iterative, as ``(k, lower, exact, colors by
-    id)``.  It is seeded as the solver is, with the package's greedy upper
-    bound and ``greedy_clique_reference``, so the two must agree on every
-    field, budget stops included.  Recursion depth is one level per vertex:
-    keep ``g`` small."""
-    from downcolor.coloring import _greedy_colors
-
+    id)``.  It is seeded as the solver is, with first-fit along the
+    reversed smallest-last order (``peel_reference`` on the graph's edges)
+    and ``greedy_clique_reference``, so the two must agree on every field,
+    budget stops included.  Recursion depth is one level per vertex: keep
+    ``g`` small."""
     n = g.n
     if g.is_complete():
         return n, n, True, list(range(1, n + 1))
@@ -767,8 +779,8 @@ def dsatur_reference(g, budget: int | None = None) -> tuple[int, int, bool, list
         adj[a] |= 1 << b
         adj[b] |= 1 << a
     deg = [adj[v].bit_count() for v in range(n)]
-    ub = _greedy_colors(n, *g._csr)
-    best_k, best = int(ub.max()), [int(c) for c in ub]
+    best = first_fit_reference(g, peel_reference(n, g.edges())[1])
+    best_k = max(best)
     clique = greedy_clique_reference(n, adj)
     lb = len(clique)
     if lb >= best_k:

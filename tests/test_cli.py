@@ -251,6 +251,16 @@ def test_closure_over_budget_exits_one(six, monkeypatch, capsys):
         "bytes and the merge of its CSR rows 48 bytes, over the 20-byte budget\n")
 
 
+def test_conflict_graph_over_budget_exits_one(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "h.txt"
+    p.write_text("a b c\nb c d\n")
+    monkeypatch.setattr(_kernels, "_CLOSURE_BYTES", 20)
+    assert main(["color", "--strong", "--exact", str(p)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the conflict graph of 4 vertices is too large: its bitsets "
+        "take 48 bytes, over the 20-byte budget\n")
+
+
 def test_parse_error_reports_line(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("a b\nx y z\n")

@@ -34,7 +34,8 @@ from downcolor import (
     verify_down_coloring,
 )
 from downcolor import _kernels, cli
-from downcolor.coloring import _greedy_clique
+from downcolor.coloring import _greedy_clique, _greedy_strong
+from downcolor.hypergraph import _peel
 from conftest import (GROTZSCH_EDGES, SCALE_GRAPHS, brute_chromatic,
                       brute_violation, dsatur_reference,
                       extend_to_maximal_reference, greedy_clique_reference,
@@ -250,6 +251,44 @@ def test_exact_strong_partial_plane_pinned():
     assert (res.k, res.lower, res.exact) == (17, 12, False)
     assert hashlib.sha256(coloring_to_json(res.coloring).encode()).hexdigest() == (
         "33e3f70447b033b8ba884c3f56b8113cb3d4c43010b61ffc3d5df045f69b6fe6")
+
+
+def old_seed(n, indptr, indices):
+    """The exact solver's upper-bound seed as it was built before it
+    shared the strong first-fit: the graph's ``u < v`` pairs peeled as a
+    2-uniform hypergraph, then ``_kernels.greedy_color``, the set-based
+    first-fit over the adjacency, along the reversed order."""
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    up = src < indices
+    pairs = np.stack((src[up], indices[up]), axis=1).ravel()
+    order = _peel(n, np.arange(0, pairs.size + 1, 2), pairs).order
+    return _kernels.greedy_color(np.array(order[::-1], dtype=np.int64),
+                                 indptr, indices).tolist()
+
+
+def test_exact_seed_matches_the_old_seed():
+    def check(n, indptr, indices):
+        assert _greedy_strong(n, *_kernels.csr_edges(indptr, indices)) == \
+            old_seed(n, indptr, indices)
+
+    rng = random.Random(97)
+    for p in (0.05, 0.2, 0.4, 0.6, 0.9):
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(0, 60), p)
+            check(g.n, *g._csr)
+    # the conflict graphs of the exact partial-plane benchmark, seed 1
+    checked = 0
+    for q, count in {7: 2, 9: 4, 11: 14}.items():
+        plane, _ = affine_design(build_field(*prime_power(q)), 2)
+        for i in range(count):
+            rng = random.Random(f"1:{q}:{i}")
+            share = rng.uniform(0.4, 0.5)
+            chosen = sorted(rng.sample(range(plane.m), round(share * plane.m)))
+            h = down_hypergraph(up_digraph(Hypergraph(
+                plane.labels, [plane.edges[j] for j in chosen], simple=True)))
+            check(h.n, *_kernels.clique_union_csr(h.n, *h._csr))
+            checked += 1
+    assert checked == 20
 
 
 # ------------------------------------------------------------ strong coloring

@@ -18,6 +18,7 @@ from downcolor import (
     down_coloring,
     down_graph,
     down_hypergraph,
+    exact_strong_chromatic,
     format_hypergraph,
     graph_degeneracy,
     induced_subhypergraph,
@@ -27,13 +28,14 @@ from downcolor import (
     sigma,
     up_digraph,
 )
-from downcolor.coloring import _greedy_colors, greedy_strong_coloring
+from downcolor import _kernels
+from downcolor.coloring import _greedy_strong, greedy_strong_coloring
 from downcolor.hypergraph import _distinct_rows
 from conftest import (SCALE_GRAPHS, brute_degeneracy, distinct_rows_reference,
-                      down_hypergraph_reference, greedy_down_coloring_reference,
-                      hypergraph_reference, parse_hypergraph_reference,
-                      peel_reference, random_dag, random_hypergraph,
-                      strong_first_fit_reference)
+                      down_hypergraph_reference, first_fit_reference,
+                      greedy_down_coloring_reference, hypergraph_reference,
+                      parse_hypergraph_reference, peel_reference, random_dag,
+                      random_hypergraph, strong_first_fit_reference)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 
@@ -166,6 +168,15 @@ def test_induced_subhypergraph_keeps_pairs_with_multiplicity():
     # both size-3 edges restrict to the same surviving pair
     assert sorted(tuple(sorted(s.label_of(v) for v in e)) for e in s.edges) == [
         ("a", "b"), ("a", "b")]
+    assert not s.simple
+
+
+def test_induced_subhypergraph_reports_simple():
+    h = Hypergraph(list("abcd"), [(0, 1, 2), (1, 2, 3)], simple=True)
+    s = induced_subhypergraph(h, [0, 1, 3])
+    assert s.edges == ((0, 1), (1, 2))
+    assert s.simple
+    assert up_digraph(s).edge_count == 4
 
 
 def test_degeneracy_known_values():
@@ -221,17 +232,6 @@ def peel_case(rng, n=None, edges_per_vertex=2):
     return Hypergraph([f"u{i}" for i in range(n)], edges)
 
 
-def first_fit_reference(g, order):
-    colors = [0] * g.n
-    for v in reversed(order):
-        used = {colors[w] for w in g.neighbors(v)}
-        c = 1
-        while c in used:
-            c += 1
-        colors[v] = c
-    return colors
-
-
 def assert_peels_match_reference(h):
     peel = peel_reference(h.n, h.edges)
     assert astuple(degeneracy(h)) == peel
@@ -241,7 +241,8 @@ def assert_peels_match_reference(h):
     g = clique_graph(h)
     want = peel_reference(g.n, g.edges())
     assert astuple(graph_degeneracy(g)) == want
-    assert _greedy_colors(g.n, *g._csr).tolist() == \
+    # the exact solver's upper-bound seed: the strong first-fit on the pairs
+    assert _greedy_strong(g.n, *_kernels.csr_edges(*g._csr)) == \
         first_fit_reference(g, want[1])
 
 
@@ -263,6 +264,20 @@ def test_peel_matches_heap_reference():
     # the down-hypergraphs of the pinned pipeline-scale colorings
     for make in SCALE_GRAPHS.values():
         assert_peels_match_reference(down_hypergraph(make()))
+
+
+def test_conflict_builders_refuse_over_the_byte_budget(monkeypatch):
+    # each conflict build needs 48 bytes of bitsets; SIX's closure fits in
+    # 48 bytes and its conflict build needs 72
+    h = parse_hypergraph("a b c\nb c d\n")
+    for budget, build in ((71, lambda: down_graph(parse_digraph(SIX))),
+                          (47, lambda: clique_graph(h)),
+                          (47, lambda: intersection_graph(h)),
+                          (47, lambda: exact_strong_chromatic(h))):
+        monkeypatch.setattr(_kernels, "_CLOSURE_BYTES", budget)
+        with pytest.raises(ValueError, match="^the conflict graph of .* bitsets "
+                                             f"take .* over the {budget}-byte"):
+            build()
 
 
 def test_graph_degeneracy_examples():

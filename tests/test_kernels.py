@@ -1,7 +1,9 @@
 import random
 
 import numpy as np
+import pytest
 
+from downcolor import _kernels
 from downcolor._kernels import (
     clique_union_bits,
     clique_union_csr,
@@ -156,6 +158,41 @@ def test_clique_union_csr_matches_pair_oracle():
         assert got_ptr.dtype == np.int64 and got_ids.dtype == np.int32
         assert np.array_equal(got_ptr, np.cumsum([0] + [len(r) for r in want]))
         assert got_ids.tolist() == [b for row in want for b in row]
+
+
+def test_clique_union_refused_over_the_byte_budget(monkeypatch):
+    def refused(fn, *args):
+        with pytest.raises(ValueError) as ei:
+            fn(*args)
+        return str(ei.value)
+
+    # one clique of 5 ids: 1 + 5 bitset rows of one word, then 20
+    # adjacency ids
+    ptr, ids = np.array([0, 5]), np.arange(5, dtype=np.int32)
+    monkeypatch.setattr(_kernels, "_CLOSURE_BYTES", 47)
+    assert refused(clique_union_csr, 5, ptr, ids) == (
+        "the conflict graph of 5 vertices is too large: its bitsets take "
+        "48 bytes, over the 47-byte budget")
+    monkeypatch.setattr(_kernels, "_CLOSURE_BYTES", 79)
+    assert refused(clique_union_csr, 5, ptr, ids) == (
+        "the conflict graph of 5 vertices is too large: its adjacency lists "
+        "take 80 bytes, over the 79-byte budget")
+    monkeypatch.setattr(_kernels, "_CLOSURE_BYTES", 80)
+    assert clique_union_csr(5, ptr, ids)[1].size == 20
+    # 64 selections of a full 64-id row: 64 + 64 bitset rows of one word,
+    # then 4096 clique ids
+    bits = np.full((64, 1), np.uint64(2**64 - 1))
+    rows = np.zeros(64, dtype=np.int64)
+    monkeypatch.setattr(_kernels, "_CLOSURE_BYTES", 1023)
+    assert refused(clique_union_bits, bits, rows) == (
+        "the conflict graph of 64 vertices is too large: its bitsets take "
+        "1,024 bytes, over the 1,023-byte budget")
+    monkeypatch.setattr(_kernels, "_CLOSURE_BYTES", 16383)
+    assert refused(clique_union_bits, bits, rows) == (
+        "the conflict graph of 64 vertices is too large: its clique lists "
+        "take 16,384 bytes, over the 16,383-byte budget")
+    monkeypatch.setattr(_kernels, "_CLOSURE_BYTES", 16384)
+    assert popcounts(clique_union_bits(bits, rows)).tolist() == [63] * 64
 
 
 def test_greedy_color_first_fit():
