@@ -14,8 +14,9 @@ from .coloring import (BoundReport, Coloring, ExactResult, bound_report,
                        find_down_violation, greedy_strong_coloring,
                        verify_down_coloring)
 from .compact import (AcCheck, CompactMatrix, CompressionStats,
-                      build_compact, canonical_columns, parse_compact,
-                      serialize, stats, verify_ac_property)
+                      build_compact, canonical_columns, is_below,
+                      is_below_ids, parse_compact, serialize, stats,
+                      verify_ac_property)
 from .designs import (DesignParams, DiscrepancyPoint, DsBounds, FieldElement,
                       FiniteField, affine_design, build_field, cor3_point,
                       cor4_point, ds_bounds, hkm_design, is_prime,

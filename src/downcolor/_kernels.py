@@ -19,8 +19,8 @@ neither raises ``ValueError``, which the command line reports with exit
 code 1.  So is the conflict builder, its bitsets and then its CSR ids.
 
 Vertex ``u`` maps to bit ``u & 63`` of word ``u >> 6``.  Bitsets stay
-inside this module and ``digraph``: :func:`rows_csr` decodes a whole
-bitset matrix at once into sorted CSR rows, which is the form every
+inside this module and ``digraph``: :func:`rows_csr` decodes a bitset
+matrix, in blocks of rows, into sorted CSR rows, which is the form every
 other module reads and every graph type holds; its ids are int32, its
 row pointers int64.  The decode goes through a ``uint8`` view, which
 assumes a little-endian host.
@@ -46,6 +46,9 @@ _IDS_PER_LEVEL = 1024
 
 # bytes either closure layout may take
 _CLOSURE_BYTES = 1 << 30
+
+# ids rows_csr decodes at once
+_DECODE_IDS = 1 << 16
 
 
 def get_backend() -> str:
@@ -296,18 +299,25 @@ def closure_bits(n: int, indptr: np.ndarray, indices: np.ndarray,
 
 def rows_csr(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decode bitset rows into CSR: row ``i`` lists its set bit positions,
-    ascending, in ``indices[indptr[i]:indptr[i + 1]]``.  Only the nonzero
-    words are unpacked, and their bits are found through a bool view,
-    which ``flatnonzero`` scans several times faster than ``uint8``."""
-    flat = np.flatnonzero(bits)
-    row, word = np.divmod(flat, max(bits.shape[1], 1))
-    pos = np.flatnonzero(np.unpackbits(bits.reshape(-1)[flat].view(np.uint8),
-                                       bitorder="little").view(bool))
-    hit = pos >> 6
+    ascending, in ``indices[indptr[i]:indptr[i + 1]]``.
+
+    The row sizes, from :func:`popcounts`, size the int32 output, which
+    is filled in blocks of rows holding at most ``_DECODE_IDS`` ids (a
+    larger row is a block alone): the decode's int64 and bool
+    temporaries, up to about 130 bytes per id, stay within a fixed size.  Only
+    the nonzero words are unpacked, and their bits are found through a
+    bool view, which ``flatnonzero`` scans several times faster than
+    ``uint8``."""
+    words = max(bits.shape[1], 1)
     indptr = np.zeros(bits.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row[hit], minlength=bits.shape[0]), out=indptr[1:])
-    ids = word[hit].astype(np.int32) << 6
-    ids += (pos & 63).astype(np.int32)
+    np.cumsum(popcounts(bits), out=indptr[1:])
+    ids = np.empty(int(indptr[-1]), dtype=np.int32)
+    for a, b in _runs(indptr, 0, bits.shape[0], _DECODE_IDS):
+        block = bits[a:b].reshape(-1)
+        flat = np.flatnonzero(block)
+        pos = np.flatnonzero(np.unpackbits(block[flat].view(np.uint8),
+                                           bitorder="little").view(bool))
+        ids[indptr[a]:indptr[b]] = (flat % words)[pos >> 6] << 6 | pos & 63
     return indptr, ids
 
 

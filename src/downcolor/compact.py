@@ -3,9 +3,16 @@
 Cell ``(u, c)`` holds the unique member of ``D[u]`` colored ``c``, when
 a valid down-coloring backs the table.  The full transitive closure is
 recoverable from the non-empty cells, at n*k cells instead of n^2.
-Building and the AC check share one scatter of the cached down-set rows
-into an n-by-k table, by color or by each vertex's own column; its fill
-count is the one rainbow check, and the AC verdict compares its rebuild.
+A table is one n-by-k int32 array of vertex ids, -1 for an empty cell;
+the labels appear only at its text boundaries, and its rows by label
+are built only when asked for.  Building and the AC check share one
+scatter of the cached down-set rows into that array, by color or by
+each vertex's own column; its fill count is the one rainbow check, and
+the AC verdict compares its rebuild with the table.  The CSV writer
+quotes each label once and joins the records a block of rows at a time;
+the readers map each cell to its id once.  :func:`is_below` and
+:func:`is_below_ids` answer reachability from a valid table, one cell
+per query.
 """
 
 from __future__ import annotations
@@ -13,7 +20,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
@@ -23,32 +35,99 @@ from .digraph import Digraph
 from .errors import ColoringError, ParseError
 
 
-@dataclass(frozen=True)
 class CompactMatrix:
-    """k columns; rows keyed and ordered by vertex label."""
+    """k columns; rows keyed and ordered by vertex label.
 
-    k: int
-    labels: tuple[str, ...]
-    rows: dict[str, tuple[str | None, ...]]
+    The cells live in ``table``, one read-only n-by-k int32 array whose
+    row i is ``labels[i]``'s: a cell holds an index into ``labels +
+    foreign``, or -1 when empty.  ``foreign`` lists, sorted, the cell
+    values that name no row (only an edited table has any), so tables
+    with equal cells have equal arrays.  ``rows``, the cells by label as
+    tuples with None for empty, is built on first use.
+    """
 
-    def __post_init__(self):
-        if set(self.labels) != set(self.rows):
+    def __init__(self, k: int, labels: tuple[str, ...],
+                 rows: Mapping[str, Sequence[str | None]]):
+        if set(labels) != set(rows):
             raise ValueError("row keys must match the label list")
-        if tuple(sorted(self.labels)) != self.labels:
+        if tuple(sorted(labels)) != labels:
             raise ValueError("rows must be ordered by label")
-        for lab, cells in self.rows.items():
-            if len(cells) != self.k:
-                raise ValueError(f"row {lab!r} has {len(cells)} cells, expected {self.k}")
+        for lab, cells in rows.items():
+            if len(cells) != k:
+                raise ValueError(f"row {lab!r} has {len(cells)} cells, expected {k}")
+        self._set(k, labels, *_id_table(labels, [rows[lab] for lab in labels],
+                                        k, None))
+
+    def _set(self, k: int, labels: tuple[str, ...], table: np.ndarray,
+             foreign: tuple[str, ...]) -> None:
+        table.flags.writeable = False
+        self.__dict__.update(k=k, labels=labels, table=table, foreign=foreign)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a CompactMatrix is read-only")
+
+    @classmethod
+    def _of(cls, k: int, labels: tuple[str, ...], table: np.ndarray,
+            foreign: tuple[str, ...] = ()) -> CompactMatrix:
+        """A table from its id array, taken as valid and not copied."""
+        m = cls.__new__(cls)
+        m._set(k, labels, table, foreign)
+        return m
+
+    @cached_property
+    def rows(self) -> Mapping[str, tuple[str | None, ...]]:
+        cells = _names(self)[self.table].tolist()
+        return MappingProxyType(dict(zip(self.labels, map(tuple, cells))))
+
+    @cached_property
+    def _own_columns(self) -> np.ndarray:
+        """Each row's first column that holds the row's own vertex, -1
+        where none does."""
+        n, k = self.table.shape
+        if k == 0:
+            return np.full(n, -1, dtype=np.int64)
+        hit = self.table == np.arange(n, dtype=np.int32)[:, None]
+        col = hit.argmax(axis=1)
+        col[~hit[np.arange(n), col]] = -1
+        return col
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CompactMatrix):
+            return NotImplemented
+        return (self.k == other.k and self.labels == other.labels
+                and self.foreign == other.foreign
+                and np.array_equal(self.table, other.table))
+
+    def __repr__(self) -> str:
+        return f"CompactMatrix(k={self.k}, labels={self.labels!r}, rows={dict(self.rows)!r})"
 
 
-def _scatter(g: Digraph, col: np.ndarray, k: int) -> np.ndarray | None:
-    """Row u holds D[u] by ``col``, each id's 0-based column, as an n-by-k
-    object array of labels and None; None instead when ``_rainbow`` finds
-    a row short: two members of that down-set share a column."""
-    cells, short = _rainbow(*g._down_sets(), col, k)
-    if short.size:
-        return None
-    return np.array(g.labels + (None,), dtype=object)[cells]
+def _names(m: CompactMatrix) -> np.ndarray:
+    """Every cell value of ``m`` by id, None last, as an object array that
+    ``table`` indexes (-1 picks None)."""
+    return np.array(m.labels + m.foreign + (None,), dtype=object)
+
+
+def _id_table(labels: tuple[str, ...], rows: list[Sequence], width: int,
+              empty) -> tuple[np.ndarray, tuple[str, ...]]:
+    """``rows`` of ``width`` cells each as an int32 id table: ``labels[i]``
+    is i, ``empty`` is -1, and every other value, sorted, takes an id from
+    ``len(labels)`` on; returns the table and those other values.
+
+    Each cell costs one dict lookup, streamed into the array: no list or
+    buffer of the cells is made on the way."""
+    code = dict(zip(labels, range(len(labels))))
+    code[empty] = -1
+    foreign: tuple[str, ...] = ()
+    try:
+        ids = np.fromiter(map(code.__getitem__, chain.from_iterable(rows)),
+                          np.int32, len(rows) * width)
+    except KeyError:
+        foreign = tuple(sorted(set(chain.from_iterable(rows)).difference(code)))
+        code.update(zip(foreign, range(len(labels), len(labels) + len(foreign))))
+        ids = np.fromiter(map(code.__getitem__, chain.from_iterable(rows)),
+                          np.int32, len(rows) * width)
+    return ids.reshape(len(rows), width), foreign
 
 
 def build_compact(g: Digraph, c: Coloring) -> CompactMatrix:
@@ -56,15 +135,18 @@ def build_compact(g: Digraph, c: Coloring) -> CompactMatrix:
     with the offending pair and witness ancestor."""
     _check_total(g, c)
     color = np.array([c.colors[lab] for lab in g.labels], dtype=np.int64)
-    table = _scatter(g, color - 1, c.k)
-    if table is None:
+    cells, short = _rainbow(*g._down_sets(), color - 1, c.k)
+    if short.size:
         u, v, w = violation = find_down_violation(g, c)
         raise ColoringError(
             f"not a down-coloring: {u} and {v} share a color inside the "
             f"closed down-set of {w}", witness=violation)
-    labels = tuple(sorted(g.labels))
-    rows = {lab: tuple(table[g.id_of(lab)].tolist()) for lab in labels}
-    return CompactMatrix(c.k, labels, rows)
+    # g's ids into label order, -1 kept
+    order = np.array(sorted(range(g.n), key=g.labels.__getitem__), dtype=np.int64)
+    rank = np.full(g.n + 1, -1, dtype=np.int32)
+    rank[order] = np.arange(g.n, dtype=np.int32)
+    return CompactMatrix._of(c.k, tuple(map(g.labels.__getitem__, order.tolist())),
+                             rank[cells[order]])
 
 
 # ------------------------------------------------------------ validation
@@ -97,16 +179,22 @@ def verify_ac_property(m: CompactMatrix, g: Digraph) -> AcCheck:
     of it lost to a shared column by the fill count.  The clause scans
     run only on failure, to name a witness.
     """
-    if set(m.labels) != set(g.labels):
+    n = len(m.labels)
+    if n != g.n:
         return _violated_clause(m, g)
-    try:
-        col = np.array([m.rows[lab].index(lab) for lab in g.labels],
-                       dtype=np.int64)
-    except ValueError:  # a vertex missing from its own row
+    try:  # g's id of each row; with n labels found, the label sets match
+        gid = np.fromiter(map(g._index.__getitem__, m.labels), np.int64, n)
+    except KeyError:
         return _violated_clause(m, g)
-    table = _scatter(g, col, m.k)
-    if table is not None and all(tuple(table[u].tolist()) == m.rows[lab]
-                                 for u, lab in enumerate(g.labels)):
+    own = m._own_columns
+    if np.any(own < 0):  # a vertex missing from its own row
+        return _violated_clause(m, g)
+    col = np.empty(n, dtype=np.int64)
+    col[gid] = own
+    cells, short = _rainbow(*g._down_sets(), col, m.k)
+    mid = np.full(n + 1, -1, dtype=np.int32)  # g's ids to m's, -1 kept
+    mid[gid] = np.arange(n, dtype=np.int32)
+    if short.size == 0 and np.array_equal(mid[cells[gid]], m.table):
         return AcCheck(True)
     return _violated_clause(m, g)
 
@@ -139,20 +227,86 @@ def _violated_clause(m: CompactMatrix, g: Digraph) -> AcCheck:
     return AcCheck(True)
 
 
+# ----------------------------------------------------------------- query
+
+def _row(m: CompactMatrix, label: str) -> int:
+    i = bisect_left(m.labels, label)
+    if i == len(m.labels) or m.labels[i] != label:
+        raise ValueError(f"unknown vertex label {label!r}")
+    return i
+
+
+def is_below(m: CompactMatrix, u: str, v: str) -> bool:
+    """Whether ``u`` lies in the closed down-set of ``v`` (``v`` reaches
+    ``u``, or is ``u``), read from one cell: row v at u's own column.
+    The answer is the digraph's when ``m`` passes ``verify_ac_property``."""
+    i, j = _row(m, u), _row(m, v)
+    col = np.flatnonzero(m.table[i] == i)
+    return bool(col.size) and int(m.table[j, col[0]]) == i
+
+
+def is_below_ids(m: CompactMatrix, u, v) -> np.ndarray:
+    """:func:`is_below` for arrays of row ids (indices into ``m.labels``),
+    pair by pair, in one fancy index of the table."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    n = len(m.labels)
+    if any(x.size and (x.min() < 0 or x.max() >= n) for x in (u, v)):
+        raise ValueError(f"row ids must lie in 0..{n - 1}")
+    col = m._own_columns[u]
+    if m.k == 0:
+        return np.zeros(np.broadcast(u, v).shape, dtype=bool)
+    return (col >= 0) & (m.table[v, col] == u)
+
+
 # --------------------------------------------------------- serialization
 
+# rows of the CSV writer's blocks: a block's cells are gathered as one
+# object array, so its size bounds the writer's memory
+_CSV_ROWS = 4096
+
+
+def _quoted(names: tuple[str, ...]) -> list[str]:
+    """Each name as a CSV field of a longer record, quoted by the csv
+    module's own rules for records that end in CR LF, so that a CR in a
+    name is quoted on every Python version, as a LF is.  All names are
+    written as one record first: when it comes out as their plain join,
+    none was quoted."""
+    out: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=out.append), lineterminator="\r\n")
+    writer.writerow(names)
+    if out.pop() == ",".join(names) + "\r\n":
+        return list(names)
+    writer.writerows(zip(names, repeat("")))
+    return [x[:-3] for x in out]  # less the "," and the CR LF
+
+
 def to_csv(m: CompactMatrix) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["vertex"] + [f"c{i}" for i in range(1, m.k + 1)])
-    writer.writerows((lab,) + m.rows[lab] for lab in m.labels)  # None: ""
-    return buf.getvalue()
+    """The table as CSV: a header ``vertex,c1..ck``, then one record per
+    row, empty fields for empty cells.  Each label is quoted once; the
+    records are joined ``_CSV_ROWS`` rows at a time, from one object
+    gather of the quoted labels per block."""
+    n = len(m.labels)
+    quoted = _quoted(m.labels + m.foreign)
+    if m.k == 0:  # one-field records, where the csv module quotes a lone ""
+        quoted = [x or '""' for x in quoted]
+    quoted = np.array(quoted + [""], dtype=object)
+    parts = [",".join(["vertex"] + [f"c{i}" for i in range(1, m.k + 1)])]
+    ids = np.empty((min(n, _CSV_ROWS), m.k + 1), dtype=np.int32)
+    for a in range(0, n, _CSV_ROWS):
+        b = min(a + _CSV_ROWS, n)
+        ids[:b - a, 0] = np.arange(a, b)
+        ids[:b - a, 1:] = m.table[a:b]
+        parts.extend(map(",".join, quoted[ids[:b - a]].tolist()))
+    parts.append("")
+    return "\n".join(parts)
 
 
 def from_csv(text: str) -> CompactMatrix:
     """Read a table from CSV; a record the reader rejects (say, a field
     over ``csv.field_size_limit()``) raises a ``ParseError`` with its line."""
     reader = csv.reader(io.StringIO(text))
+    names: list[str] = []  # row labels in file order
+    recs: list[list[str]] = []
     try:
         header = next(reader, None)
         if header is None:
@@ -162,23 +316,30 @@ def from_csv(text: str) -> CompactMatrix:
         k = len(header) - 1
         if header[1:] != [f"c{i}" for i in range(1, k + 1)]:
             raise ValueError("CSV columns must be named c1..ck")
-        rows: dict[str, tuple[str | None, ...]] = {}
+        seen: set[str] = set()
         for rec in reader:
             if not rec:
                 continue
             if len(rec) != k + 1:
                 raise ValueError(f"row {rec[0]!r} has {len(rec) - 1} cells, expected {k}")
-            if rec[0] in rows:
+            if rec[0] in seen:
                 raise ValueError(f"duplicate row {rec[0]!r}")
-            rows[rec[0]] = tuple([x or None for x in rec[1:]])
+            seen.add(rec[0])
+            names.append(rec[0])
+            recs.append(rec)
     except csv.Error as exc:
         raise ParseError(str(exc), reader.line_num) from None
-    return CompactMatrix(k, tuple(sorted(rows)), rows)
+    order = sorted(range(len(names)), key=names.__getitem__)
+    labels = tuple(map(names.__getitem__, order))
+    # the label field is mapped too, cheaper than slicing it off each
+    # record, and dropped with the rows' reordering
+    table, foreign = _id_table(labels, recs, k + 1, "")
+    return CompactMatrix._of(k, labels, table[order, 1:], foreign)
 
 
 def to_json(m: CompactMatrix) -> str:
-    doc = {"k": m.k, "rows": {lab: list(m.rows[lab]) for lab in m.labels}}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    rows = dict(zip(m.labels, _names(m)[m.table].tolist()))
+    return json.dumps({"k": m.k, "rows": rows}, indent=2, sort_keys=True) + "\n"
 
 
 def from_json(text: str) -> CompactMatrix:
@@ -228,7 +389,7 @@ class CompressionStats:
 def stats(m: CompactMatrix) -> CompressionStats:
     n = len(m.labels)
     compact_cells = n * m.k
-    nonempty = sum(m.k - m.rows[lab].count(None) for lab in m.labels)
+    nonempty = int(np.count_nonzero(m.table >= 0))
     fill = nonempty / compact_cells if compact_cells else 1.0
     return CompressionStats(n=n, k=m.k, dense_cells=n * n,
                             compact_cells=compact_cells, fill_ratio=fill)
@@ -242,9 +403,7 @@ def canonical_columns(m: CompactMatrix) -> CompactMatrix:
     trail in their old order.  Tables that differ only by a color
     permutation canonicalize identically.
     """
-    first_use = dict.fromkeys(j for lab in m.labels
-                              for j, cell in enumerate(m.rows[lab])
-                              if cell is not None)
-    perm = [*first_use, *(j for j in range(m.k) if j not in first_use)]
-    rows = {lab: tuple(m.rows[lab][j] for j in perm) for lab in m.labels}
-    return CompactMatrix(m.k, m.labels, rows)
+    # under a full row, an empty column's first use is row n
+    full = np.vstack((m.table >= 0, np.ones((1, m.k), dtype=bool)))
+    perm = np.lexsort((np.arange(m.k), full.argmax(axis=0)))
+    return CompactMatrix._of(m.k, m.labels, m.table[:, perm], m.foreign)

@@ -9,10 +9,12 @@ from __future__ import annotations
 import csv
 import heapq
 import io
+import json
 import math
 import random
 from collections import Counter, deque
 from itertools import combinations, product
+from types import SimpleNamespace
 
 from downcolor import BibdError, DesignParams, Digraph, Hypergraph, ParseError
 
@@ -729,13 +731,52 @@ def ac_check_reference(m, g: Digraph) -> tuple[bool, int | None, str]:
 
 def csv_reference(m) -> str:
     """The compact CSV written cell by cell: a header ``vertex,c1..ck``,
-    then one row per label with empty fields for empty cells."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    then one row per label with empty fields for empty cells.  Each
+    record is quoted as the csv module quotes records that end in CR LF,
+    then ends in LF: so a CR in a label is quoted, as a LF is (quoted for
+    LF-ended records, Python 3.11 leaves a CR bare, and the table does
+    not read back)."""
+    out: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=out.append), lineterminator="\r\n")
     writer.writerow(["vertex"] + [f"c{i}" for i in range(1, m.k + 1)])
     for lab in m.labels:
         writer.writerow([lab] + ["" if x is None else x for x in m.rows[lab]])
-    return buf.getvalue()
+    return "".join(rec[:-2] + "\n" for rec in out)
+
+
+def json_reference(m) -> str:
+    """The compact JSON written from the rows by label: ``k`` and each
+    row's cells, null for empty, indented, keys sorted."""
+    doc = {"k": m.k, "rows": {lab: list(m.rows[lab]) for lab in m.labels}}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def compact_csv_reference(text: str) -> tuple[int, dict[str, tuple]]:
+    """The compact CSV reader record by record, as ``(k, rows)`` with
+    None for empty cells; raises the same ``ValueError`` texts, and a
+    ``ParseError`` with its line for a record ``csv.reader`` rejects."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty CSV document")
+        if not header or header[0] != "vertex":
+            raise ValueError("first CSV column must be 'vertex'")
+        k = len(header) - 1
+        if header[1:] != [f"c{i}" for i in range(1, k + 1)]:
+            raise ValueError("CSV columns must be named c1..ck")
+        rows: dict[str, tuple] = {}
+        for rec in reader:
+            if not rec:
+                continue
+            if len(rec) != k + 1:
+                raise ValueError(f"row {rec[0]!r} has {len(rec) - 1} cells, expected {k}")
+            if rec[0] in rows:
+                raise ValueError(f"duplicate row {rec[0]!r}")
+            rows[rec[0]] = tuple(x or None for x in rec[1:])
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num) from None
+    return k, rows
 
 
 def greedy_clique_reference(n: int, adj: list[int]) -> list[int]:

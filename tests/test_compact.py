@@ -1,7 +1,11 @@
 import csv
+import io
+import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from downcolor import (
     Coloring,
@@ -12,6 +16,8 @@ from downcolor import (
     canonical_columns,
     down_coloring,
     find_down_violation,
+    is_below,
+    is_below_ids,
     parse_compact,
     parse_digraph,
     serialize,
@@ -19,7 +25,8 @@ from downcolor import (
     transitive_closure,
     verify_ac_property,
 )
-from conftest import ac_check_reference, brute_ac_ok, csv_reference, random_dag
+from conftest import (ac_check_reference, brute_ac_ok, compact_csv_reference,
+                      csv_reference, json_reference, random_dag, reach_closed)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 WITNESS = Coloring({"g1": 1, "g2": 3, "g3": 2, "g4": 2, "g5": 3, "g6": 1}, 3,
@@ -108,6 +115,28 @@ def test_verify_catches_missing_row_labels():
     m = build_compact(parse_digraph(SIX), WITNESS)
     chk = verify_ac_property(m, g)
     assert not chk.ok and chk.clause == 2
+    # as many rows as vertices, one of them named for no vertex
+    g = parse_digraph(SIX.replace("g6", "g7"))
+    chk = verify_ac_property(m, g)
+    assert (chk.ok, chk.clause, chk.detail) == ac_check_reference(m, g)
+    assert chk.clause == 2
+
+
+# labels the csv module quotes, or leaves bare, in ways the writer must
+# match: line breaks, outer spaces, non-ASCII text, header names
+ODD_LABELS = [
+    ["a\rb", "c\nd", "e\r\nf", "g"],
+    [" lead", "trail ", " both ", "in side"],
+    ["é", "日本", "ü,v", "\u2028"],
+    ["vertex", "c1", "c2", "x"],
+]
+
+
+def relabeled(m, names):
+    """``m`` with its labels renamed, in order, to ``names``."""
+    new = dict(zip(m.labels, names))
+    rows = {new[lab]: tuple(new.get(x) for x in m.rows[lab]) for lab in m.labels}
+    return CompactMatrix(m.k, tuple(sorted(rows)), rows)
 
 
 def test_csv_roundtrip_and_header():
@@ -124,12 +153,37 @@ def test_csv_roundtrip_and_header():
     assert text == csv_reference(m)
     assert '"a,b"' in text and '"x""y"' in text
     assert parse_compact(text, "csv") == m
+    g = parse_digraph("p q\nq r\np s\n")
+    for names in ODD_LABELS:
+        m = relabeled(build_compact(g, down_coloring(g)), names)
+        text = serialize(m, "csv")
+        assert text == csv_reference(m)
+        assert parse_compact(text, "csv") == m
+        assert serialize(m, "json") == json_reference(m)
+        assert parse_compact(serialize(m, "json"), "json") == m
 
 
 def test_json_roundtrip():
     g = parse_digraph(SIX)
     m = build_compact(g, WITNESS)
+    assert serialize(m, "json") == json_reference(m)
     assert parse_compact(serialize(m, "json"), "json") == m
+
+
+def test_valid_table_never_builds_rows(monkeypatch):
+    def built(self):
+        raise AssertionError("rows were built")
+    rng = random.Random(61)
+    graphs = [parse_digraph(SIX)] + [random_dag(rng, rng.randint(1, 20), 0.3)
+                                     for _ in range(20)]
+    colorings = [down_coloring(g) for g in graphs]
+    monkeypatch.setattr(CompactMatrix, "rows", property(built))
+    for g, c in zip(graphs, colorings):
+        m = build_compact(g, c)
+        for fmt in ("csv", "json"):
+            back = parse_compact(serialize(m, fmt), fmt)
+            assert back == m
+            assert verify_ac_property(back, g).ok
 
 
 @pytest.mark.parametrize("text", [
@@ -206,6 +260,30 @@ def test_verify_ac_property_matches_brute_oracle_on_mutations():
     assert verdicts == {None, 1, 2}
 
 
+def test_is_below_matches_reach_closed():
+    # on built tables, and on mutated ones wherever the AC check passes
+    rng = random.Random(79)
+    checked = 0
+    for _ in range(300):
+        g = random_dag(rng, rng.randint(1, 12), rng.choice([0.1, 0.3, 0.6]))
+        m = build_compact(g, down_coloring(g))
+        if m.labels and m.k and rng.random() < 0.7:
+            m = mutate(rng, m, g.labels)
+        if not verify_ac_property(m, g).ok:
+            continue
+        checked += 1
+        reach = reach_closed(g)
+        want = [[u in reach[v] for v in m.labels] for u in m.labels]
+        ids = np.arange(len(m.labels))
+        assert is_below_ids(m, ids[:, None], ids[None, :]).tolist() == want
+        assert [[is_below(m, u, v) for v in m.labels] for u in m.labels] == want
+    assert checked > 100
+    with pytest.raises(ValueError, match="unknown vertex label 'zz'"):
+        is_below(m, "zz", m.labels[0])
+    with pytest.raises(ValueError, match="row ids must lie in"):
+        is_below_ids(m, [len(m.labels)], [0])
+
+
 def test_verify_ac_property_counts_each_rows_fill():
     # a and b share column 1 in row a; rebuilt from those columns, row a
     # loses one of them, so only the fill count tells it from the table
@@ -248,7 +326,7 @@ def test_canonical_columns_permutes_by_first_use():
 def test_canonical_columns_idempotent_and_stable():
     rng = random.Random(83)
     for _ in range(20):
-        g = random_dag(rng, rng.randint(1, 12), 0.4)
+        g = random_dag(rng, rng.randint(0, 12), 0.4)
         m = canonical_columns(build_compact(g, down_coloring(g)))
         assert canonical_columns(m) == m
 
@@ -261,3 +339,92 @@ def test_closure_reconstruction_from_matrix():
         got = {(u, v) for u, row in m.rows.items()
                for v in row if v is not None and v != u}
         assert got == set(transitive_closure(g).edge_labels())
+
+
+# ------------------------------------------------------------ reader fuzz
+
+CELLS = ["a", "b", "c", "", "a,b", 'x"y', " s ", "é", "vertex", "c1",
+         "a\rb", "l\nm", "zz"]
+
+
+@st.composite
+def compact_csv_texts(draw):
+    """Compact CSV documents, mostly well formed: a header for k columns
+    or a mangled one, records of k + 1 fields or not, written by the csv
+    module with assorted quoting and line ends, sometimes with a random
+    fragment spliced in."""
+    k = draw(st.integers(0, 3))
+    recs = [["vertex"] + [f"c{i}" for i in range(1, k + 1)]]
+    if draw(st.integers(0, 5)) == 0:
+        recs[0] = draw(st.lists(st.sampled_from(CELLS + ["c2", "c3"]), max_size=4))
+    for _ in range(draw(st.integers(0, 5))):
+        width = k + 1 if draw(st.integers(0, 5)) else draw(st.integers(0, 5))
+        recs.append(draw(st.lists(st.sampled_from(CELLS), min_size=width,
+                                  max_size=width)))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"])),
+               quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+               ).writerows(recs)
+    text = buf.getvalue()
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.text(max_size=4)) + text[i:]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(compact_csv_texts(), st.text(max_size=30)))
+def test_csv_reader_fuzz(text):
+    try:
+        k, rows = compact_csv_reference(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as ei:
+            parse_compact(text, "csv")
+        assert (type(ei.value), str(ei.value)) == (type(exc), str(exc))
+        return
+    m = parse_compact(text, "csv")
+    assert (m.k, m.labels, dict(m.rows)) == (k, tuple(sorted(rows)), rows)
+    for fmt in ("csv", "json"):
+        assert parse_compact(serialize(m, fmt), fmt) == m
+
+
+@st.composite
+def compact_json_texts(draw):
+    """Compact JSON documents of k-cell rows, or with one thing wrong: a
+    ``k`` that is no natural number, ``rows`` of another shape, a row of
+    another length, a key missing, or a random fragment spliced in."""
+    k = draw(st.integers(0, 3))
+    cell = st.one_of(st.none(), st.sampled_from(CELLS))
+    doc = {"k": k, "rows": draw(st.dictionaries(
+        st.sampled_from(CELLS), st.lists(cell, min_size=k, max_size=k), max_size=4))}
+    wrong = draw(st.integers(0, 9))
+    if wrong == 1:
+        doc["k"] = draw(st.sampled_from([-1, True, None, "2", 1.5]))
+    elif wrong == 2:
+        doc["rows"] = draw(st.sampled_from([[], 3, "ab", {"a": 5}, {"a": [3]},
+                                            {"a": "ab"}]))
+    elif wrong == 3:
+        doc["rows"][draw(st.sampled_from(CELLS))] = draw(st.lists(cell, max_size=4))
+    elif wrong == 4:
+        del doc[draw(st.sampled_from(["k", "rows"]))]
+    text = json.dumps(doc)
+    if wrong == 5:
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.text(max_size=3)) + text[i:]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(compact_json_texts(), st.text(max_size=30)))
+def test_json_reader_fuzz(text):
+    try:
+        m = parse_compact(text, "json")
+    except ValueError:
+        return
+    rows = json.loads(text)["rows"]
+    assert (m.labels, dict(m.rows)) == (tuple(sorted(rows)),
+                                        {lab: tuple(x) for lab, x in rows.items()})
+    assert parse_compact(serialize(m, "json"), "json") == m
+    if all(x != "" for cells in m.rows.values() for x in cells):
+        # CSV reads an empty field as an empty cell, not as ""
+        assert parse_compact(serialize(m, "csv"), "csv") == m

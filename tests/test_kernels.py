@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def test_words_for():
     assert [words_for(k) for k in (0, 1, 63, 64, 65, 128)] == [0, 1, 1, 1, 2, 2]
 
 
-def test_rows_csr_and_popcounts():
+def test_rows_csr_and_popcounts(monkeypatch):
     rng = random.Random(5)
     for n in (0, 1, 63, 64, 65, 200):
         bits = np.zeros((n, words_for(n)), dtype=np.uint64)
@@ -69,12 +70,32 @@ def test_rows_csr_and_popcounts():
             if u % 3:  # every third row stays all-zero
                 for v in rng.sample(range(n), rng.randint(0, n)):
                     bits[u, v >> 6] |= np.uint64(1) << np.uint64(v & 63)
+        for block in (1, 37, 1 << 16):  # ids decoded at once
+            monkeypatch.setattr(_kernels, "_DECODE_IDS", block)
+            indptr, ids = rows_csr(bits)
+            assert (indptr.dtype, ids.dtype) == (np.int64, np.int32)
+            assert indptr.tolist()[0] == 0 and indptr.size == n + 1
+            assert [ids[indptr[u]:indptr[u + 1]].tolist() for u in range(n)] == \
+                [bit_ids(bits[u]) for u in range(n)]
+            assert np.diff(indptr).tolist() == popcounts(bits).tolist()
+
+
+def test_rows_csr_holds_one_block_of_temporaries():
+    # 4000 rows of 1024 bits, about half set: 2,047,592 ids, 8 MB as
+    # int32, whose decode in one pass holds tens of MB of temporaries
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 1 << 63, size=(4000, 16), dtype=np.uint64) << np.uint64(1)
+    bits |= rng.integers(0, 2, size=bits.shape, dtype=np.uint64)
+    tracemalloc.start()
+    try:
         indptr, ids = rows_csr(bits)
-        assert (indptr.dtype, ids.dtype) == (np.int64, np.int32)
-        assert indptr.tolist()[0] == 0 and indptr.size == n + 1
-        assert [ids[indptr[u]:indptr[u + 1]].tolist() for u in range(n)] == \
-            [bit_ids(bits[u]) for u in range(n)]
-        assert np.diff(indptr).tolist() == popcounts(bits).tolist()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = indptr.nbytes + ids.nbytes
+    assert ids.size == int(popcounts(bits).sum())
+    assert peak - out < 160 * _kernels._DECODE_IDS + bits.size
+    assert np.array_equal(ids[indptr[7]:indptr[8]], bit_ids(bits[7]))
 
 
 def test_closure_matches_reachability():
