@@ -5,7 +5,9 @@ layers, which keeps closures large enough to exercise the bitset paths.
 The closure makes one numpy step per height level, so a path of the same
 n, with n levels, is its worst case; both are timed, through
 ``closure_bits`` and through ``Digraph._down_sets()`` (peel, closure and
-decode), with their level counts.
+decode), with their level counts and the level at which the CSR merge
+stopped for bitsets (``_bits_level``: 1 when it never started, None when
+it ran throughout).
 
     python3 benchmarks/bench_kernels.py --n 3000 --density 0.3 --repeat 5
 """
@@ -80,7 +82,7 @@ def time_closure(name, n, indptr, indices, order, repeat):
     t_bits = best_of(repeat, lambda: closure_bits(n, indptr, indices, order))
     t_down = best_of(repeat, down_sets)
     print(f"{name:>7}: levels {levels:6d}   closure_bits {t_bits * 1e3:8.2f} ms   "
-          f"_down_sets {t_down * 1e3:8.2f} ms")
+          f"_down_sets {t_down * 1e3:8.2f} ms   _bits_level {g._bits_level}")
 
 
 def main():

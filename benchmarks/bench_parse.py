@@ -36,7 +36,7 @@ t1 = time.perf_counter()
 parse_peak = peak()
 _, ids = g._down_sets()
 t2 = time.perf_counter()
-layout = "csr" if g._bits_level is None else f"bitsets-from-level-{g._bits_level}"
+layout = "csr" if g._bits_level is None else f"bitsets-merge-stopped-at-level-{g._bits_level}"
 print(t1 - t0, g.n, g.edge_count, t2 - t1, ids.size, layout, peak() - parse_peak)
 """
 

@@ -12,8 +12,9 @@ strong coloring's, which seeds the exact solver too.
 The closure is built as sorted CSR rows first: each level merges its
 children's finished rows, the successor-list closure of Goralcikova and
 Koubek (1979) one level at a time.  On dense DAGs, where the rows would
-outgrow the ``n*ceil(n/64)``-word bitset matrix, the remaining levels
-OR bitset rows instead (:func:`closure_levels`), decoded at the end.
+outgrow the ``n*ceil(n/64)``-word bitset matrix, the merge stops and the
+closure is built again as bitset rows from the sinks up
+(:func:`closure_levels`), decoded at the end.
 Either layout is held to ``_CLOSURE_BYTES``; a closure that fits
 neither raises ``ValueError``, which the command line reports with exit
 code 1.  So is the conflict builder, its bitsets and then its CSR ids.
@@ -142,39 +143,26 @@ def _runs(cum: np.ndarray, a: int, end: int, step: int):
         a = b
 
 
-def _own_bits(n: int) -> np.ndarray:
-    """An n-row bitset matrix holding each vertex's own bit."""
-    bits = np.zeros((n, words_for(n)), dtype=np.uint64)
-    own = np.arange(n)
-    bits[own, own >> 6] = np.uint64(1) << (own & 63).astype(np.uint64)
-    return bits
-
-
-def _or_levels(bits: np.ndarray, verts: np.ndarray, lptr: np.ndarray,
-               ptr: np.ndarray, kids: np.ndarray, first: int) -> np.ndarray:
-    """OR into each vertex's bitset row its children's finished rows,
-    level by level from level ``first`` up; ``(ptr, kids)`` are the
-    children of ``verts`` in that order.
+def closure_levels(n: int, indptr: np.ndarray, indices: np.ndarray,
+                   verts: np.ndarray, lptr: np.ndarray) -> np.ndarray:
+    """Closed reachability bitsets, one row per vertex, from the levels
+    :func:`sink_levels` returns: each vertex's own bit, then, level by
+    level above the sinks, the OR of its children's finished rows.
 
     A level ORs at most ``_GATHER_BYTES`` of child rows per ``reduceat``
     (one vertex with more children takes one step alone): the reduction
     slows several times once its block outgrows the cache.
     """
+    bits = np.zeros((n, words_for(n)), dtype=np.uint64)
+    own = np.arange(n)
+    bits[own, own >> 6] = np.uint64(1) << (own & 63).astype(np.uint64)
+    ptr, kids = gather_rows(indptr, indices, verts)
     step = _GATHER_BYTES // max(8 * bits.shape[1], 1)
-    for a, end in zip(lptr[first:-1].tolist(), lptr[first + 1:].tolist()):
+    for a, end in zip(lptr[1:-1].tolist(), lptr[2:].tolist()):
         for a, b in _runs(ptr, a, end, step):
             bits[verts[a:b]] |= np.bitwise_or.reduceat(
                 bits[kids[ptr[a]:ptr[b]]], ptr[a:b] - ptr[a], axis=0)
     return bits
-
-
-def closure_levels(n: int, indptr: np.ndarray, indices: np.ndarray,
-                   verts: np.ndarray, lptr: np.ndarray) -> np.ndarray:
-    """Closed reachability bitsets, one row per vertex, from the levels
-    :func:`sink_levels` returns: each vertex's own bit, then, level by
-    level above the sinks, the OR of its children's finished rows."""
-    return _or_levels(_own_bits(n), verts, lptr,
-                      *gather_rows(indptr, indices, verts), 1)
 
 
 def _too_large(n: int, ids: int) -> ValueError:
@@ -187,8 +175,9 @@ def _too_large(n: int, ids: int) -> ValueError:
 def closure_csr(n: int, indptr: np.ndarray, indices: np.ndarray, verts: np.ndarray,
                 lptr: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], int | None]:
     """Closed down-sets as sorted CSR rows (int64 row pointers, int32
-    ids), from the levels :func:`sink_levels` returns, and the level from
-    which they were ORed as bitsets (None when merged throughout).
+    ids), from the levels :func:`sink_levels` returns, and the level at
+    which the merge stopped for bitsets (1 when it never started, None
+    when it ran throughout).
 
     The merge walks the levels from the sinks up.  Each level gathers
     its vertices' finished child rows plus each vertex's own id, as
@@ -196,19 +185,19 @@ def closure_csr(n: int, indptr: np.ndarray, indices: np.ndarray, verts: np.ndarr
     runs of at most ``_GATHER_BYTES`` of gathered ids; the rows are put
     in id order at the end.
 
-    Bitsets take over (:func:`_or_levels`, then :func:`rows_csr`) where
-    the merge would hold more than ``_IDS_PER_WORD`` times the bitset
-    matrix's ``n*ceil(n/64)`` words, less ``_IDS_PER_LEVEL`` per level:
-    before any merge when the free lower bound on ``sum |D[u]|``, n plus
-    the larger of the edge count and the sum of the heights, passes that
-    limit, else at the first level whose gathered ids, added to the
-    finished rows, would.  The switch reuses the one gather of the
-    children and ORs the finished rows into the bitsets.
+    The merge stops where it would hold more than ``_IDS_PER_WORD`` times
+    the bitset matrix's ``n*ceil(n/64)`` words, less ``_IDS_PER_LEVEL``
+    per level: before it starts when the free lower bound on
+    ``sum |D[u]|``, n plus the larger of the edge count and the sum of
+    the heights, passes that limit, else at the first level whose
+    gathered ids, added to the finished rows, would.  Its rows are then
+    dropped, and the whole closure is built as bitsets from the sinks up
+    (:func:`closure_levels`, then :func:`rows_csr`).
 
     Neither layout may pass ``_CLOSURE_BYTES``: bitsets take 8 bytes a
-    word, the merge 4 per id it holds.  A merge over budget hands over
-    to bitsets that fit, bitsets over budget leave the merge to run on,
-    and when neither fits a ``ValueError`` names n and both sizes.
+    word, the merge 4 per id it holds.  A merge over budget gives way to
+    bitsets that fit, bitsets over budget leave the merge to run on, and
+    when neither fits a ``ValueError`` names n and both sizes.
     """
     words = words_for(n)
     limit = _IDS_PER_WORD * n * words - _IDS_PER_LEVEL * (lptr.size - 1)
@@ -241,11 +230,9 @@ def closure_csr(n: int, indptr: np.ndarray, indices: np.ndarray, verts: np.ndarr
         np.cumsum(got + 1, out=cum[1:])
         total = used + int(cum[-1])
         if total > limit or 4 * total > _CLOSURE_BYTES:
-            if fits:  # the merged rows, then bitsets from this level
-                bits = _own_bits(n)
-                _set_bits(bits, np.repeat(verts[:a], np.diff(rowptr[:a + 1])),
-                          buf[:used])
-                return rows_csr(_or_levels(bits, verts, lptr, ptr, kids, h)), h
+            if fits:  # drop the merge, and build the bitsets from the sinks
+                del buf, ptr, kids
+                return rows_csr(closure_levels(n, indptr, indices, verts, lptr)), h
             if 4 * total > _CLOSURE_BYTES:
                 raise _too_large(n, total)
         if total > buf.size:
@@ -321,16 +308,12 @@ def rows_csr(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indptr, ids
 
 
-def _set_bits(bits: np.ndarray, row: np.ndarray, ids: np.ndarray) -> None:
-    """Set bit ``ids[i]`` of row ``row[i]`` of ``bits``, for every ``i``."""
-    np.bitwise_or.at(bits, (row, ids >> 6),
-                     np.uint64(1) << (ids & 63).astype(np.uint64))
-
-
 def pack_rows(n: int, indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Bitset rows over ``n`` ids; row ``i`` holds ``ids[indptr[i]:indptr[i + 1]]``."""
     out = np.zeros((indptr.size - 1, words_for(n)), dtype=np.uint64)
-    _set_bits(out, np.repeat(np.arange(indptr.size - 1), np.diff(indptr)), ids)
+    row = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    np.bitwise_or.at(out, (row, ids >> 6),
+                     np.uint64(1) << (ids & 63).astype(np.uint64))
     return out
 
 

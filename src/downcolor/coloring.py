@@ -68,7 +68,10 @@ class Coloring:
             if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= self.k:
                 raise ValueError(f"color of {lab!r} must lie in 1..{self.k}, got {c!r}")
             used.add(c)
-        if used != set(range(1, self.k + 1)):
+        if len(used) < self.k:  # every used color lies in 1..k
+            if self.k > len(self.colors):  # build no range of a huge k
+                raise ValueError(f"k = {self.k} is above the vertex count "
+                                 f"{len(self.colors)}, so some color is never used")
             missing = sorted(set(range(1, self.k + 1)) - used)
             raise ValueError(f"colors {missing} are declared but never used")
 

@@ -255,10 +255,11 @@ class Digraph(_Graph):
 
         The rows are merged level by level from the sinks up, as CSR,
         while the ids the merge holds stay small against the
-        n*ceil(n/64)-word bitset matrix; past that (dense DAGs) the
-        remaining levels are ORed as bitsets and decoded
-        (:func:`_kernels.closure_csr`).  ``_bits_level`` keeps the level
-        the bitsets took over at, None when the merge built every row.
+        n*ceil(n/64)-word bitset matrix; past that (dense DAGs) the merge
+        is dropped and every level is ORed as bitsets from the sinks up,
+        then decoded (:func:`_kernels.closure_csr`).  ``_bits_level``
+        keeps the level at which the merge stopped, 1 when it never
+        started, None when it built every row.
         A closure too large for either layout's byte budget raises
         ``ValueError`` naming n and the bytes each needs, which the CLI
         reports with exit code 1.

@@ -56,7 +56,9 @@ class Hypergraph(_Labeled):
 
     def __init__(self, labels: Iterable[str], edges: Iterable[Iterable[int]],
                  simple: bool | None = None):
-        """``simple=None`` detects simplicity; ``simple=True`` asserts it."""
+        """``simple=True`` asserts simplicity and raises ``ValueError`` on
+        a duplicate or trivial edge; ``None`` (the default) or ``False``
+        detects it."""
         labels = tuple(labels)
         index = _check_labels(labels)
         n = len(labels)
@@ -73,7 +75,7 @@ class Hypergraph(_Labeled):
         csr = eptr, np.fromiter(chain.from_iterable(normalized), np.int32, eptr[-1])
         if simple and _distinct_rows(*csr, 2).size != len(normalized):
             raise ValueError("hypergraph declared simple has duplicate or trivial edges")
-        self._fill(labels, index, csr, None if simple is None else bool(simple))
+        self._fill(labels, index, csr, True if simple else None)
 
     def _fill(self, labels: tuple[str, ...], index: dict[str, int],
               csr: tuple[np.ndarray, np.ndarray], simple: bool | None) -> Hypergraph:

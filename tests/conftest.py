@@ -512,12 +512,9 @@ class TupleHypergraph:
         self.sigma = max((len(e) for e in self.edges), default=0)
         is_simple = (len(set(self.edges)) == len(self.edges)
                      and all(len(e) >= 2 for e in self.edges))
-        if simple is None:
-            self.simple = is_simple
-        elif simple and not is_simple:
+        if simple and not is_simple:
             raise ValueError("hypergraph declared simple has duplicate or trivial edges")
-        else:
-            self.simple = bool(simple) and is_simple
+        self.simple = is_simple
 
     def degree(self, u: int) -> int:
         if not 0 <= u < len(self.labels):

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from downcolor import (Hypergraph, _kernels, cli, coloring_from_json,
                        format_digraph, is_acyclic, parse_digraph, up_digraph,
@@ -266,3 +271,102 @@ def test_parse_error_reports_line(tmp_path, capsys):
     p.write_text("a b\nx y z\n")
     assert main(["analyze", str(p)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+# argv pieces: path placeholders resolved in a fresh directory per case,
+# small integers, and tokens no option accepts
+def paths(*names):
+    return st.sampled_from([f"{{{name}}}" for name in names])
+
+
+GRAPH = paths("six", "six", "six", "text", "text", "coloring", "missing", "dir")
+COLORING = paths("coloring", "coloring", "bad", "text", "six", "missing", "dir")
+OUT = paths("out", "out", "text", "lost", "dir")
+
+
+def ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+INT = ints(-1, 7)
+ODD = st.sampled_from(["-1", "0", "1e400", "x", "", "--help", "-o", "--nope"])
+# colors of g1..g6 in SIX: a down-coloring, and one where g1 and g4
+# share a color below g1
+COLORINGS = {"coloring": (3, 2, 1, 1, 2, 3), "bad": (1, 2, 3, 1, 2, 3)}
+
+
+# the field of gen affine and --cor4, GF(p^k) with p <= 7 and k <= 2,
+# valid half the time; with hkm values <= 6 and m <= 4 no case is slow
+P = st.sampled_from(["2", "3", "5", "7"]) | INT
+K = st.sampled_from(["1", "2"]) | ints(-1, 2)
+
+
+def argument(*parts):
+    """One argument as its tokens: literal strings and drawn ones."""
+    return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts))
+
+
+# each subcommand's required arguments, then its optional flags
+COMMANDS = {
+    ("analyze",): ([argument(GRAPH)], [argument("-o", OUT)]),
+    ("color",): ([argument(GRAPH)],
+                 [argument("--exact"), argument("--strong"), argument("--cap", INT),
+                  argument("--budget", INT), argument("-o", OUT)]),
+    ("compact",): ([argument(GRAPH), argument("--coloring", COLORING)],
+                   [argument("-o", OUT),
+                    argument("--format", st.sampled_from(["csv", "json", "xml"]))]),
+    ("verify",): ([argument(GRAPH), argument("--coloring", COLORING)], []),
+    ("acyclify",): ([argument(GRAPH)], [argument("-o", OUT)]),
+    ("gen", "hkm"): ([argument(ints(-1, 6), ints(-1, 6))],
+                     [argument("--as-digraph"), argument("-o", OUT)]),
+    ("gen", "affine"): ([argument(P, K, ints(1, 3) | ints(-1, 3))],
+                        [argument("--as-digraph"), argument("-o", OUT)]),
+    ("discrepancy",): ([argument("--cor4", P, K, ints(-1, 4))
+                        | argument("--sigma", INT, "--n", INT | ODD)],
+                       [argument("--sigma", INT), argument("-o", OUT)]),
+}
+
+EDGE_LISTS = st.lists(st.tuples(*[st.sampled_from("abcdefg")] * 2),
+                      max_size=10).map(lambda es: "".join(f"{u} {v}\n" for u, v in es))
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand with its required arguments and some of its flags, in
+    any order, with a token dropped or an odd one put in now and then."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional = COMMANDS[command]
+    chosen = draw(st.lists(st.sampled_from(optional), unique_by=id)) if optional else []
+    args = draw(st.permutations([draw(a) for a in required + chosen]))
+    argv = [*command, *(token for arg in args for token in arg)]
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(argv) - 1))
+        if draw(st.booleans()):
+            del argv[at]
+        else:
+            argv.insert(at, draw(ODD | INT | GRAPH))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argvs(), st.one_of(st.text(), EDGE_LISTS, st.binary()))
+def test_cli_argv_fuzz(argv, text):
+    # every argv ends in an exit code 0-3, never in an exception: paths
+    # that hold random text, bytes that are no UTF-8, a valid graph and
+    # coloring, nothing, a directory, or a file in a missing directory
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "text").write_bytes(text if isinstance(text, bytes) else text.encode())
+        (root / "six").write_text(SIX)
+        for name, colors in COLORINGS.items():
+            (root / name).write_text(json.dumps({
+                "k": 3, "method": "exact",
+                "colors": {f"g{i}": c for i, c in enumerate(colors, 1)}}))
+        (root / "dir").mkdir()
+        where = {name: str(root / name)
+                 for name in ("text", "six", *COLORINGS, "missing", "dir", "out")}
+        where["lost"] = str(root / "missing" / "out")
+        argv = [token.format(**where) for token in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2, 3)

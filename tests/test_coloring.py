@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from downcolor import (
     CapExceededError,
@@ -83,6 +84,60 @@ def test_coloring_json_rejects_malformed(text):
 def test_coloring_json_refuses_deep_nesting_as_value_error():
     with pytest.raises(ValueError, match="nested too deeply"):
         coloring_from_json("[" * 100000 + "]" * 100000)
+
+
+def test_coloring_json_refuses_a_k_above_the_vertex_count_at_once():
+    # no set of 10^10 colors is built to find the unused ones
+    with pytest.raises(ValueError, match="k = 10000000000 is above the vertex count 1"):
+        coloring_from_json('{"k": 10000000000, "method": "m", "colors": {"a": 1}}')
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=3), kids, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def coloring_texts(draw):
+    """Arbitrary text, any JSON value, or a coloring document with at most
+    one thing wrong: a key dropped, a value of any type or size, or a
+    fragment spliced into its text."""
+    kind = draw(st.sampled_from(["text", "value", "doc", "doc", "doc"]))
+    if kind == "text":
+        return draw(st.text())
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES))
+    colors = draw(st.dictionaries(st.text(max_size=3), st.integers(1, 4), max_size=6))
+    doc = {"k": max(colors.values(), default=0),
+           "method": draw(st.text(max_size=4)), "colors": colors}
+    wrong = draw(st.sampled_from([None, "k", "method", "colors", "color",
+                                  "drop", "splice"]))
+    if wrong in doc:
+        doc[wrong] = draw(st.integers() | JSON_VALUES)
+    elif wrong == "color":
+        colors[draw(st.text(max_size=3))] = draw(st.integers() | JSON_VALUES)
+    elif wrong == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    text = json.dumps(doc)
+    if wrong == "splice":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.text(max_size=3)) + text[at:]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(coloring_texts())
+def test_coloring_json_reader_fuzz(text):
+    # any text reads as a Coloring, which writes and reads back equal,
+    # or raises ValueError
+    try:
+        c = coloring_from_json(text)
+    except ValueError:
+        return
+    assert isinstance(c, Coloring)
+    assert coloring_from_json(coloring_to_json(c)) == c
 
 
 # ------------------------------------------------------------ exact solver

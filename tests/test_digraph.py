@@ -244,6 +244,22 @@ def test_closure_takes_the_layout_that_fits(monkeypatch, budget, layout):
     assert g._bits_level == layout
 
 
+@pytest.mark.parametrize("make", [
+    lambda: layered_dag(random.Random(0), 3000, 0.3),  # stops at level 4
+    lambda: hierarchy(random.Random(0), 1500, 12),  # at level 2
+    lambda: random_dag(random.Random(0), 2000, 0.005),  # at level 10
+], ids=["layered", "hierarchy", "random"])
+def test_merge_stops_past_level_one_at_the_fixed_constants(make):
+    # no constant patched: these graphs pass the volume limit part-way
+    # up, so the merge stops there and bitsets rebuild every row
+    g = make()
+    indptr, ids = g._down_sets()
+    assert g._bits_level > 1
+    order = np.asarray(g.topological_order()[::-1])
+    want = _kernels.rows_csr(_kernels.closure_bits(g.n, *g._csr, order))
+    assert np.array_equal(indptr, want[0]) and np.array_equal(ids, want[1])
+
+
 @st.composite
 def cyclic_digraphs(draw):
     """A digraph on 2..8 vertices holding at least one directed cycle,

@@ -171,6 +171,15 @@ def test_induced_subhypergraph_keeps_pairs_with_multiplicity():
     assert not s.simple
 
 
+def test_simple_false_detects_simplicity():
+    # False detects, as None does: a simple hypergraph passed with
+    # simple=False is simple, and its up-digraph is built
+    h = Hypergraph(["a", "b", "c"], [(0, 1), (1, 2)], simple=False)
+    assert h.simple
+    assert up_digraph(h).edge_count == 4
+    assert not Hypergraph(["a", "b"], [(0, 1), (0, 1)], simple=False).simple
+
+
 def test_induced_subhypergraph_reports_simple():
     h = Hypergraph(list("abcd"), [(0, 1, 2), (1, 2, 3)], simple=True)
     s = induced_subhypergraph(h, [0, 1, 3])
