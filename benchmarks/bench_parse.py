@@ -1,5 +1,6 @@
-"""Time ``parse_digraph`` on a large edge list, then the closure, with
-their peak memory.
+"""Time ``parse_digraph`` on a large edge list, then the closure, then
+reading the compact table back with ``parse_compact``, with their peak
+memory.
 
 The input is a seeded three-level hierarchy: levels of n/2, n/3 and n/6
 vertices, and every vertex above the bottom level has three distinct
@@ -10,13 +11,17 @@ peak RSS reported covers the interpreter, the text and the parse, and
 nothing the generator held.  The same interpreter then builds the
 closed down-sets (``g._down_sets()``) and reports their time, their
 total size sum |D[u]| in ids, the layout that built them, and how far
-they raised the peak RSS above the parse's.
+they raised the peak RSS above the parse's.  It goes on to color the
+digraph, build the compact table and write it as CSV to a second
+temporary file.  A second fresh interpreter reads that file and times
+``parse_compact`` on its text; its peak growth is how far the read
+raised that interpreter's peak RSS, which holds nothing but the text, so
+the coloring's own peak does not hide it.
 
     python3 benchmarks/bench_parse.py --n 1000000 --seed 1
 """
 import argparse
 import os
-import resource
 import subprocess
 import sys
 import tempfile
@@ -28,7 +33,7 @@ OUT_DEGREE = 3
 CHILD = """
 import resource, sys, time
 from pathlib import Path
-from downcolor import parse_digraph
+from downcolor import build_compact, down_coloring, parse_digraph, serialize
 peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 t0 = time.perf_counter()
 g = parse_digraph(Path(sys.argv[1]).read_text())
@@ -37,7 +42,25 @@ parse_peak = peak()
 _, ids = g._down_sets()
 t2 = time.perf_counter()
 layout = "csr" if g._bits_level is None else f"bitsets-merge-stopped-at-level-{g._bits_level}"
-print(t1 - t0, g.n, g.edge_count, t2 - t1, ids.size, layout, peak() - parse_peak)
+closure_peak = peak()
+print(t1 - t0, closure_peak, g.n, g.edge_count, t2 - t1, ids.size, layout,
+      closure_peak - parse_peak)
+m = build_compact(g, down_coloring(g))
+Path(sys.argv[2]).write_text(serialize(m, "csv"))
+print(m.k, m.table.size, int((m.table >= 0).sum()))
+"""
+
+READ_CHILD = """
+import resource, sys, time
+from pathlib import Path
+from downcolor import parse_compact
+peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+text = Path(sys.argv[1]).read_text()
+before = peak()
+t0 = time.perf_counter()
+m = parse_compact(text, "csv")
+t1 = time.perf_counter()
+print(t1 - t0, peak() - before)
 """
 
 
@@ -74,20 +97,30 @@ def main():
         ap.error("--n must be at least 18: each level below the top needs "
                  "three vertices to pick from")
     fd, path = tempfile.mkstemp(suffix=".txt")
+    fd_csv, csv_path = tempfile.mkstemp(suffix=".csv")
+    os.close(fd_csv)
     try:
         with os.fdopen(fd, "w") as f:
             write_hierarchy(f, args.n, args.seed)
         size_mb = os.path.getsize(path) / 2**20
-        done = subprocess.run([sys.executable, "-c", CHILD, path],
+        done = subprocess.run([sys.executable, "-c", CHILD, path, csv_path],
+                              capture_output=True, text=True, check=True)
+        csv_mb = os.path.getsize(csv_path) / 2**20
+        read = subprocess.run([sys.executable, "-c", READ_CHILD, csv_path],
                               capture_output=True, text=True, check=True)
     finally:
         os.unlink(path)
-    wall, n, m, closure, sum_d, layout, growth = done.stdout.split()
-    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+        os.unlink(csv_path)
+    (wall, peak, n, m, closure, sum_d, layout, growth,
+     k, cells, filled) = done.stdout.split()
+    read_s, read_growth = read.stdout.split()
     print(f"n={n} edges={m} text={size_mb:.1f} MB")
-    print(f"parse_s={float(wall):.3f} child_peak_rss_mb={peak:.1f}")
+    print(f"parse_s={float(wall):.3f} child_peak_rss_mb={float(peak):.1f}")
     print(f"closure_s={float(closure):.3f} sum_d={sum_d} layout={layout} "
           f"closure_peak_growth_mb={float(growth):.1f}")
+    print(f"k={k} cells={cells} filled={filled} csv={csv_mb:.1f} MB")
+    print(f"parse_compact_s={float(read_s):.3f} "
+          f"parse_compact_peak_growth_mb={float(read_growth):.1f}")
 
 
 if __name__ == "__main__":

@@ -9,10 +9,13 @@ are built only when asked for.  Building and the AC check share one
 scatter of the cached down-set rows into that array, by color or by
 each vertex's own column; its fill count is the one rainbow check, and
 the AC verdict compares its rebuild with the table.  The CSV writer
-quotes each label once and joins the records a block of rows at a time;
-the readers map each cell to its id once.  :func:`is_below` and
-:func:`is_below_ids` answer reachability from a valid table, one cell
-per query.
+quotes each label once and joins the records a block of rows at a time.
+The CSV reader reads text with no ``"``, CR or NUL as numpy arrays, so
+that only the labels become ``str``; any other text, and any that path
+finds irregular, is read again by ``csv.reader``, which alone names
+errors and ``foreign`` cells.  The JSON reader maps each cell to its id
+once.  :func:`is_below` and :func:`is_below_ids` answer reachability
+from a valid table, one cell per query.
 """
 
 from __future__ import annotations
@@ -260,8 +263,9 @@ def is_below_ids(m: CompactMatrix, u, v) -> np.ndarray:
 
 # --------------------------------------------------------- serialization
 
-# rows of the CSV writer's blocks: a block's cells are gathered as one
-# object array, so its size bounds the writer's memory
+# rows of the CSV writer's and array reader's blocks: the writer gathers
+# a block's cells as one object array and the reader holds int64 arrays
+# of a block's fields, so its size bounds their memory
 _CSV_ROWS = 4096
 
 
@@ -303,7 +307,18 @@ def to_csv(m: CompactMatrix) -> str:
 
 def from_csv(text: str) -> CompactMatrix:
     """Read a table from CSV; a record the reader rejects (say, a field
-    over ``csv.field_size_limit()``) raises a ``ParseError`` with its line."""
+    over ``csv.field_size_limit()``) raises a ``ParseError`` with its line.
+
+    Text with no ``"``, CR or NUL is read as arrays (:func:`_read_arrays`);
+    anything that path finds irregular, or any other text, is read again
+    from the start by ``csv.reader`` (:func:`_read_records`), the one
+    source of every error and of ``foreign``.  Both give the same table."""
+    m = _read_arrays(text)
+    return _read_records(text) if m is None else m
+
+
+def _read_records(text: str) -> CompactMatrix:
+    """The CSV reader record by record, with the csv module."""
     reader = csv.reader(io.StringIO(text))
     names: list[str] = []  # row labels in file order
     recs: list[list[str]] = []
@@ -335,6 +350,186 @@ def from_csv(text: str) -> CompactMatrix:
     # record, and dropped with the rows' reordering
     table, foreign = _id_table(labels, recs, k + 1, "")
     return CompactMatrix._of(k, labels, table[order, 1:], foreign)
+
+
+# each count 0..8 of a field's bytes in an 8-byte big-endian word as the
+# mask that keeps them: the word's leading bytes
+_KEEP = np.array([0] + [(1 << 64) - (1 << (64 - 8 * b)) for b in range(1, 9)],
+                 dtype=np.uint64)
+
+
+def _read_arrays(text: str) -> CompactMatrix | None:
+    """The CSV reader on arrays, for text with no ``"``, CR or NUL; None
+    when the text is anything else or irregular: a bad header, a record
+    of other than k + 1 fields, a field over ``csv.field_size_limit()``,
+    a repeated row, or a cell that names no row.
+
+    The fields are found ``_CSV_ROWS`` lines at a time, from one numpy
+    scan of each block's bytes for commas and LFs; the filled cells are
+    kept as offsets until the labels are known.  A field is compared by
+    its UTF-8 bytes as 8-byte big-endian words, zero past its end: with
+    no NUL in the text, equal words mean equal labels, and UTF-8 byte
+    order is code-point order, so the words sort the labels as ``sorted``
+    does.  Each cell finds its row by a fingerprint of its words, checked
+    word by word.  Only the n labels are decoded to ``str``."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    header = text.partition("\n")[0]
+    k = header.count(",")
+    if header != ",".join(["vertex"] + [f"c{i}" for i in range(1, k + 1)]):
+        return None
+    try:
+        raw = text.encode() + bytes(8)  # a word read at any field start stays inside
+    except UnicodeEncodeError:  # lone surrogates
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    word_at = np.ndarray((buf.size - 7,), dtype=">u8", buffer=raw, strides=(1,))
+    nl = np.flatnonzero(buf == 10)
+    # the records' lines: after each LF up to the next, or to the text's
+    # end unless a LF ends the text
+    begin, end = nl + 1, np.append(nl[1:], buf.size - 8)
+    if begin.size and begin[-1] == end[-1]:
+        begin, end = begin[:-1], end[:-1]
+    width = k + 1
+    blocks = []  # per block of lines, its records' labels and filled cells
+    for a in range(0, begin.size, _CSV_ROWS):
+        got = _records(buf, begin[a], end[min(a + _CSV_ROWS, begin.size) - 1], width)
+        if got is None:
+            return None
+        blocks.append(got)
+    at = np.concatenate([np.empty(0, dtype=np.int64)] + [b[0] for b in blocks])
+    size = np.concatenate([np.empty(0, dtype=np.int64)] + [b[1] for b in blocks])
+    n = at.size
+    words, first = _words(word_at, at, size)
+    order = _byte_order(words, first, size)
+    if order is None:
+        return None
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    fp = _fingerprints(words, first)
+    by_fp = np.argsort(fp)
+    fp = fp[by_fp]
+    ids = np.full(n * width, -1, dtype=np.int32)  # the file-order grid
+    row = 0
+    for rows_at, _, place, start, length in blocks:
+        cw, cfirst = _words(word_at, start, length)
+        cfp = _fingerprints(cw, cfirst)
+        i = np.minimum(np.searchsorted(fp, cfp), n - 1)
+        lab = by_fp[i]
+        # the fingerprint's row, if it has the same bytes: the same size
+        # and fingerprint, which is the word of a one-word field, and the
+        # same words
+        same = np.array_equal(fp[i], cfp) and np.array_equal(size[lab], length)
+        if same and cw.size > cfirst.size:
+            count = np.diff(cfirst, append=cw.size)
+            same = np.array_equal(cw, words[np.repeat(first[lab] - cfirst, count)
+                                            + np.arange(cw.size)])
+        if not same:
+            return None
+        ids[place + row * width] = rank[lab]
+        row += rows_at.size
+    # the labels in order, each with the byte after it set to LF
+    size = size[order] + 1
+    pick = buf[np.repeat(at[order], size) + _within(size)]
+    pick[np.cumsum(size) - 1] = 10
+    labels = tuple(pick.tobytes().decode().split("\n")[:-1])
+    return CompactMatrix._of(k, labels, ids.reshape(n, width)[order, 1:])
+
+
+def _records(buf: np.ndarray, lo: int, hi: int, width: int):
+    """The records on the lines of ``buf[lo:hi]``, blank lines skipped:
+    their labels' starts and sizes, and their filled cells' places in the
+    records' row-major grid of fields, with the cells' starts and sizes.
+    None if a record has other than ``width`` fields, or a field more
+    characters than ``csv.field_size_limit()``."""
+    block = buf[lo:hi + 1]  # with the LF or the padding after it
+    end_of_field = (block == 44) | (block == 10)
+    end_of_field[-1] = True
+    stop = np.flatnonzero(end_of_field)
+    stop += lo
+    start = np.empty_like(stop)
+    start[0] = lo
+    np.add(stop[:-1], 1, out=start[1:])
+    length = stop - start
+    last = np.flatnonzero(buf[stop] != 44)  # each line's last field
+    count = np.diff(last, prepend=-1)
+    blank = (count == 1) & (length[last] == 0)
+    if blank.any():
+        keep = np.repeat(~blank, count)
+        start, length, count = start[keep], length[keep], count[~blank]
+    if np.any(count != width):
+        return None
+    # the limit counts characters: UTF-8 bytes less those that continue one
+    limit = csv.field_size_limit()
+    if any(length[i] - np.count_nonzero(buf[start[i]:start[i] + length[i]] >> 6 == 2)
+           > limit for i in np.flatnonzero(length > limit).tolist()):
+        return None
+    filled = length != 0
+    filled[::width] = False
+    place = np.flatnonzero(filled)
+    return (start[::width].copy(), length[::width].copy(), place,
+            start[place], length[place])
+
+
+def _within(size: np.ndarray) -> np.ndarray:
+    """0..size[i]-1 for each run, the runs end to end."""
+    return np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
+
+
+def _words(word_at: np.ndarray, start: np.ndarray,
+           size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fields of ``size`` bytes at ``start`` as big-endian words read
+    from ``word_at`` (the word at each byte offset), zero past each
+    field's end, the fields end to end, at least one word each; and each
+    field's first word."""
+    if size.max(initial=0) <= 8:  # one word each
+        words = word_at[start]
+        words &= _KEEP[size]
+        return words, np.arange(size.size)
+    count = np.maximum((size + 7) >> 3, 1)
+    j = 8 * _within(count)
+    words = word_at[np.repeat(start, count) + j]
+    words &= _KEEP[np.clip(np.repeat(size, count) - j, 0, 8)]
+    return words, np.cumsum(count) - count
+
+
+def _fingerprints(words: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """One 64-bit fingerprint of each field's words: its first word plus
+    a bijective mix of each later word with its place, so that a one-word
+    field's fingerprint is that word."""
+    if words.size == first.size:
+        return words
+    place = np.arange(words.size, dtype=np.uint64)
+    place -= np.repeat(first, np.diff(first, append=words.size)).astype(np.uint64)
+    x = (words ^ place * 0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9
+    x ^= x >> 31
+    x[first] = words[first]
+    return np.add.reduceat(x, first)
+
+
+def _byte_order(words: np.ndarray, first: np.ndarray,
+                size: np.ndarray) -> np.ndarray | None:
+    """The order that sorts fields by their bytes, from their words, or
+    None if two are equal.  Word j sorts the runs of fields equal in words
+    0..j-1 that are at least 8j bytes long; with no NUL byte, a run's
+    shorter fields are equal, and each round touches only the runs left."""
+    n = first.size
+    count = np.diff(first, append=words.size)
+    order = np.arange(n)
+    head = np.zeros(n, dtype=bool)  # sorted places that start a run
+    head[:1] = True
+    live = np.arange(n)  # sorted places in runs of two or more
+    j = 0
+    while live.size:
+        f = order[live]
+        key = np.where(count[f] > j, words[first[f] + np.minimum(j, count[f] - 1)], 0)
+        by = np.lexsort((key, np.cumsum(head[live])))
+        order[live], key = f[by], key[by]
+        head[live[1:]] |= key[1:] != key[:-1]
+        h = head[live]
+        j += 1
+        live = live[~(h & np.append(h[1:], True)) & (size[order[live]] >= 8 * j)]
+    return order if head.all() else None
 
 
 def to_json(m: CompactMatrix) -> str:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,10 @@ from downcolor import (
     transitive_closure,
     verify_ac_property,
 )
-from conftest import (ac_check_reference, brute_ac_ok, compact_csv_reference,
-                      csv_reference, json_reference, random_dag, reach_closed)
+from downcolor import compact
+from conftest import (SCALE_GRAPHS, ac_check_reference, brute_ac_ok,
+                      compact_csv_reference, csv_reference, json_reference,
+                      random_dag, reach_closed)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 WITNESS = Coloring({"g1": 1, "g2": 3, "g3": 2, "g4": 2, "g5": 3, "g6": 1}, 3,
@@ -344,7 +347,8 @@ def test_closure_reconstruction_from_matrix():
 # ------------------------------------------------------------ reader fuzz
 
 CELLS = ["a", "b", "c", "", "a,b", 'x"y', " s ", "é", "vertex", "c1",
-         "a\rb", "l\nm", "zz"]
+         "a\rb", "l\nm", "zz", "ninebytes", "sixteen-bytes-ab", "x" * 40,
+         "ünïcödé"]
 
 
 @st.composite
@@ -386,6 +390,138 @@ def test_csv_reader_fuzz(text):
     assert (m.k, m.labels, dict(m.rows)) == (k, tuple(sorted(rows)), rows)
     for fmt in ("csv", "json"):
         assert parse_compact(serialize(m, fmt), fmt) == m
+
+
+# names that take the array reader past one 8-byte word, or through
+# multi-byte UTF-8, or share long prefixes
+LONG_NAMES = ["ninebytes", "sixteen-bytes-ab", "x" * 40, "x" * 39 + "y",
+              "ünïcödé", "日本語のラベル", " s ", "a" * 8]
+
+
+def reference_outcome(text):
+    """What ``compact_csv_reference`` makes of ``text``: ``(k, rows)``, or
+    the error's type and text (a ``ParseError``'s names its line)."""
+    try:
+        return compact_csv_reference(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def reader_outcome(text):
+    try:
+        m = parse_compact(text, "csv")
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return m.k, dict(m.rows)
+
+
+def edited_csv(rng, text):
+    """``text`` with one edit to its records: a repeated row, a row one
+    field wider or narrower, blank lines, or no final LF."""
+    lines = text.split("\n")[:-1]
+    i = rng.randrange(1, len(lines) + 1)
+    kind = rng.choice(("repeat", "wider", "narrower", "blank", "no-lf"))
+    if kind == "repeat" and len(lines) > 1:
+        lines.insert(i, lines[rng.randrange(1, len(lines))])
+    elif kind == "wider" and len(lines) > 1:
+        lines[i - 1] += ","
+    elif kind == "narrower" and "," in lines[i - 1]:
+        lines[i - 1] = lines[i - 1].rpartition(",")[0]
+    elif kind == "blank":
+        lines[i:i] = [""] * rng.randint(1, 2)
+    return "\n".join(lines) + ("" if kind == "no-lf" else "\n")
+
+
+def test_csv_reader_matches_reference_on_edited_tables():
+    # long and non-ASCII labels, tables with foreign cells, and texts with
+    # one record-level edit: each reads as the reference does
+    rng = random.Random(101)
+    fast = 0
+    for _ in range(300):
+        g = random_dag(rng, rng.randint(1, 12), rng.choice([0.1, 0.3, 0.6]))
+        m = build_compact(g, down_coloring(g))
+        m = relabeled(m, [rng.choice(LONG_NAMES + [""]) + lab for lab in m.labels])
+        for _ in range(rng.randint(0, 2)):
+            if m.labels and m.k:
+                m = mutate(rng, m, m.labels)
+        text = serialize(m, "csv")
+        if rng.random() < 0.5:
+            text = edited_csv(rng, text)
+        assert reader_outcome(text) == reference_outcome(text)
+        fast += compact._read_arrays(text) is not None
+    assert 100 < fast < 300
+
+
+def test_csv_reader_checks_a_fingerprint_match_word_by_word():
+    # a 16-byte foreign cell whose fingerprint is a row's: found by its
+    # fingerprint, refused by its words, and read by the csv module
+    rng = np.random.default_rng(3)
+    label = b"BBBBBBBBAAAAAAAA"
+    words = np.frombuffer(label, dtype=">u8").astype(np.uint64)
+    want = compact._fingerprints(words, np.array([0]))[0]
+    for _ in range(100):
+        second = rng.integers(ord("a"), ord("z") + 1, size=(4096, 8), dtype=np.uint8)
+        tail = second.view(">u8")[:, 0].astype(np.uint64)
+        pairs = np.stack([np.zeros_like(tail), tail], axis=1).ravel()
+        mixed = compact._fingerprints(pairs, np.arange(0, pairs.size, 2))
+        head = (want - mixed).astype(">u8").view(np.uint8).reshape(-1, 8)
+        printable = (head >= ord(" ")) & (head <= ord("~"))
+        ok = np.flatnonzero((printable & (head != ord(",")) & (head != ord('"')))
+                            .all(axis=1))
+        if ok.size:
+            break
+    cell = (head[ok[0]].tobytes() + second[ok[0]].tobytes()).decode()
+    assert cell != label.decode()
+    text = f"vertex,c1\n{label.decode()},{cell}\n"
+    assert compact._read_arrays(text) is None
+    assert reader_outcome(text) == reference_outcome(text)
+    assert parse_compact(text, "csv").foreign == (cell,)
+
+
+def scale_tables():
+    """Tables shaped like the pipeline benchmark's: the dense layered and
+    hierarchy digraphs of ``SCALE_GRAPHS``, the hierarchy's also with
+    labels over 8 bytes, non-ASCII labels, or one 100,000-character
+    label among short ones."""
+    tables = {}
+    for name, make in SCALE_GRAPHS.items():
+        g = make()
+        tables[name] = build_compact(g, down_coloring(g))
+    m = tables["hierarchy"]
+    tables["long"] = relabeled(m, [f"vertex-label-{lab}" for lab in m.labels])
+    tables["non-ascii"] = relabeled(m, [f"日本-{lab}-ü" for lab in m.labels])
+    tables["one-huge"] = relabeled(m, m.labels[:-1] + ("h" * 100000,))
+    return tables
+
+
+def test_csv_reader_reads_regular_tables_as_arrays(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("csv.reader was called")
+    tables = scale_tables()
+    monkeypatch.setattr(compact.csv, "reader", refused)
+    for m in tables.values():
+        text = serialize(m, "csv")
+        assert parse_compact(text, "csv") == m
+        # blank lines, and no final LF, stay on the array path too
+        lines = text.split("\n")
+        assert parse_compact("\n".join(lines[:2] + [""] + lines[2:-1]), "csv") == m
+
+
+def test_csv_reader_peak_memory_per_text_byte():
+    # every field costs the text at least its comma or LF; the reader
+    # holds a few int64 arrays per field of one block of rows and 24 bytes
+    # per filled cell until the labels are known, and reads a long label
+    # word by word, never padded to the widest
+    for name, m in scale_tables().items():
+        text = serialize(m, "csv")
+        tracemalloc.start()
+        try:
+            back = parse_compact(text, "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == m
+        assert peak < 32 * len(text.encode()), name
 
 
 @st.composite
