@@ -28,9 +28,8 @@ from .digraph import (Digraph, UndirectedGraph, big_d, condense_to_acyclic,
 from .errors import (BibdError, CapExceededError, ColoringError,
                      CyclicGraphError, DowncolorError, ParseError)
 from .hypergraph import (DegeneracyResult, Hypergraph, clique_graph,
-                         degeneracy, degree, down_hypergraph,
-                         format_hypergraph, graph_degeneracy,
-                         induced_subhypergraph, intersection_graph,
-                         parse_hypergraph, sigma, up_digraph)
+                         degeneracy, down_hypergraph, format_hypergraph,
+                         graph_degeneracy, induced_subhypergraph,
+                         intersection_graph, parse_hypergraph, up_digraph)
 
 __version__ = "0.1.0"

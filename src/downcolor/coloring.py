@@ -9,9 +9,9 @@ its open down-set.
 
 The greedy strong coloring never builds the clique graph.  It peels the
 hypergraph itself smallest-last, through the bucket queue of
-``hypergraph._peel_incidence``, and runs first-fit along the reversed
-order over the incidence that peel built, one Python-int mask of used
-colors per hyperedge; this is the constructive side of the bound
+``hypergraph._peel``, and runs first-fit along the reversed order over
+the incidence that peel built, one Python-int mask of used colors per
+hyperedge; this is the constructive side of the bound
 ind(H)*(D - 2) + 1 on down-colorings.
 
 The exact solver is a DSATUR-style branch and bound over the clique
@@ -43,7 +43,7 @@ import numpy as np
 from . import _kernels
 from .digraph import Digraph, UndirectedGraph, _max_rows, big_d
 from .errors import CapExceededError, ColoringError
-from .hypergraph import Hypergraph, _peel_incidence, degeneracy, down_hypergraph
+from .hypergraph import Hypergraph, _peel, degeneracy, down_hypergraph
 
 DEFAULT_EXACT_CAP = 30
 
@@ -128,7 +128,7 @@ def _greedy_strong(n: int, eptr: np.ndarray, members: np.ndarray) -> list[int]:
     its edges' masks.  The masks follow the peel's own incidence, which
     leaves out edges below two members: such an edge constrains nobody
     else."""
-    peel, iptr, inc = _peel_incidence(n, eptr, members)
+    peel, iptr, inc = _peel(n, eptr, members)
     used = [0] * (eptr.size - 1)
     colors = [0] * n
     for v in reversed(peel.order):
@@ -399,15 +399,22 @@ def down_coloring(g: Digraph, mode: str = "greedy", *, cap: int | None = None,
     return c
 
 
-def _check_total(g: Digraph, c: Coloring) -> None:
-    have = set(c.colors)
-    want = set(g.labels)
-    if want - have:
-        raise ColoringError(
-            f"coloring misses vertices: {sorted(want - have)[:5]}")
-    if have - want:
+def _columns(g: Digraph, c: Coloring) -> np.ndarray:
+    """Each vertex's 0-based color by id, one lookup per label; refuses a
+    coloring of other vertices, naming the first five sorted labels that
+    it misses, else those ``g`` lacks.  It runs before the acyclicity gate."""
+    try:
+        col = np.fromiter(map(c.colors.__getitem__, g.labels), np.int64, g.n)
+    except KeyError:
+        col = None
+    if col is None or len(c.colors) != g.n:  # g's labels are distinct
+        have, want = set(c.colors), set(g.labels)
+        if want - have:
+            raise ColoringError(
+                f"coloring misses vertices: {sorted(want - have)[:5]}")
         raise ColoringError(
             f"coloring names unknown vertices: {sorted(have - want)[:5]}")
+    return col - 1
 
 
 def _rainbow(indptr: np.ndarray, ids: np.ndarray, col: np.ndarray,
@@ -426,10 +433,9 @@ def find_down_violation(g: Digraph, c: Coloring) -> tuple[str, str, str] | None:
     smallest-id maximal witness whose down-set holds both, or None when
     every maximal vertex's down-set is rainbow (a valid down-coloring).
     Only the rows that ``_rainbow`` finds short are sorted."""
-    _check_total(g, c)
-    tops, eptr, ids = _max_rows(g)
-    color = np.array([c.colors[lab] for lab in g.labels], dtype=np.int64)
-    short = _rainbow(eptr, ids, color - 1, c.k)[1]
+    color = _columns(g, c)
+    tops, eptr, ids = _max_rows(g)  # acyclicity gate
+    short = _rainbow(eptr, ids, color, c.k)[1]
     if short.size == 0:
         return None
     eptr, ids = _kernels.gather_rows(eptr, ids, short)

@@ -32,7 +32,7 @@ from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
-from .coloring import (Coloring, _check_total, _load_json, _rainbow,
+from .coloring import (Coloring, _columns, _load_json, _rainbow,
                        find_down_violation)
 from .digraph import Digraph
 from .errors import ColoringError, ParseError
@@ -136,20 +136,26 @@ def _id_table(labels: tuple[str, ...], rows: list[Sequence], width: int,
 def build_compact(g: Digraph, c: Coloring) -> CompactMatrix:
     """Lay the closed down-sets out by color; rejects invalid colorings
     with the offending pair and witness ancestor."""
-    _check_total(g, c)
-    color = np.array([c.colors[lab] for lab in g.labels], dtype=np.int64)
-    cells, short = _rainbow(*g._down_sets(), color - 1, c.k)
+    col = _columns(g, c)
+    order = np.array(sorted(range(g.n), key=g.labels.__getitem__), dtype=np.int64)
+    table, short = _layout(g, col, c.k, order)
     if short.size:
         u, v, w = violation = find_down_violation(g, c)
         raise ColoringError(
             f"not a down-coloring: {u} and {v} share a color inside the "
             f"closed down-set of {w}", witness=violation)
-    # g's ids into label order, -1 kept
-    order = np.array(sorted(range(g.n), key=g.labels.__getitem__), dtype=np.int64)
-    rank = np.full(g.n + 1, -1, dtype=np.int32)
-    rank[order] = np.arange(g.n, dtype=np.int32)
     return CompactMatrix._of(c.k, tuple(map(g.labels.__getitem__, order.tolist())),
-                             rank[cells[order]])
+                             table)
+
+
+def _layout(g: Digraph, col: np.ndarray, k: int,
+            order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_rainbow` of ``g``'s down-sets, row i that of ``order[i]``
+    and each id renamed to its place in ``order``; and the short rows."""
+    cells, short = _rainbow(*g._down_sets(), col, k)
+    rank = np.full(g.n + 1, -1, dtype=np.int32)  # -1 kept
+    rank[order] = np.arange(g.n, dtype=np.int32)
+    return rank[cells[order]], short
 
 
 # ------------------------------------------------------------ validation
@@ -194,10 +200,8 @@ def verify_ac_property(m: CompactMatrix, g: Digraph) -> AcCheck:
         return _violated_clause(m, g)
     col = np.empty(n, dtype=np.int64)
     col[gid] = own
-    cells, short = _rainbow(*g._down_sets(), col, m.k)
-    mid = np.full(n + 1, -1, dtype=np.int32)  # g's ids to m's, -1 kept
-    mid[gid] = np.arange(n, dtype=np.int32)
-    if short.size == 0 and np.array_equal(mid[cells[gid]], m.table):
+    table, short = _layout(g, col, m.k, gid)
+    if short.size == 0 and np.array_equal(table, m.table):
         return AcCheck(True)
     return _violated_clause(m, g)
 
@@ -244,8 +248,8 @@ def is_below(m: CompactMatrix, u: str, v: str) -> bool:
     ``u``, or is ``u``), read from one cell: row v at u's own column.
     The answer is the digraph's when ``m`` passes ``verify_ac_property``."""
     i, j = _row(m, u), _row(m, v)
-    col = np.flatnonzero(m.table[i] == i)
-    return bool(col.size) and int(m.table[j, col[0]]) == i
+    col = int(m._own_columns[i])
+    return col >= 0 and int(m.table[j, col]) == i
 
 
 def is_below_ids(m: CompactMatrix, u, v) -> np.ndarray:
@@ -306,13 +310,14 @@ def to_csv(m: CompactMatrix) -> str:
 
 
 def from_csv(text: str) -> CompactMatrix:
-    """Read a table from CSV; a record the reader rejects (say, a field
-    over ``csv.field_size_limit()``) raises a ``ParseError`` with its line.
+    """Read a table from CSV; a record the reader rejects (a quoted field
+    over ``csv.field_size_limit()``, say) raises a ``ParseError`` with its line.
 
-    Text with no ``"``, CR or NUL is read as arrays (:func:`_read_arrays`);
-    anything that path finds irregular, or any other text, is read again
-    from the start by ``csv.reader`` (:func:`_read_records`), the one
-    source of every error and of ``foreign``.  Both give the same table."""
+    Text with no ``"``, CR or NUL is read as arrays (:func:`_read_arrays`),
+    fields of any length; anything that path finds irregular, or any other
+    text, is read again from the start by ``csv.reader``
+    (:func:`_read_records`), the one source of every error and of
+    ``foreign``.  Both give the same table on text both accept."""
     m = _read_arrays(text)
     return _read_records(text) if m is None else m
 
@@ -361,8 +366,8 @@ _KEEP = np.array([0] + [(1 << 64) - (1 << (64 - 8 * b)) for b in range(1, 9)],
 def _read_arrays(text: str) -> CompactMatrix | None:
     """The CSV reader on arrays, for text with no ``"``, CR or NUL; None
     when the text is anything else or irregular: a bad header, a record
-    of other than k + 1 fields, a field over ``csv.field_size_limit()``,
-    a repeated row, or a cell that names no row.
+    of other than k + 1 fields, a repeated row, or a cell that names no
+    row.  Fields of any length are read.
 
     The fields are found ``_CSV_ROWS`` lines at a time, from one numpy
     scan of each block's bytes for commas and LFs; the filled cells are
@@ -440,8 +445,7 @@ def _records(buf: np.ndarray, lo: int, hi: int, width: int):
     """The records on the lines of ``buf[lo:hi]``, blank lines skipped:
     their labels' starts and sizes, and their filled cells' places in the
     records' row-major grid of fields, with the cells' starts and sizes.
-    None if a record has other than ``width`` fields, or a field more
-    characters than ``csv.field_size_limit()``."""
+    None if a record has other than ``width`` fields."""
     block = buf[lo:hi + 1]  # with the LF or the padding after it
     end_of_field = (block == 44) | (block == 10)
     end_of_field[-1] = True
@@ -458,11 +462,6 @@ def _records(buf: np.ndarray, lo: int, hi: int, width: int):
         keep = np.repeat(~blank, count)
         start, length, count = start[keep], length[keep], count[~blank]
     if np.any(count != width):
-        return None
-    # the limit counts characters: UTF-8 bytes less those that continue one
-    limit = csv.field_size_limit()
-    if any(length[i] - np.count_nonzero(buf[start[i]:start[i] + length[i]] >> 6 == 2)
-           > limit for i in np.flatnonzero(length > limit).tolist()):
         return None
     filled = length != 0
     filled[::width] = False

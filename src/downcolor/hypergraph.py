@@ -7,15 +7,15 @@ the trivial edges.  Degrees count the non-trivial edges containing a
 vertex, with multiplicity.  The edges are held as one CSR pair, which
 every function here reads; the tuples of ``Hypergraph.edges`` are built
 only when asked for.  One row dedup, :func:`_distinct_rows`, serves the
-simplicity check and ``simplify``, which the down-hypergraph runs.
+simplicity check, ``simplify`` and the down-hypergraph.
 
 The dictionary with digraphs: ``down_hypergraph`` collects the open (or
 closed) down-sets of the maximal vertices, ``up_digraph`` goes back by
 hanging a fresh top vertex over every hyperedge.  On simple hypergraphs
 and on height-two digraphs with distinct tops these are inverse to each
 other.  ``down_hypergraph`` fills its ``Hypergraph`` from the cached
-down-set rows without a second check, and the coloring pipeline colors
-that object.
+down-set rows, deduplicated in the same gather, without a second check,
+and the coloring pipeline colors that object.
 
 Clique and intersection graphs come from the one conflict builder,
 ``_kernels.clique_union_csr``, which takes the cliques as CSR rows and
@@ -27,9 +27,8 @@ hyperedges as a CSR pair (edge pointer, member ids), and a graph as its
 ``graph_degeneracy`` and the exact solver's seed do.  It picks from a
 bucket queue, one ``heapq`` of ids per degree, so a peel costs linear
 steps in n, the memberships and the largest degree, plus one heap step
-per degree decrement.  ``_peel_incidence`` also hands back the
-live-edge incidence it walked, which the greedy strong coloring reuses
-for first-fit.
+per degree decrement.  It also hands back the live-edge incidence it
+walked, which the greedy strong coloring reuses for first-fit.
 """
 
 from __future__ import annotations
@@ -147,14 +146,6 @@ def _distinct_rows(eptr: np.ndarray, members: np.ndarray, least: int) -> np.ndar
     return np.array(list(first.values()), dtype=np.int64)
 
 
-def degree(h: Hypergraph, u: int) -> int:
-    return h.degree(u)
-
-
-def sigma(h: Hypergraph) -> int:
-    return h.sigma
-
-
 # ------------------------------------------------------------------ text
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -206,9 +197,10 @@ def down_hypergraph(g: Digraph, closed: bool = False,
         labels = tuple(g.label_of(u) for u in np.flatnonzero(below).tolist())
         index = {lab: i for i, lab in enumerate(labels)}
         members = (np.cumsum(below, dtype=np.int32) - 1)[members]
-    h = Hypergraph.__new__(Hypergraph)._fill(labels, index, _kernels.gather_rows(
-        eptr, members, np.flatnonzero(np.diff(eptr) >= 1)), None)
-    return h.simplify() if simplify else h
+    rows = (_distinct_rows(eptr, members, 2) if simplify
+            else np.flatnonzero(np.diff(eptr) >= 1))
+    return Hypergraph.__new__(Hypergraph)._fill(
+        labels, index, _kernels.gather_rows(eptr, members, rows), simplify or None)
 
 
 def up_digraph(h: Hypergraph) -> Digraph:
@@ -282,24 +274,19 @@ class DegeneracyResult:
     order: tuple[int, ...]
 
 
-def _peel(n: int, eptr: np.ndarray, members: np.ndarray) -> DegeneracyResult:
+def _peel(n: int, eptr: np.ndarray, members: np.ndarray
+          ) -> tuple[DegeneracyResult, list[int], list[int]]:
     """Iterated min-degree peeling of ``n`` vertices under the hyperedges
     ``members[eptr[i]:eptr[i + 1]]``; ties break on the smallest vertex id.
+    Returns the outcome and the incidence it walked: the live edges
+    (those of cardinality at least two, renumbered in order) through
+    each vertex, as CSR lists (pointers, edge ids).
 
     Removing a vertex shrinks every incident edge; an edge dies when a
     single member remains, at which point that member loses one degree.
     Edges of cardinality below two never count.  The returned value is
     the largest degree seen at a removal, which equals the maximum over
     induced subhypergraphs of their minimum degree.
-    """
-    return _peel_incidence(n, eptr, members)[0]
-
-
-def _peel_incidence(n: int, eptr: np.ndarray, members: np.ndarray
-                    ) -> tuple[DegeneracyResult, list[int], list[int]]:
-    """``_peel``, with the incidence it walked: the live edges (those of
-    cardinality at least two, renumbered in order) through each vertex,
-    as CSR lists (pointers, edge ids).
 
     The pick is a bucket queue (Matula and Beck, J. ACM 1983): one list
     per degree holds the alive ids as a ``heapq`` heap, so a bucket pops
@@ -362,10 +349,10 @@ def _peel_incidence(n: int, eptr: np.ndarray, members: np.ndarray
 
 def degeneracy(h: Hypergraph) -> DegeneracyResult:
     """Peeling degeneracy; degrees count edges with multiplicity."""
-    return _peel(h.n, *h._csr)
+    return _peel(h.n, *h._csr)[0]
 
 
 def graph_degeneracy(g: UndirectedGraph) -> DegeneracyResult:
     """Degeneracy of a graph via the same peeling, its ``u < v`` pairs
     read as a 2-uniform hypergraph."""
-    return _peel(g.n, *_kernels.csr_edges(*g._csr))
+    return _peel(g.n, *_kernels.csr_edges(*g._csr))[0]

@@ -89,6 +89,17 @@ def test_color_rejects_cyclic(tmp_path, capsys):
     assert "cycle" in capsys.readouterr().err
 
 
+def test_verify_checks_the_coloring_before_the_cycle(tmp_path, capsys):
+    # a cyclic digraph with a coloring that misses a vertex: the coloring
+    # is refused first (exit 2), before the acyclicity gate (exit 1)
+    p, col = tmp_path / "c.txt", tmp_path / "c.json"
+    p.write_text("a b\nb c\nc a\n")
+    col.write_text(json.dumps({"colors": {"a": 1, "b": 2}, "k": 2,
+                               "method": "greedy"}))
+    assert main(["verify", str(p), "--coloring", str(col)]) == 2
+    assert capsys.readouterr().err == "error: coloring misses vertices: ['c']\n"
+
+
 def test_verify_detects_violation(six, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -316,7 +316,7 @@ def old_seed(n, indptr, indices):
     src = np.repeat(np.arange(n), np.diff(indptr))
     up = src < indices
     pairs = np.stack((src[up], indices[up]), axis=1).ravel()
-    order = _peel(n, np.arange(0, pairs.size + 1, 2), pairs).order
+    order = _peel(n, np.arange(0, pairs.size + 1, 2), pairs)[0].order
     return _kernels.greedy_color(np.array(order[::-1], dtype=np.int64),
                                  indptr, indices).tolist()
 
@@ -505,6 +505,12 @@ def test_six_example_exact_and_bounds():
         classes.setdefault(col, set()).add(v)
     assert sorted(map(sorted, classes.values())) == [
         ["g1", "g6"], ["g2", "g5"], ["g3", "g4"]]
+
+
+def test_down_coloring_refuses_an_unknown_mode():
+    with pytest.raises(ValueError) as ei:
+        down_coloring(parse_digraph(SIX), "bogus")
+    assert str(ei.value) == "unknown mode 'bogus'"
 
 
 def test_bound_report_requires_edges():

@@ -25,6 +25,7 @@ from downcolor import (
     stats,
     transitive_closure,
     verify_ac_property,
+    verify_down_coloring,
 )
 from downcolor import compact
 from conftest import (SCALE_GRAPHS, ac_check_reference, brute_ac_ok,
@@ -85,6 +86,33 @@ def test_build_compact_rejects_partial_coloring():
     del partial["g4"]
     with pytest.raises(ColoringError, match="misses vertices"):
         build_compact(g, Coloring(partial, 3, "exact"))
+
+
+# twelve vertices in a chain, their labels out of sorted order by id
+CHAIN = "".join(f"v{i} v{i - 1}\n" for i in range(11, 0, -1))
+
+
+@pytest.mark.parametrize("missing, unknown, want", [
+    (7, 0, "coloring misses vertices: ['v0', 'v1', 'v10', 'v11', 'v2']"),
+    (0, 7, "coloring names unknown vertices: ['z0', 'z1', 'z2', 'z3', 'z4']"),
+    (2, 2, "coloring misses vertices: ['v0', 'v1']"),
+])
+@pytest.mark.parametrize("entry", [build_compact, verify_down_coloring])
+def test_color_lookup_refuses_a_coloring_of_other_vertices(entry, missing,
+                                                           unknown, want):
+    g = parse_digraph(CHAIN)
+    labels = sorted(g.labels)[missing:] + [f"z{i}" for i in range(unknown - 1, -1, -1)]
+    c = Coloring(dict.fromkeys(reversed(labels), 1), 1, "greedy")
+    with pytest.raises(ColoringError) as exc:
+        entry(g, c)
+    assert str(exc.value) == want and exc.value.witness is None
+
+
+@pytest.mark.parametrize("entry", [build_compact, verify_down_coloring])
+def test_color_lookup_runs_before_the_acyclicity_gate(entry):
+    g = parse_digraph("a b\nb c\nc a\n")
+    with pytest.raises(ColoringError, match=r"misses vertices: \['c'\]"):
+        entry(g, Coloring({"a": 1, "b": 2}, 2, "greedy"))
 
 
 def test_verify_ac_property_ok():
@@ -214,9 +242,13 @@ def test_readers_refuse_deep_json_and_long_csv_fields_as_value_error():
     deep = "[" * 100000 + "]" * 100000
     with pytest.raises(ValueError, match="nested too deeply"):
         parse_compact(deep, "json")
-    # a label over the csv module's field limit (131072 characters): the
-    # CSV reader names the line, and the limit, process-global, stays put
+    # labels over the csv module's field limit (131072 characters): an
+    # unquoted one reads back, a quoted one is refused with its line, and
+    # the limit, process-global, stays put
     g = parse_digraph("x" * 140000 + " b\n")
+    m = build_compact(g, down_coloring(g))
+    assert parse_compact(serialize(m, "csv"), "csv") == m
+    g = parse_digraph("x," + "x" * 140000 + " b\n")
     m = build_compact(g, down_coloring(g))
     with pytest.raises(ParseError) as ei:
         parse_compact(serialize(m, "csv"), "csv")
@@ -476,6 +508,15 @@ def test_csv_reader_checks_a_fingerprint_match_word_by_word():
     assert compact._read_arrays(text) is None
     assert reader_outcome(text) == reference_outcome(text)
     assert parse_compact(text, "csv").foreign == (cell,)
+
+
+def test_csv_reader_reads_lone_surrogates_with_the_csv_module():
+    # text that UTF-8 cannot encode leaves the array path for csv.reader
+    text = "vertex,c1,c2\n\ud800,\ud800,\nb,\ud800,b\n"
+    assert compact._read_arrays(text) is None
+    m = parse_compact(text, "csv")
+    assert m.labels == ("b", "\ud800") and m.foreign == ()
+    assert m.rows == {"b": ("\ud800", "b"), "\ud800": ("\ud800", None)}
 
 
 def scale_tables():

@@ -232,6 +232,23 @@ def test_closure_too_large_for_either_layout_raises(monkeypatch):
         assert str(ei.value) == msg
 
 
+def test_closure_over_budget_part_way_up_the_merge_raises(monkeypatch):
+    # 1000 sinks, 500 mids over 10 sinks each, 500 tops over 10 mids each:
+    # the merge starts on at least 12,000 ids (48,000 bytes) and would
+    # hold 1000 + 500 * 11 + 500 * (10 * 11 + 1) = 62,000 at the tops,
+    # while the 512,000 bytes of bitsets never fit
+    text = "".join(f"t{j} m{(j + i) % 500}\n" for j in range(500) for i in range(10))
+    text += "".join(f"m{i} s{(2 * i + k) % 1000}\n"
+                    for i in range(500) for k in range(10))
+    monkeypatch.setattr(_kernels, "_CLOSURE_BYTES", 100_000)
+    with pytest.raises(ValueError) as ei:
+        parse_digraph(text)._down_sets()
+    assert str(ei.value) == (
+        "the closure of 2000 vertices is too large: its bitsets take "
+        "512,000 bytes and the merge of its CSR rows 248,000 bytes, over "
+        "the 100,000-byte budget")
+
+
 @pytest.mark.parametrize("budget, layout", [(12_000, 1), (100_000, None)])
 def test_closure_takes_the_layout_that_fits(monkeypatch, budget, layout):
     # path300 fits in its 12,000 bytes of bitsets but not in the merge;

@@ -14,7 +14,6 @@ from downcolor import (
     bound_report,
     clique_graph,
     degeneracy,
-    degree,
     down_coloring,
     down_graph,
     down_hypergraph,
@@ -25,7 +24,6 @@ from downcolor import (
     intersection_graph,
     parse_digraph,
     parse_hypergraph,
-    sigma,
     up_digraph,
 )
 from downcolor import _kernels
@@ -59,10 +57,10 @@ def test_constructor_rejects_repeated_member():
 
 def test_sigma_and_degree():
     h = parse_hypergraph("a b c\na b\na\n")
-    assert sigma(h) == 3
+    assert h.sigma == 3
     # trivial edges never count toward degree
-    assert degree(h, h.id_of("a")) == 2
-    assert degree(h, h.id_of("c")) == 1
+    assert h.degree(h.id_of("a")) == 2
+    assert h.degree(h.id_of("c")) == 1
 
 
 def test_simplify_drops_trivial_and_duplicate_edges():

@@ -109,6 +109,13 @@ def test_closure_matches_reachability():
             assert set(bit_ids(bits[u])) == want[u]
 
 
+def test_closure_bits_refuses_a_cycle():
+    # 0 -> 1 -> 2 -> 0
+    indptr, indices = np.array([0, 1, 2, 3]), np.array([1, 2, 0], dtype=np.int32)
+    with pytest.raises(ValueError, match="^closure_bits needs an acyclic adjacency$"):
+        closure_bits(3, indptr, indices, np.arange(3))
+
+
 def test_sink_levels_group_by_height():
     # height: edges on the longest path down to a sink
     rng = random.Random(19)
