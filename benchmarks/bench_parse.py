@@ -12,11 +12,12 @@ nothing the generator held.  The same interpreter then builds the
 closed down-sets (``g._down_sets()``) and reports their time, their
 total size sum |D[u]| in ids, the layout that built them, and how far
 they raised the peak RSS above the parse's.  It goes on to color the
-digraph, build the compact table and write it as CSV to a second
-temporary file.  A second fresh interpreter reads that file and times
-``parse_compact`` on its text; its peak growth is how far the read
-raised that interpreter's peak RSS, which holds nothing but the text, so
-the coloring's own peak does not hide it.
+digraph with the greedy ``down_coloring``, reporting its time and the
+peak RSS after it, then builds the compact table and writes it as CSV
+to a second temporary file.  A second fresh interpreter reads that file
+and times ``parse_compact`` on its text; its peak growth is how far the
+read raised that interpreter's peak RSS, which holds nothing but the
+text, so the coloring's own peak does not hide it.
 
     python3 benchmarks/bench_parse.py --n 1000000 --seed 1
 """
@@ -45,7 +46,10 @@ layout = "csr" if g._bits_level is None else f"bitsets-merge-stopped-at-level-{g
 closure_peak = peak()
 print(t1 - t0, closure_peak, g.n, g.edge_count, t2 - t1, ids.size, layout,
       closure_peak - parse_peak)
-m = build_compact(g, down_coloring(g))
+t3 = time.perf_counter()
+c = down_coloring(g)
+print(time.perf_counter() - t3, peak())
+m = build_compact(g, c)
 Path(sys.argv[2]).write_text(serialize(m, "csv"))
 print(m.k, m.table.size, int((m.table >= 0).sum()))
 """
@@ -111,13 +115,15 @@ def main():
     finally:
         os.unlink(path)
         os.unlink(csv_path)
-    (wall, peak, n, m, closure, sum_d, layout, growth,
+    (wall, peak, n, m, closure, sum_d, layout, growth, color, color_peak,
      k, cells, filled) = done.stdout.split()
     read_s, read_growth = read.stdout.split()
     print(f"n={n} edges={m} text={size_mb:.1f} MB")
     print(f"parse_s={float(wall):.3f} child_peak_rss_mb={float(peak):.1f}")
     print(f"closure_s={float(closure):.3f} sum_d={sum_d} layout={layout} "
           f"closure_peak_growth_mb={float(growth):.1f}")
+    print(f"down_coloring_s={float(color):.3f} "
+          f"peak_rss_after_coloring_mb={float(color_peak):.1f}")
     print(f"k={k} cells={cells} filled={filled} csv={csv_mb:.1f} MB")
     print(f"parse_compact_s={float(read_s):.3f} "
           f"parse_compact_peak_growth_mb={float(read_growth):.1f}")

@@ -21,10 +21,11 @@ code 1.  So is the conflict builder, its bitsets and then its CSR ids.
 
 Vertex ``u`` maps to bit ``u & 63`` of word ``u >> 6``.  Bitsets stay
 inside this module and ``digraph``: :func:`rows_csr` decodes a bitset
-matrix, in blocks of rows, into sorted CSR rows, which is the form every
-other module reads and every graph type holds; its ids are int32, its
-row pointers int64.  The decode goes through a ``uint8`` view, which
-assumes a little-endian host.
+matrix, in blocks of rows as large as the merge's runs of ids, into
+sorted CSR rows, which is the form every other module reads and every
+graph type holds; its ids are int32, its row pointers int64, and
+:func:`reverse_csr` is their one transpose.  The decode goes through a
+``uint8`` view, which assumes a little-endian host.
 """
 
 from __future__ import annotations
@@ -47,9 +48,6 @@ _IDS_PER_LEVEL = 1024
 
 # bytes either closure layout may take
 _CLOSURE_BYTES = 1 << 30
-
-# ids rows_csr decodes at once
-_DECODE_IDS = 1 << 16
 
 
 def get_backend() -> str:
@@ -85,10 +83,14 @@ def keys_csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def reverse_csr(n: int, indptr: np.ndarray,
                 indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The transpose of a CSR adjacency on ``n`` ids: row ``v`` lists the
-    ``u`` with ``v`` in row ``u``, ascending."""
-    return keys_csr(n, np.sort(indices.astype(np.int64) * n
-                               + np.repeat(np.arange(n), np.diff(indptr))))
+    """The transpose of CSR rows, of any count, over ``n`` ids: row ``v``
+    lists the rows holding ``v``, ascending.  It is Gustavson's (ACM TOMS
+    1978) with one sort of ``v * rows + u`` keys for his counting pass."""
+    rows = indptr.size - 1
+    keys = np.sort(indices.astype(np.int64) * rows
+                   + np.repeat(np.arange(rows), np.diff(indptr)))
+    ptr = np.searchsorted(keys, np.arange(n + 1) * rows)
+    return ptr, (keys % rows).astype(np.int32)
 
 
 # ---------------------------------------------------------------- closure
@@ -289,17 +291,17 @@ def rows_csr(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ascending, in ``indices[indptr[i]:indptr[i + 1]]``.
 
     The row sizes, from :func:`popcounts`, size the int32 output, which
-    is filled in blocks of rows holding at most ``_DECODE_IDS`` ids (a
-    larger row is a block alone): the decode's int64 and bool
-    temporaries, up to about 130 bytes per id, stay within a fixed size.  Only
-    the nonzero words are unpacked, and their bits are found through a
-    bool view, which ``flatnonzero`` scans several times faster than
-    ``uint8``."""
+    is filled in blocks of rows holding at most ``_GATHER_BYTES // 4``
+    ids, the merge's run size (a larger row is a block alone): the
+    decode's int64 and bool temporaries, up to about 130 bytes per id,
+    stay within a fixed size.  Only the nonzero words are unpacked, and
+    their bits are found through a bool view, which ``flatnonzero`` scans
+    several times faster than ``uint8``."""
     words = max(bits.shape[1], 1)
     indptr = np.zeros(bits.shape[0] + 1, dtype=np.int64)
     np.cumsum(popcounts(bits), out=indptr[1:])
     ids = np.empty(int(indptr[-1]), dtype=np.int32)
-    for a, b in _runs(indptr, 0, bits.shape[0], _DECODE_IDS):
+    for a, b in _runs(indptr, 0, bits.shape[0], _GATHER_BYTES // 4):
         block = bits[a:b].reshape(-1)
         flat = np.flatnonzero(block)
         pos = np.flatnonzero(np.unpackbits(block[flat].view(np.uint8),

@@ -12,7 +12,7 @@ the AC verdict compares its rebuild with the table.  The CSV writer
 quotes each label once and joins the records a block of rows at a time.
 The CSV reader reads text with no ``"``, CR or NUL as numpy arrays, so
 that only the labels become ``str``; any other text, and any that path
-finds irregular, is read again by ``csv.reader``, which alone names
+finds irregular, is read again record by record, which alone names
 errors and ``foreign`` cells.  The JSON reader maps each cell to its id
 once.  :func:`is_below` and :func:`is_below_ids` answer reachability
 from a valid table, one cell per query.
@@ -288,6 +288,11 @@ def _quoted(names: tuple[str, ...]) -> list[str]:
     return [x[:-3] for x in out]  # less the "," and the CR LF
 
 
+def _header(k: int) -> list[str]:
+    """The CSV header's fields: ``vertex``, then ``c1..ck``."""
+    return ["vertex"] + [f"c{i}" for i in range(1, k + 1)]
+
+
 def to_csv(m: CompactMatrix) -> str:
     """The table as CSV: a header ``vertex,c1..ck``, then one record per
     row, empty fields for empty cells.  Each label is quoted once; the
@@ -298,7 +303,7 @@ def to_csv(m: CompactMatrix) -> str:
     if m.k == 0:  # one-field records, where the csv module quotes a lone ""
         quoted = [x or '""' for x in quoted]
     quoted = np.array(quoted + [""], dtype=object)
-    parts = [",".join(["vertex"] + [f"c{i}" for i in range(1, m.k + 1)])]
+    parts = [",".join(_header(m.k))]
     ids = np.empty((min(n, _CSV_ROWS), m.k + 1), dtype=np.int32)
     for a in range(0, n, _CSV_ROWS):
         b = min(a + _CSV_ROWS, n)
@@ -313,18 +318,23 @@ def from_csv(text: str) -> CompactMatrix:
     """Read a table from CSV; a record the reader rejects (a quoted field
     over ``csv.field_size_limit()``, say) raises a ``ParseError`` with its line.
 
-    Text with no ``"``, CR or NUL is read as arrays (:func:`_read_arrays`),
-    fields of any length; anything that path finds irregular, or any other
-    text, is read again from the start by ``csv.reader``
+    Text with no ``"``, CR or NUL is plain: its records are its lines and
+    its fields the text between commas, of any length.  It is read as
+    arrays (:func:`_read_arrays`); anything that path finds irregular, or
+    any other text, is read again from the start record by record
     (:func:`_read_records`), the one source of every error and of
     ``foreign``.  Both give the same table on text both accept."""
-    m = _read_arrays(text)
-    return _read_records(text) if m is None else m
+    plain = not ('"' in text or "\r" in text or "\0" in text)
+    m = _read_arrays(text) if plain else None
+    return _read_records(text, plain) if m is None else m
 
 
-def _read_records(text: str) -> CompactMatrix:
-    """The CSV reader record by record, with the csv module."""
-    reader = csv.reader(io.StringIO(text))
+def _read_records(text: str, plain: bool) -> CompactMatrix:
+    """The CSV reader record by record: plain text split at LFs and
+    commas, any other text by ``csv.reader``."""
+    lines = io.StringIO(text)
+    reader = ((line.rstrip("\n").split(",") if line != "\n" else [] for line in lines)
+              if plain else csv.reader(lines))
     names: list[str] = []  # row labels in file order
     recs: list[list[str]] = []
     try:
@@ -334,7 +344,7 @@ def _read_records(text: str) -> CompactMatrix:
         if not header or header[0] != "vertex":
             raise ValueError("first CSV column must be 'vertex'")
         k = len(header) - 1
-        if header[1:] != [f"c{i}" for i in range(1, k + 1)]:
+        if header[1:] != _header(k)[1:]:
             raise ValueError("CSV columns must be named c1..ck")
         seen: set[str] = set()
         for rec in reader:
@@ -364,10 +374,9 @@ _KEEP = np.array([0] + [(1 << 64) - (1 << (64 - 8 * b)) for b in range(1, 9)],
 
 
 def _read_arrays(text: str) -> CompactMatrix | None:
-    """The CSV reader on arrays, for text with no ``"``, CR or NUL; None
-    when the text is anything else or irregular: a bad header, a record
-    of other than k + 1 fields, a repeated row, or a cell that names no
-    row.  Fields of any length are read.
+    """The CSV reader on arrays, for plain text (see :func:`from_csv`);
+    None when the text is irregular: a bad header, a record of other than
+    k + 1 fields, a repeated row, or a cell that names no row.
 
     The fields are found ``_CSV_ROWS`` lines at a time, from one numpy
     scan of each block's bytes for commas and LFs; the filled cells are
@@ -377,11 +386,9 @@ def _read_arrays(text: str) -> CompactMatrix | None:
     order is code-point order, so the words sort the labels as ``sorted``
     does.  Each cell finds its row by a fingerprint of its words, checked
     word by word.  Only the n labels are decoded to ``str``."""
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
     header = text.partition("\n")[0]
     k = header.count(",")
-    if header != ",".join(["vertex"] + [f"c{i}" for i in range(1, k + 1)]):
+    if header != ",".join(_header(k)):
         return None
     try:
         raw = text.encode() + bytes(8)  # a word read at any field start stays inside

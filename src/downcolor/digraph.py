@@ -73,6 +73,27 @@ def _adjacency(n: int, src: np.ndarray, dst: np.ndarray):
     return _kernels.keys_csr(n, keys)
 
 
+def _labeled_pairs(labels: Iterable[str], edges: Iterable[tuple[int, int]]):
+    """Checked labels, their index, and the edges' two ends as arrays."""
+    labels = tuple(labels)
+    index = _check_labels(labels)
+    pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+    return labels, index, pairs[0::2], pairs[1::2]
+
+
+def _refusal(labels: tuple[str, ...], a: np.ndarray, b: np.ndarray,
+             lo: np.ndarray, hi: np.ndarray, arrow: str) -> ValueError:
+    """The error naming the first edge ``a[i], b[i]`` that ``_adjacency``
+    refused, found by its key ``lo[i], hi[i]``, a repeat with ``arrow``."""
+    n = len(labels)
+    i, kind = _first_bad_edge(n, lo, hi)
+    if kind == "range":
+        return ValueError(f"edge ({a[i]}, {b[i]}) out of range for {n} vertices")
+    if kind == "self-loop":
+        return ValueError(f"self-loop at {labels[a[i]]!r}")
+    return ValueError(f"duplicate edge {labels[lo[i]]!r} {arrow} {labels[hi[i]]!r}")
+
+
 def _first_bad_edge(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[int, str]:
     """Index and kind of the first edge, in input order, that
     ``_adjacency`` rejects; out of range comes before self-loop, and both
@@ -142,20 +163,10 @@ class Digraph(_Graph):
                  "_bits_level")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[int, int]]):
-        labels = tuple(labels)
-        index = _check_labels(labels)
-        n = len(labels)
-        pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
-        src, dst = pairs[0::2], pairs[1::2]
-        adj = _adjacency(n, src, dst)
+        labels, index, src, dst = _labeled_pairs(labels, edges)
+        adj = _adjacency(len(labels), src, dst)
         if adj is None:
-            i, kind = _first_bad_edge(n, src, dst)
-            u, v = int(src[i]), int(dst[i])
-            if kind == "range":
-                raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-            if kind == "self-loop":
-                raise ValueError(f"self-loop at {labels[u]!r}")
-            raise ValueError(f"duplicate edge {labels[u]!r} -> {labels[v]!r}")
+            raise _refusal(labels, src, dst, src, dst, "->")
         self._fill(labels, index, adj)
 
     def _fill(self, labels: tuple[str, ...], index: dict[str, int],
@@ -278,21 +289,10 @@ class UndirectedGraph(_Graph):
     __slots__ = ("_labels", "_index", "_csr")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[int, int]]):
-        labels = tuple(labels)
-        index = _check_labels(labels)
-        n = len(labels)
-        pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
-        a, b = pairs[0::2], pairs[1::2]
-        csr = _adjacency(n, np.concatenate((a, b)), np.concatenate((b, a)))
+        labels, index, a, b = _labeled_pairs(labels, edges)
+        csr = _adjacency(len(labels), np.concatenate((a, b)), np.concatenate((b, a)))
         if csr is None:
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            i, kind = _first_bad_edge(n, lo, hi)
-            if kind == "range":
-                raise ValueError(f"edge ({a[i]}, {b[i]}) out of range for {n} vertices")
-            if kind == "self-loop":
-                raise ValueError(f"self-loop at {labels[a[i]]!r}")
-            raise ValueError(
-                f"duplicate edge {labels[lo[i]]!r} -- {labels[hi[i]]!r}")
+            raise _refusal(labels, a, b, np.minimum(a, b), np.maximum(a, b), "--")
         self._labels, self._index, self._csr = labels, index, csr
 
     @classmethod

@@ -27,8 +27,10 @@ hyperedges as a CSR pair (edge pointer, member ids), and a graph as its
 ``graph_degeneracy`` and the exact solver's seed do.  It picks from a
 bucket queue, one ``heapq`` of ids per degree, so a peel costs linear
 steps in n, the memberships and the largest degree, plus one heap step
-per degree decrement.  It also hands back the live-edge incidence it
-walked, which the greedy strong coloring reuses for first-fit.
+per degree decrement.  Its incidence, the live edges through each
+vertex, is the transpose of their CSR (``_kernels.reverse_csr``, which
+also gives ``intersection_graph`` its cliques); the peel hands it back,
+and the greedy strong coloring reuses it for first-fit.
 """
 
 from __future__ import annotations
@@ -225,24 +227,11 @@ def clique_graph(h: Hypergraph) -> UndirectedGraph:
         h.labels, *_kernels.clique_union_csr(h.n, *h._csr))
 
 
-def _incidence(n: int, size: np.ndarray,
-               members: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """The edges through each vertex, ascending, as CSR (pointers as a
-    list, edge ids), for edges of sizes ``size`` laid out in ``members``."""
-    # numpy's stable sort is a radix sort on 16-bit keys, several times
-    # faster than its merge sort on wider ones
-    keys = members.astype(np.uint16) if n <= 1 << 16 else members
-    inc = np.repeat(np.arange(size.size), size)[np.argsort(keys, kind="stable")]
-    return [0] + np.cumsum(np.bincount(members, minlength=n)).tolist(), inc
-
-
 def intersection_graph(h: Hypergraph) -> UndirectedGraph:
     """Graph on the hyperedges, joined when they share a vertex."""
     labels = tuple(f"e{i}" for i in range(h.m))
-    eptr, members = h._csr
-    iptr, inc = _incidence(h.n, np.diff(eptr), members)
-    return UndirectedGraph._from_csr(
-        labels, *_kernels.clique_union_csr(h.m, np.array(iptr), inc))
+    inc = _kernels.reverse_csr(h.n, *h._csr)  # the edges through each vertex
+    return UndirectedGraph._from_csr(labels, *_kernels.clique_union_csr(h.m, *inc))
 
 
 def induced_subhypergraph(h: Hypergraph, s: Iterable[int]) -> Hypergraph:
@@ -302,14 +291,11 @@ def _peel(n: int, eptr: np.ndarray, members: np.ndarray
     Selection costs O(n + max degree) over the whole peel, plus a heap
     step per decrement.
     """
-    size = np.diff(eptr)
-    live = size >= 2
-    members = members[np.repeat(live, size)]
-    size = size[live]
-    xor = np.bitwise_xor.reduceat(members, np.cumsum(size) - size).tolist()
-    iptr, inc = _incidence(n, size, members)
-    inc = inc.tolist()
-    size = size.tolist()
+    eptr, members = _kernels.gather_rows(eptr, members,
+                                         np.flatnonzero(np.diff(eptr) >= 2))
+    xor = np.bitwise_xor.reduceat(members, eptr[:-1]).tolist()
+    iptr, inc = (a.tolist() for a in _kernels.reverse_csr(n, eptr, members))
+    size = np.diff(eptr).tolist()
     deg = [b - a for a, b in zip(iptr, iptr[1:])]
     buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
     for u, k in enumerate(deg):  # ascending ids: each bucket starts a heap

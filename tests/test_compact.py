@@ -257,6 +257,22 @@ def test_readers_refuse_deep_json_and_long_csv_fields_as_value_error():
     assert parse_compact(serialize(m, "json"), "json") == m
 
 
+def test_csv_reader_names_irregular_plain_records_past_the_field_limit():
+    # plain text that the array path finds irregular is read again split
+    # at LFs and commas, so a field over csv.field_size_limit() does not
+    # hide the irregularity; a quoted one still goes to csv.reader
+    x = "x" * 140000
+    for text, want in ((f"vertex,c1\n{x},{x}\n{x},{x}\n", f"duplicate row {x!r}"),
+                       (f"vertex,c1,c2\n{x},{x},\nb,\n",
+                        "row 'b' has 1 cells, expected 2")):
+        with pytest.raises(ValueError) as ei:
+            parse_compact(text, "csv")
+        assert (type(ei.value), str(ei.value)) == (ValueError, want)
+    with pytest.raises(ParseError) as ei:
+        parse_compact(f'vertex,c1\n"{x}",\n', "csv")
+    assert ei.value.line == 2 and "field larger than field limit" in str(ei.value)
+
+
 def mutate(rng, m, labels):
     """One random edit of a table: swap two cells of a row, move a cell
     to another column, write a foreign or other-vertex label, or drop a

@@ -273,6 +273,20 @@ def test_peel_matches_heap_reference():
         assert_peels_match_reference(down_hypergraph(make()))
 
 
+def test_peel_past_16_bit_ids():
+    # a few hundred edges among ids on both sides of 65,536 in 70,000
+    # vertices, most of them isolated
+    rng = random.Random(61)
+    n = 70_000
+    hot = rng.sample(range(60_000, n), 400)
+    edges = [rng.sample(hot, rng.randint(2, 8)) for _ in range(300)]
+    h = Hypergraph([f"u{i}" for i in range(n)], edges)
+    assert h._csr[1].max() >= 1 << 16
+    peel = peel_reference(n, h.edges)
+    assert astuple(degeneracy(h)) == peel
+    assert _greedy_strong(n, *h._csr) == strong_first_fit_reference(h, peel[1])
+
+
 def test_conflict_builders_refuse_over_the_byte_budget(monkeypatch):
     # each conflict build needs 48 bytes of bitsets; SIX's closure fits in
     # 48 bytes and its conflict build needs 72

@@ -71,7 +71,7 @@ def test_rows_csr_and_popcounts(monkeypatch):
                 for v in rng.sample(range(n), rng.randint(0, n)):
                     bits[u, v >> 6] |= np.uint64(1) << np.uint64(v & 63)
         for block in (1, 37, 1 << 16):  # ids decoded at once
-            monkeypatch.setattr(_kernels, "_DECODE_IDS", block)
+            monkeypatch.setattr(_kernels, "_GATHER_BYTES", 4 * block)
             indptr, ids = rows_csr(bits)
             assert (indptr.dtype, ids.dtype) == (np.int64, np.int32)
             assert indptr.tolist()[0] == 0 and indptr.size == n + 1
@@ -94,7 +94,7 @@ def test_rows_csr_holds_one_block_of_temporaries():
         tracemalloc.stop()
     out = indptr.nbytes + ids.nbytes
     assert ids.size == int(popcounts(bits).sum())
-    assert peak - out < 160 * _kernels._DECODE_IDS + bits.size
+    assert peak - out < 160 * (_kernels._GATHER_BYTES // 4) + bits.size
     assert np.array_equal(ids[indptr[7]:indptr[8]], bit_ids(bits[7]))
 
 
