@@ -13,11 +13,13 @@ closed down-sets (``g._down_sets()``) and reports their time, their
 total size sum |D[u]| in ids, the layout that built them, and how far
 they raised the peak RSS above the parse's.  It goes on to color the
 digraph with the greedy ``down_coloring``, reporting its time and the
-peak RSS after it, then builds the compact table and writes it as CSV
-to a second temporary file.  A second fresh interpreter reads that file
-and times ``parse_compact`` on its text; its peak growth is how far the
-read raised that interpreter's peak RSS, which holds nothing but the
-text, so the coloring's own peak does not hide it.
+peak RSS after it, then builds the compact table and AC-checks it
+against the digraph, reporting each one's time and the peak RSS after
+it, and writes the table as CSV to a second temporary file.  A second
+fresh interpreter reads that file and times ``parse_compact`` on its
+text; its peak growth is how far the read raised that interpreter's
+peak RSS, which holds nothing but the text, so the coloring's own peak
+does not hide it.
 
     python3 benchmarks/bench_parse.py --n 1000000 --seed 1
 """
@@ -34,7 +36,8 @@ OUT_DEGREE = 3
 CHILD = """
 import resource, sys, time
 from pathlib import Path
-from downcolor import build_compact, down_coloring, parse_digraph, serialize
+from downcolor import (build_compact, down_coloring, parse_digraph, serialize,
+                       verify_ac_property)
 peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 t0 = time.perf_counter()
 g = parse_digraph(Path(sys.argv[1]).read_text())
@@ -49,7 +52,12 @@ print(t1 - t0, closure_peak, g.n, g.edge_count, t2 - t1, ids.size, layout,
 t3 = time.perf_counter()
 c = down_coloring(g)
 print(time.perf_counter() - t3, peak())
+t4 = time.perf_counter()
 m = build_compact(g, c)
+print(time.perf_counter() - t4, peak())
+t5 = time.perf_counter()
+assert verify_ac_property(m, g)
+print(time.perf_counter() - t5, peak())
 Path(sys.argv[2]).write_text(serialize(m, "csv"))
 print(m.k, m.table.size, int((m.table >= 0).sum()))
 """
@@ -116,7 +124,7 @@ def main():
         os.unlink(path)
         os.unlink(csv_path)
     (wall, peak, n, m, closure, sum_d, layout, growth, color, color_peak,
-     k, cells, filled) = done.stdout.split()
+     build, build_peak, audit, audit_peak, k, cells, filled) = done.stdout.split()
     read_s, read_growth = read.stdout.split()
     print(f"n={n} edges={m} text={size_mb:.1f} MB")
     print(f"parse_s={float(wall):.3f} child_peak_rss_mb={float(peak):.1f}")
@@ -124,6 +132,10 @@ def main():
           f"closure_peak_growth_mb={float(growth):.1f}")
     print(f"down_coloring_s={float(color):.3f} "
           f"peak_rss_after_coloring_mb={float(color_peak):.1f}")
+    print(f"build_compact_s={float(build):.3f} "
+          f"peak_rss_after_build_mb={float(build_peak):.1f}")
+    print(f"verify_ac_property_s={float(audit):.3f} "
+          f"peak_rss_after_ac_check_mb={float(audit_peak):.1f}")
     print(f"k={k} cells={cells} filled={filled} csv={csv_mb:.1f} MB")
     print(f"parse_compact_s={float(read_s):.3f} "
           f"parse_compact_peak_growth_mb={float(read_growth):.1f}")

@@ -224,8 +224,7 @@ def closure_csr(n: int, indptr: np.ndarray, indices: np.ndarray, verts: np.ndarr
         a, end = int(lptr[h]), int(lptr[h + 1])
         used, k0 = int(rowptr[a]), int(ptr[a])
         krank = rank[kids[k0:ptr[end]]]
-        start = rowptr[krank]
-        size = rowptr[krank + 1] - start
+        size = rowptr[krank + 1] - rowptr[krank]
         kptr = ptr[a:end + 1] - k0  # each vertex's children in krank
         got = np.add.reduceat(size, kptr[:-1])  # ids each vertex gathers
         cum = np.zeros(end - a + 1, dtype=np.int64)  # and its own id
@@ -242,17 +241,13 @@ def closure_csr(n: int, indptr: np.ndarray, indices: np.ndarray, verts: np.ndarr
                              dtype=np.int32)
             grown[:used] = buf[:used]
             buf = grown
-        # gathered position of each child's row, less its position in buf
-        shift = np.cumsum(size) - size - start
         for i, j in _runs(cum, 0, end - a, step):
-            gi, gj = int(cum[i]) - i, int(cum[j]) - j
-            ki, kj = kptr[i], kptr[j]
+            g = int(cum[j] - cum[i]) - (j - i)  # ids of the children's rows
             row = np.arange(j - i, dtype=np.int64) << 32
-            keys = np.empty(gj - gi + j - i, dtype=np.int64)
-            keys[:gj - gi] = np.repeat(row, got[i:j])
-            keys[:gj - gi] |= buf[np.arange(gi, gj)
-                                  - np.repeat(shift[ki:kj], size[ki:kj])]
-            np.bitwise_or(row, verts[a + i:a + j], out=keys[gj - gi:])
+            keys = np.empty(g + j - i, dtype=np.int64)
+            keys[:g] = np.repeat(row, got[i:j])
+            keys[:g] |= gather_rows(rowptr, buf, krank[kptr[i]:kptr[j]])[1]
+            np.bitwise_or(row, verts[a + i:a + j], out=keys[g:])
             keys = _distinct(keys)
             at = int(rowptr[a + i])
             np.cumsum(np.bincount(keys >> 32, minlength=j - i),

@@ -417,14 +417,14 @@ def _columns(g: Digraph, c: Coloring) -> np.ndarray:
     return col - 1
 
 
-def _rainbow(indptr: np.ndarray, ids: np.ndarray, col: np.ndarray,
+def _rainbow(indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray,
              k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR rows laid out by ``col``, each id's 0-based column, as a
-    rows-by-k table of ids (-1 where empty), and the rows that fill fewer
-    cells than they have members: two of them share a column."""
+    """One scatter of each CSR entry's value ``vals`` (>= 0) into its
+    0-based column ``cols`` of a rows-by-k table, -1 where empty; and the
+    rows that fill fewer cells than they have entries: two share a column."""
     size = np.diff(indptr)
-    cells = np.full((size.size, k), -1, dtype=ids.dtype)
-    cells[np.repeat(np.arange(size.size), size), col[ids]] = ids
+    cells = np.full((size.size, k), -1, dtype=vals.dtype)
+    cells[np.repeat(np.arange(size.size), size), cols] = vals
     return cells, np.flatnonzero((cells >= 0).sum(axis=1) != size)
 
 
@@ -435,7 +435,7 @@ def find_down_violation(g: Digraph, c: Coloring) -> tuple[str, str, str] | None:
     Only the rows that ``_rainbow`` finds short are sorted."""
     color = _columns(g, c)
     tops, eptr, ids = _max_rows(g)  # acyclicity gate
-    short = _rainbow(eptr, ids, color, c.k)[1]
+    short = _rainbow(eptr, color[ids], ids, c.k)[1]
     if short.size == 0:
         return None
     eptr, ids = _kernels.gather_rows(eptr, ids, short)

@@ -6,10 +6,11 @@ recoverable from the non-empty cells, at n*k cells instead of n^2.
 A table is one n-by-k int32 array of vertex ids, -1 for an empty cell;
 the labels appear only at its text boundaries, and its rows by label
 are built only when asked for.  Building and the AC check share one
-scatter of the cached down-set rows into that array, by color or by
-each vertex's own column; its fill count is the one rainbow check, and
-the AC verdict compares its rebuild with the table.  The CSV writer
-quotes each label once and joins the records a block of rows at a time.
+layout: the cached down-set rows, gathered in the table's row order,
+are scattered once into that array, by color or by each vertex's own
+column; its fill count is the one rainbow check, and the AC verdict
+compares its rebuild with the table.  The CSV writer quotes each label
+once and joins the records a block of rows at a time.
 The CSV reader reads text with no ``"``, CR or NUL as numpy arrays, so
 that only the labels become ``str``; any other text, and any that path
 finds irregular, is read again record by record, which alone names
@@ -32,6 +33,7 @@ from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
+from . import _kernels
 from .coloring import (Coloring, _columns, _load_json, _rainbow,
                        find_down_violation)
 from .digraph import Digraph
@@ -150,12 +152,13 @@ def build_compact(g: Digraph, c: Coloring) -> CompactMatrix:
 
 def _layout(g: Digraph, col: np.ndarray, k: int,
             order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_rainbow` of ``g``'s down-sets, row i that of ``order[i]``
-    and each id renamed to its place in ``order``; and the short rows."""
-    cells, short = _rainbow(*g._down_sets(), col, k)
-    rank = np.full(g.n + 1, -1, dtype=np.int32)  # -1 kept
+    """The table of ``g``'s closed down-sets, row i that of ``order[i]``,
+    and its short rows: the cached rows gathered in that order, each
+    member renamed to its place in ``order`` and scattered by ``col``."""
+    indptr, ids = _kernels.gather_rows(*g._down_sets(), order)
+    rank = np.empty(g.n, dtype=np.int32)
     rank[order] = np.arange(g.n, dtype=np.int32)
-    return rank[cells[order]], short
+    return _rainbow(indptr, col[ids], rank[ids], k)
 
 
 # ------------------------------------------------------------ validation
@@ -247,15 +250,17 @@ def is_below(m: CompactMatrix, u: str, v: str) -> bool:
     """Whether ``u`` lies in the closed down-set of ``v`` (``v`` reaches
     ``u``, or is ``u``), read from one cell: row v at u's own column.
     The answer is the digraph's when ``m`` passes ``verify_ac_property``."""
-    i, j = _row(m, u), _row(m, v)
-    col = int(m._own_columns[i])
-    return col >= 0 and int(m.table[j, col]) == i
+    return bool(is_below_ids(m, _row(m, u), _row(m, v)))
 
 
 def is_below_ids(m: CompactMatrix, u, v) -> np.ndarray:
     """:func:`is_below` for arrays of row ids (indices into ``m.labels``),
-    pair by pair, in one fancy index of the table."""
-    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    pair by pair, in one fancy index of the table.  Ids must be integers:
+    a non-empty array of any other dtype is refused, not cast."""
+    u, v = np.asarray(u), np.asarray(v)
+    if any(x.size and x.dtype.kind not in "iu" for x in (u, v)):
+        raise ValueError("row ids must be integers")
+    u, v = u.astype(np.int64), v.astype(np.int64)
     n = len(m.labels)
     if any(x.size and (x.min() < 0 or x.max() >= n) for x in (u, v)):
         raise ValueError(f"row ids must lie in 0..{n - 1}")

@@ -159,8 +159,7 @@ class Digraph(_Graph):
     parents are CSR arrays (int64 row pointers, int32 ids, rows
     ascending); ``children``/``parents`` slice them into tuples."""
 
-    __slots__ = ("_labels", "_index", "_csr", "_rcsr", "_topo", "_down",
-                 "_bits_level")
+    __slots__ = ("_labels", "_index", "_csr", "_rcsr", "_down", "_bits_level")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[int, int]]):
         labels, index, src, dst = _labeled_pairs(labels, edges)
@@ -176,7 +175,6 @@ class Digraph(_Graph):
         fills a bare instance with it."""
         self._labels, self._index, self._csr = labels, index, csr
         self._rcsr = _kernels.reverse_csr(len(labels), *csr)
-        self._topo: tuple[int, ...] | None = None
         self._down: tuple[np.ndarray, np.ndarray] | None = None
         self._bits_level: int | None = None
         return self
@@ -216,22 +214,20 @@ class Digraph(_Graph):
 
     def topological_order(self) -> tuple[int, ...]:
         """Ancestors-first order of all vertices; raises on a cycle."""
-        if self._topo is None:
-            ptr, ids = (a.tolist() for a in self._csr)
-            indeg = np.diff(self._rcsr[0]).tolist()
-            queue = deque(u for u in range(self.n) if indeg[u] == 0)
-            order: list[int] = []
-            while queue:
-                u = queue.popleft()
-                order.append(u)
-                for v in ids[ptr[u]:ptr[u + 1]]:
-                    indeg[v] -= 1
-                    if indeg[v] == 0:
-                        queue.append(v)
-            if len(order) != self.n:
-                raise CyclicGraphError(self._find_cycle(set(range(self.n)) - set(order)))
-            self._topo = tuple(order)
-        return self._topo
+        ptr, ids = (a.tolist() for a in self._csr)
+        indeg = np.diff(self._rcsr[0]).tolist()
+        queue = deque(u for u in range(self.n) if indeg[u] == 0)
+        order: list[int] = []
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for v in ids[ptr[u]:ptr[u + 1]]:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    queue.append(v)
+        if len(order) != self.n:
+            raise CyclicGraphError(self._find_cycle(set(range(self.n)) - set(order)))
+        return tuple(order)
 
     def _find_cycle(self, residue: set[int]) -> list[str]:
         # Every vertex of the residue has a parent inside it, so walking

@@ -39,6 +39,15 @@ def test_analyze_golden(six, capsys):
     assert capsys.readouterr().out == ANALYZE_SIX
 
 
+def test_analyze_without_edges(tmp_path, capsys):
+    p = tmp_path / "two.txt"
+    p.write_text("a\nb\n")
+    assert main(["analyze", str(p)]) == 0
+    assert capsys.readouterr().out == ("n = 2\nedges = 0\nacyclic = true\nD = 1\n"
+                                       "sigma = 0\nind = 0\ncor1_bound = 1\n"
+                                       "lower_bound = 1\n")
+
+
 def test_analyze_cyclic_reports_and_hints(tmp_path, capsys):
     p = tmp_path / "c.txt"
     p.write_text("a b\nb a\n")
@@ -149,6 +158,17 @@ def test_exact_budget_emits_incumbent(tmp_path, capsys):
     assert "3 <= chi_d <= 4" in cap.err
     data = json.loads(cap.out)
     assert data["method"] == "greedy"
+
+
+def test_strong_exact_budget_emits_incumbent(tmp_path, capsys):
+    # the Groetzsch graph as 2-member hyperedges: clique 2, chi = 4
+    p = tmp_path / "grotzsch-pairs.txt"
+    p.write_text("".join(f"{a} {b}\n" for a, b in GROTZSCH_EDGES))
+    assert main(["color", "--strong", "--exact", "--budget", "0", str(p)]) == 3
+    cap = capsys.readouterr()
+    assert cap.err == ("budget exhausted: 2 <= chi_s <= 4; emitting the "
+                       "incumbent coloring\n")
+    assert coloring_from_json(cap.out).k == 4
 
 
 def test_exact_budget_stop_at_d_exits_zero(tmp_path, capsys):

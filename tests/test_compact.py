@@ -29,8 +29,8 @@ from downcolor import (
 )
 from downcolor import compact
 from conftest import (SCALE_GRAPHS, ac_check_reference, brute_ac_ok,
-                      compact_csv_reference, csv_reference, json_reference,
-                      random_dag, reach_closed)
+                      compact_csv_reference, csv_reference, hierarchy,
+                      json_reference, random_dag, reach_closed)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 WITNESS = Coloring({"g1": 1, "g2": 3, "g3": 2, "g4": 2, "g5": 3, "g6": 1}, 3,
@@ -333,6 +333,57 @@ def test_is_below_matches_reach_closed():
         is_below(m, "zz", m.labels[0])
     with pytest.raises(ValueError, match="row ids must lie in"):
         is_below_ids(m, [len(m.labels)], [0])
+
+
+def test_is_below_ids_takes_only_integer_ids():
+    m = build_compact(parse_digraph(SIX), WITNESS)
+    g4 = m.labels.index("g4")
+    for bad in ([1.7], ["1"], [True], np.array([g4], dtype=object)):
+        with pytest.raises(ValueError, match="^row ids must be integers$"):
+            is_below_ids(m, bad, [0])
+        with pytest.raises(ValueError, match="^row ids must be integers$"):
+            is_below_ids(m, [0], bad)
+    g1 = m.labels.index("g1")
+    assert is_below_ids(m, np.array([g4], dtype=np.uint8), [g1]).tolist() == [True]
+    for empty in ([], np.array([], dtype=float)):
+        assert is_below_ids(m, empty, empty).shape == (0,)
+
+
+def test_is_below_on_a_table_without_columns():
+    m = CompactMatrix(0, ("a", "b"), {"a": (), "b": ()})
+    assert is_below_ids(m, [0, 1], [[0], [1]]).tolist() == [[False, False]] * 2
+    assert not is_below(m, "a", "a")
+
+
+def test_table_refusals():
+    m = build_compact(parse_digraph(SIX), WITNESS)
+    with pytest.raises(AttributeError, match="^a CompactMatrix is read-only$"):
+        m.k = 4
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        serialize(m, "xml")
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        parse_compact(serialize(m), "xml")
+
+
+def test_build_and_ac_check_hold_one_table():
+    # the build gathers the down-set rows in final row order and scatters
+    # them once into the table it returns, and the AC check rebuilds it
+    # the same way, so neither holds a second n-by-k array
+    g = hierarchy(random.Random(0), 20000)
+    c = down_coloring(g)
+    tracemalloc.start()
+    try:
+        m = build_compact(g, c)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        assert verify_ac_property(m, g)
+        check = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert m.k == 42
+    assert build < 2.75 * m.table.nbytes
+    assert check < 2.75 * m.table.nbytes
 
 
 def test_verify_ac_property_counts_each_rows_fill():

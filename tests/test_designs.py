@@ -9,6 +9,7 @@ import pytest
 
 from downcolor import (
     BibdError,
+    DesignParams,
     Hypergraph,
     affine_design,
     build_field,
@@ -102,6 +103,12 @@ def test_field_element_construction():
     assert f.element(5).value == 5
     assert f.element([2, 1]).value == 2 + 1 * 3
     assert f.element(0) == f.zero
+    for code in (9, -1):
+        with pytest.raises(ValueError, match=f"^element encoding {code} out of range$"):
+            f.element(code)
+    for coeffs in ([1], [1, 2, 0]):
+        with pytest.raises(ValueError, match="^need 2 coefficients$"):
+            f.element(coeffs)
 
 
 def test_field_division():
@@ -110,6 +117,8 @@ def test_field_division():
     for a in els:
         for b in els:
             assert (a / b) * b == a
+    with pytest.raises(ZeroDivisionError, match="^0 has no multiplicative inverse$"):
+        f.zero.inverse()
 
 
 # ------------------------------------------------------------ block designs
@@ -333,6 +342,8 @@ def test_cor4_point_values():
 def test_cor4_point_cap():
     with pytest.raises(ValueError):
         cor4_point(2, 1, 13)
+    with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+        cor4_point(2, 1, 0)
     # a raised cap admits the same point, formula-only
     pt = cor4_point(2, 1, 13, cap=1 << 13, attach_witness=False)
     assert pt.n == 2 ** 13 + 2 ** 12 * (2 ** 13 - 1)
@@ -344,6 +355,19 @@ def test_cor3_point_congruence_gate():
     assert pt is not None
     assert pt.n == 21 and pt.ratio == pytest.approx(9 / 4, abs=1e-12)
     assert pt.witness is not None         # k = sigma + 1, sigma a prime power
+    with pytest.raises(ValueError, match="^sigma must be >= 2$"):
+        cor3_point(1, 2)
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        cor3_point(3, 0)
+
+
+def test_design_params_identities():
+    assert DesignParams(v=4, b=6, r=3, block_size=2, lambda_=1).b == 6
+    with pytest.raises(ValueError, match=r"^design identity b\*k = v\*r violated$"):
+        DesignParams(v=4, b=7, r=3, block_size=2, lambda_=1)
+    with pytest.raises(ValueError,
+                       match=r"^design identity lambda\*\(v-1\) = r\*\(k-1\) violated$"):
+        DesignParams(v=4, b=6, r=3, block_size=2, lambda_=2)
 
 
 def test_cor3_matches_cor4_at_affine_plane():

@@ -84,6 +84,20 @@ def test_cycle_detection_and_message():
     assert all((cyc[i], cyc[i + 1]) in es for i in range(len(cyc) - 1))
 
 
+def test_label_and_vertex_refusals():
+    with pytest.raises(ValueError, match="^bad vertex label 'a b': labels are "
+                       "non-empty strings without whitespace$"):
+        Digraph(("a b", "c"), [])
+    with pytest.raises(ValueError, match="^duplicate vertex label 'a'$"):
+        Digraph(("a", "b", "a"), [(0, 1)])
+    g = Digraph(("a", "b"), [(0, 1)])
+    with pytest.raises(ValueError, match="^unknown vertex label 'z'$"):
+        g.id_of("z")
+    for u in (2, -1):
+        with pytest.raises(ValueError, match=f"^vertex id {u} out of range$"):
+            down_set(g, u)
+
+
 def test_topological_order_is_valid():
     rng = random.Random(7)
     for _ in range(20):

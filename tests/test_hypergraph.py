@@ -178,6 +178,12 @@ def test_simple_false_detects_simplicity():
     assert not Hypergraph(["a", "b"], [(0, 1), (0, 1)], simple=False).simple
 
 
+def test_up_digraph_refuses_a_non_simple_hypergraph():
+    h = Hypergraph(["a", "b"], [(0, 1), (0, 1)], simple=False)
+    with pytest.raises(ValueError, match="^up_digraph requires a simple hypergraph$"):
+        up_digraph(h)
+
+
 def test_induced_subhypergraph_reports_simple():
     h = Hypergraph(list("abcd"), [(0, 1, 2), (1, 2, 3)], simple=True)
     s = induced_subhypergraph(h, [0, 1, 3])
