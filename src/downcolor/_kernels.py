@@ -26,6 +26,16 @@ sorted CSR rows, which is the form every other module reads and every
 graph type holds; its ids are int32, its row pointers int64, and
 :func:`reverse_csr` is their one transpose.  The decode goes through a
 ``uint8`` view, which assumes a little-endian host.
+
+Both array readers of text, the edge-list parser and the compact CSV
+reader, share the word kernels at the end of this module.  A field of
+UTF-8 bytes becomes its 8-byte big-endian words, zero past its end
+(:func:`field_words`), and one 64-bit fingerprint of them
+(:func:`fingerprints`), which is the word itself for a field of at most
+8 bytes; a fingerprint match is checked word by word
+(:func:`same_words`); and only the fields that name labels are decoded
+to ``str``, in blocks, with one decode (:func:`decode_fields`).  With no
+NUL byte in the text, equal words mean equal fields.
 """
 
 from __future__ import annotations
@@ -389,3 +399,78 @@ def greedy_color(order: np.ndarray, indptr: np.ndarray,
             c += 1
         colors[v] = c
     return np.array(colors, dtype=np.int64)
+
+
+# -------------------------------------------------------- fields as words
+
+# each count 0..8 of a field's bytes in an 8-byte big-endian word as the
+# mask that keeps them: the word's leading bytes
+_KEEP = np.array([0] + [(1 << 64) - (1 << (64 - 8 * b)) for b in range(1, 9)],
+                 dtype=np.uint64)
+
+
+def _within(size: np.ndarray) -> np.ndarray:
+    """0..size[i]-1 for each run, the runs end to end."""
+    return np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
+
+
+def field_words(word_at: np.ndarray, start: np.ndarray,
+                size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fields of ``size`` bytes at ``start`` as big-endian words read
+    from ``word_at`` (the word at each byte offset), zero past each
+    field's end, the fields end to end, at least one word each; and each
+    field's first word."""
+    if size.max(initial=0) <= 8:  # one word each
+        words = word_at[start]
+        words &= _KEEP[size]
+        return words, np.arange(size.size)
+    count = np.maximum((size + 7) >> 3, 1)
+    j = 8 * _within(count)
+    words = word_at[np.repeat(start, count) + j]
+    words &= _KEEP[np.clip(np.repeat(size, count) - j, 0, 8)]
+    return words, np.cumsum(count) - count
+
+
+def fingerprints(words: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """One 64-bit fingerprint of each field's words: its first word plus
+    a bijective mix of each later word with its place, so that a one-word
+    field's fingerprint is that word."""
+    if words.size == first.size:
+        return words
+    place = np.arange(words.size, dtype=np.uint64)
+    place -= np.repeat(first, np.diff(first, append=words.size)).astype(np.uint64)
+    x = (words ^ place * 0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9
+    x ^= x >> 31
+    x[first] = words[first]
+    return np.add.reduceat(x, first)
+
+
+def same_words(words: np.ndarray, at: np.ndarray, cwords: np.ndarray,
+               cfirst: np.ndarray) -> bool:
+    """Whether each field ``i`` of ``(cwords, cfirst)`` has the words that
+    start at word ``at[i]`` of ``words``, the two fields of one size: the
+    word-by-word check behind a fingerprint match."""
+    if cwords.size == cfirst.size:  # one word each
+        return np.array_equal(cwords, words[at])
+    count = np.diff(cfirst, append=cwords.size)
+    return np.array_equal(cwords, words[np.repeat(at - cfirst, count)
+                                        + np.arange(cwords.size)])
+
+
+def decode_fields(buf: np.ndarray, at: np.ndarray, size: np.ndarray) -> tuple[str, ...]:
+    """The UTF-8 fields of ``size`` bytes at ``at`` in the bytes ``buf``,
+    none holding a LF and each followed by a byte of ``buf``, as strings:
+    gathered ``_GATHER_BYTES`` at a time, each with the byte after it set
+    to LF, and decoded once."""
+    cum = np.zeros(at.size + 1, dtype=np.int64)
+    np.cumsum(size + 1, out=cum[1:])
+    parts = []
+    for a, b in _runs(cum, 0, at.size, _GATHER_BYTES):
+        pick = np.repeat(at[a:b] - cum[a:b], size[a:b] + 1)
+        pick += np.arange(cum[a], cum[b])
+        pick = buf[pick]
+        pick[cum[a + 1:b + 1] - cum[a] - 1] = 10
+        parts.append(pick.tobytes())
+    fields = b"".join(parts).decode().split("\n")
+    fields.pop()  # the empty string after the last LF
+    return tuple(fields)

@@ -12,10 +12,12 @@ column; its fill count is the one rainbow check, and the AC verdict
 compares its rebuild with the table.  The CSV writer quotes each label
 once and joins the records a block of rows at a time.
 The CSV reader reads text with no ``"``, CR or NUL as numpy arrays, so
-that only the labels become ``str``; any other text, and any that path
-finds irregular, is read again record by record, which alone names
-errors and ``foreign`` cells.  The JSON reader maps each cell to its id
-once.  :func:`is_below` and :func:`is_below_ids` answer reachability
+that only the labels become ``str``: its fields become words,
+fingerprints and, last, strings through the word kernels in
+``_kernels``, which the edge-list parser shares; any other text, and any
+that path finds irregular, is read again record by record, which alone
+names errors and ``foreign`` cells.  The JSON reader maps each cell to
+its id once.  :func:`is_below` and :func:`is_below_ids` answer reachability
 from a valid table, one cell per query.
 """
 
@@ -372,12 +374,6 @@ def _read_records(text: str, plain: bool) -> CompactMatrix:
     return CompactMatrix._of(k, labels, table[order, 1:], foreign)
 
 
-# each count 0..8 of a field's bytes in an 8-byte big-endian word as the
-# mask that keeps them: the word's leading bytes
-_KEEP = np.array([0] + [(1 << 64) - (1 << (64 - 8 * b)) for b in range(1, 9)],
-                 dtype=np.uint64)
-
-
 def _read_arrays(text: str) -> CompactMatrix | None:
     """The CSV reader on arrays, for plain text (see :func:`from_csv`);
     None when the text is irregular: a bad header, a record of other than
@@ -417,40 +413,33 @@ def _read_arrays(text: str) -> CompactMatrix | None:
     at = np.concatenate([np.empty(0, dtype=np.int64)] + [b[0] for b in blocks])
     size = np.concatenate([np.empty(0, dtype=np.int64)] + [b[1] for b in blocks])
     n = at.size
-    words, first = _words(word_at, at, size)
+    words, first = _kernels.field_words(word_at, at, size)
     order = _byte_order(words, first, size)
     if order is None:
         return None
     rank = np.empty(n, dtype=np.int32)
     rank[order] = np.arange(n, dtype=np.int32)
-    fp = _fingerprints(words, first)
+    fp = _kernels.fingerprints(words, first)
     by_fp = np.argsort(fp)
     fp = fp[by_fp]
     ids = np.full(n * width, -1, dtype=np.int32)  # the file-order grid
     row = 0
     for rows_at, _, place, start, length in blocks:
-        cw, cfirst = _words(word_at, start, length)
-        cfp = _fingerprints(cw, cfirst)
+        cw, cfirst = _kernels.field_words(word_at, start, length)
+        cfp = _kernels.fingerprints(cw, cfirst)
         i = np.minimum(np.searchsorted(fp, cfp), n - 1)
         lab = by_fp[i]
         # the fingerprint's row, if it has the same bytes: the same size
-        # and fingerprint, which is the word of a one-word field, and the
-        # same words
-        same = np.array_equal(fp[i], cfp) and np.array_equal(size[lab], length)
-        if same and cw.size > cfirst.size:
-            count = np.diff(cfirst, append=cw.size)
-            same = np.array_equal(cw, words[np.repeat(first[lab] - cfirst, count)
-                                            + np.arange(cw.size)])
-        if not same:
+        # and the same words
+        if not (np.array_equal(size[lab], length)
+                and _kernels.same_words(words, first[lab], cw, cfirst)):
             return None
         ids[place + row * width] = rank[lab]
         row += rows_at.size
-    # the labels in order, each with the byte after it set to LF
-    size = size[order] + 1
-    pick = buf[np.repeat(at[order], size) + _within(size)]
-    pick[np.cumsum(size) - 1] = 10
-    labels = tuple(pick.tobytes().decode().split("\n")[:-1])
-    return CompactMatrix._of(k, labels, ids.reshape(n, width)[order, 1:])
+    table = ids.reshape(n, width)[order, 1:]
+    del ids  # freed before the labels are decoded
+    labels = _kernels.decode_fields(buf, at[order], size[order])
+    return CompactMatrix._of(k, labels, table)
 
 
 def _records(buf: np.ndarray, lo: int, hi: int, width: int):
@@ -480,42 +469,6 @@ def _records(buf: np.ndarray, lo: int, hi: int, width: int):
     place = np.flatnonzero(filled)
     return (start[::width].copy(), length[::width].copy(), place,
             start[place], length[place])
-
-
-def _within(size: np.ndarray) -> np.ndarray:
-    """0..size[i]-1 for each run, the runs end to end."""
-    return np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
-
-
-def _words(word_at: np.ndarray, start: np.ndarray,
-           size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The fields of ``size`` bytes at ``start`` as big-endian words read
-    from ``word_at`` (the word at each byte offset), zero past each
-    field's end, the fields end to end, at least one word each; and each
-    field's first word."""
-    if size.max(initial=0) <= 8:  # one word each
-        words = word_at[start]
-        words &= _KEEP[size]
-        return words, np.arange(size.size)
-    count = np.maximum((size + 7) >> 3, 1)
-    j = 8 * _within(count)
-    words = word_at[np.repeat(start, count) + j]
-    words &= _KEEP[np.clip(np.repeat(size, count) - j, 0, 8)]
-    return words, np.cumsum(count) - count
-
-
-def _fingerprints(words: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """One 64-bit fingerprint of each field's words: its first word plus
-    a bijective mix of each later word with its place, so that a one-word
-    field's fingerprint is that word."""
-    if words.size == first.size:
-        return words
-    place = np.arange(words.size, dtype=np.uint64)
-    place -= np.repeat(first, np.diff(first, append=words.size)).astype(np.uint64)
-    x = (words ^ place * 0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9
-    x ^= x >> 31
-    x[first] = words[first]
-    return np.add.reduceat(x, first)
 
 
 def _byte_order(words: np.ndarray, first: np.ndarray,

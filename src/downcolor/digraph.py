@@ -11,9 +11,15 @@ A ``Digraph`` holds its edges as children and parents CSR arrays (the
 parents as the transpose of the children), an ``UndirectedGraph`` as one
 symmetric CSR, and either lists its edges on demand.  They are validated
 once, as arrays: range, self-loops, and repeats found as equal
-neighbours among the sorted ``u*n + v`` keys.  ``parse_digraph`` streams
-the text once into an id buffer and hands the arrays to the digraph
-without a second check.  Each acyclic ``Digraph`` caches its closed
+neighbours among the sorted ``u*n + v`` keys.  ``parse_digraph`` reads
+ASCII text with no ``#`` and no NUL as arrays, its tokens found by one
+numpy scan per 1 MiB slice and given ids by one sort of their
+fingerprints (the word kernels of ``_kernels``, shared with the compact
+CSV reader); any other text, and any that path declines, goes through
+the line loop, which alone names every ``ParseError`` and its line.
+Either hands its arrays to the digraph without a second check.  The
+text writers refuse a label holding ``#``, which they could not read
+back.  Each acyclic ``Digraph`` caches its closed
 down-sets once, as sorted CSR rows (:meth:`Digraph._down_sets`); every
 stage of the pipeline reads those rows.  They are built from the
 vertices' heights, peeled level by level from the sinks up
@@ -339,19 +345,44 @@ class UndirectedGraph(_Graph):
 
 # ------------------------------------------------------------------ text
 
-def _lines(text: str, size: int = 1 << 20) -> Iterator[str]:
-    """``text.splitlines()``, one slice of about ``size`` characters at a
-    time; a slice ends just after a newline, which always ends a line."""
+# the ASCII bytes that str.split() and str.splitlines() split at
+_SPACE = np.array([not chr(b).split() for b in range(128)] + [False] * 128)
+_BREAK = np.array([len(f"a{chr(b)}a".splitlines()) == 2 for b in range(128)]
+                  + [False] * 128)
+
+
+def _slices(text: str, size: int = 1 << 20) -> Iterator[str]:
+    """``text`` in slices of about ``size`` characters; a slice ends just
+    after a newline, which always ends a line."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + size) + 1 or len(text)
-        yield from text[start:end].splitlines()
+        yield text[start:end]
         start = end
+
+
+def _lines(text: str, size: int = 1 << 20) -> Iterator[str]:
+    """``text.splitlines()``, one slice (:func:`_slices`) at a time."""
+    for part in _slices(text, size):
+        yield from part.splitlines()
 
 
 def parse_digraph(text: str) -> Digraph:
     """Parse the edge-list format: one ``ancestor descendant`` pair per
     line, single-token lines declaring isolated vertices, ``#`` comments.
+
+    ASCII text with no ``#`` and no NUL is read as arrays
+    (:func:`_read_arrays`).  Any other text, and any the array path
+    refuses, is read from the start line by line (:func:`_read_lines`),
+    which alone names every error and its line.  Both give the same
+    digraph, ids in first-mention order, on text both accept.
+    """
+    g = _read_arrays(text)
+    return _read_lines(text) if g is None else g
+
+
+def _read_lines(text: str) -> Digraph:
+    """The edge-list reader line by line.
 
     One pass assigns ids in first-mention order to a flat edge buffer,
     checked once as arrays; the lines are scanned again only to name the
@@ -389,9 +420,99 @@ def parse_digraph(text: str) -> Digraph:
     return Digraph.__new__(Digraph)._fill(labels, index, adj)
 
 
+def _read_arrays(text: str, slice_size: int = 1 << 20) -> Digraph | None:
+    """The edge-list reader on arrays, for ASCII text with no ``#`` and no
+    NUL (see :func:`parse_digraph`); None when a line holds three or more
+    tokens, an edge is a self-loop or a repeat, or two tokens share a
+    fingerprint but not their bytes.
+
+    The text is read in slices (:func:`_slices`), each encoded and
+    scanned once: its tokens by the bytes ``str.split()`` splits at, the
+    tokens of each line counted by the bytes ``str.splitlines()`` breaks
+    at.  A token is kept as its bytes in 8-byte big-endian words
+    (:func:`_kernels.field_words`) and a fingerprint of them; one sort of
+    the fingerprints groups equal tokens, and a group's first token,
+    checked against every other by size and word by word, gives the label
+    its id in first-mention order, the loop's.  Only the n labels are
+    decoded to ``str``, after the per-token arrays are freed."""
+    if not text.isascii() or "#" in text or "\0" in text:
+        return None
+    # grown in place as the slices are read, so no slice's arrays outlive it
+    words, first, size, paired = array("Q"), array("q"), array("i"), array("b")
+    for part in _slices(text, slice_size):
+        raw = part.encode() + bytes(8)  # a word read at any token start stays inside
+        buf = np.frombuffer(raw, dtype=np.uint8)[:-8]
+        gap = np.flatnonzero(buf <= 32)  # every whitespace byte is one of these
+        gap = gap[_SPACE.take(buf[gap])]
+        cut = np.concatenate(([-1], gap, [buf.size]))
+        tok = np.flatnonzero(np.diff(cut) > 1)  # a token between two cuts
+        start, end = cut[tok] + 1, cut[tok + 1]
+        # each token's line: the line breaks among the cuts before it
+        line = np.zeros(cut.size - 1, dtype=np.int64)
+        np.cumsum(_BREAK.take(buf[gap]), out=line[1:])
+        line = line[tok]
+        per_line = np.bincount(line)
+        if per_line.max(initial=0) > 2:
+            return None
+        word_at = np.ndarray((buf.size + 1,), dtype=">u8", buffer=raw, strides=(1,))
+        length = (end - start).astype(np.int32)
+        w, f = _kernels.field_words(word_at, start, length)
+        f += len(words)
+        words.frombytes(w.astype(np.uint64).tobytes())
+        first.frombytes(f.tobytes())
+        size.frombytes(length.tobytes())
+        paired.frombytes((per_line[line] == 2).tobytes())
+    words, first, size, paired = (np.frombuffer(a, dtype=a.typecode)
+                                  for a in (words, first, size, paired))
+    fp = _kernels.fingerprints(words, first)
+    order = np.argsort(fp)
+    fp = fp[order]
+    head = np.ones(order.size, dtype=bool)
+    np.not_equal(fp[1:], fp[:-1], out=head[1:])
+    group = np.flatnonzero(head)  # where each run of equal fingerprints starts
+    del fp, head
+    tops = np.minimum.reduceat(order, group)  # each run's first token
+    by = np.argsort(tops)
+    lab = tops[by]  # the labels' first tokens, in id order
+    gid = np.empty(lab.size, dtype=np.int32)
+    gid[by] = np.arange(lab.size, dtype=np.int32)
+    ids = np.empty(order.size, dtype=np.int32)
+    ids[order] = np.repeat(gid, np.diff(group, append=order.size))
+    del order, group, tops, by, gid
+    # every token against its label's first token: by size, then word by word
+    if not (np.array_equal(size[lab][ids], size)
+            and _kernels.same_words(words, first[lab][ids], words, first)):
+        return None
+    pairs = ids[paired.view(bool)]
+    del ids, paired
+    ptr, lw = _kernels.gather_rows(np.append(first, words.size), words, lab)
+    size = size[lab]
+    del words, first, lab
+    buf = np.append(lw, np.uint64(0)).astype(">u8").view(np.uint8)  # text order
+    labels = _kernels.decode_fields(buf, 8 * ptr[:-1], size)
+    del buf, ptr, lw, size
+    adj = _adjacency(len(labels), pairs[0::2], pairs[1::2])
+    if adj is None:
+        return None
+    del pairs
+    index = dict(zip(labels, range(len(labels))))
+    return Digraph.__new__(Digraph)._fill(labels, index, adj)
+
+
+def _check_text_labels(labels: tuple[str, ...]) -> None:
+    """Refuse the first label holding ``#``, which the text formats would
+    read back as the start of a comment."""
+    bad = next((lab for lab in labels if "#" in lab), None)
+    if bad is not None:
+        raise ValueError(f"label {bad!r} holds '#', which the text formats "
+                         "read as the start of a comment")
+
+
 def format_digraph(g: Digraph) -> str:
     """Serialize to the edge-list format, edges sorted by label pair,
-    isolated vertices on trailing single-token lines."""
+    isolated vertices on trailing single-token lines; a label holding
+    ``#`` is refused with ``ValueError``."""
+    _check_text_labels(g.labels)
     lines = sorted(f"{lu} {lv}" for lu, lv in g.edge_labels())
     degree = np.diff(g._csr[0]) + np.diff(g._rcsr[0])
     lines += sorted(g.label_of(u) for u in np.flatnonzero(degree == 0).tolist())

@@ -44,7 +44,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import _kernels
-from .digraph import Digraph, UndirectedGraph, _Labeled, _check_labels, _max_rows
+from .digraph import (Digraph, UndirectedGraph, _Labeled, _check_labels,
+                      _check_text_labels, _max_rows)
 from .errors import ParseError
 
 
@@ -167,7 +168,9 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
 def format_hypergraph(h: Hypergraph) -> str:
     """Serialize to the edge-per-line format, members and lines sorted;
-    vertices in no edge appear on trailing single-token lines."""
+    vertices in no edge appear on trailing single-token lines.  A label
+    holding ``#`` is refused with ``ValueError``."""
+    _check_text_labels(h.labels)
     eptr, members = h._csr
     names, ptr = [h.label_of(u) for u in members.tolist()], eptr.tolist()
     lines = sorted(" ".join(sorted(names[a:b])) for a, b in zip(ptr, ptr[1:]))

@@ -27,7 +27,7 @@ from downcolor import (
     verify_ac_property,
     verify_down_coloring,
 )
-from downcolor import compact
+from downcolor import _kernels, compact
 from conftest import (SCALE_GRAPHS, ac_check_reference, brute_ac_ok,
                       compact_csv_reference, csv_reference, hierarchy,
                       json_reference, random_dag, reach_closed)
@@ -557,12 +557,12 @@ def test_csv_reader_checks_a_fingerprint_match_word_by_word():
     rng = np.random.default_rng(3)
     label = b"BBBBBBBBAAAAAAAA"
     words = np.frombuffer(label, dtype=">u8").astype(np.uint64)
-    want = compact._fingerprints(words, np.array([0]))[0]
+    want = _kernels.fingerprints(words, np.array([0]))[0]
     for _ in range(100):
         second = rng.integers(ord("a"), ord("z") + 1, size=(4096, 8), dtype=np.uint8)
         tail = second.view(">u8")[:, 0].astype(np.uint64)
         pairs = np.stack([np.zeros_like(tail), tail], axis=1).ravel()
-        mixed = compact._fingerprints(pairs, np.arange(0, pairs.size, 2))
+        mixed = _kernels.fingerprints(pairs, np.arange(0, pairs.size, 2))
         head = (want - mixed).astype(">u8").view(np.uint8).reshape(-1, 8)
         printable = (head >= ord(" ")) & (head <= ord("~"))
         ok = np.flatnonzero((printable & (head != ord(",")) & (head != ord('"')))

@@ -27,8 +27,8 @@ from downcolor import (
     verify_ac_property,
     verify_down_coloring,
 )
-from downcolor import _kernels
-from downcolor.digraph import _lines
+from downcolor import _kernels, digraph
+from downcolor.digraph import _lines, _read_arrays
 from conftest import (SCALE_GRAPHS, brute_down_edges, components_reference,
                       condense_reference, digraph_reference, hierarchy,
                       layered_dag, parse_digraph_reference, random_dag,
@@ -473,8 +473,12 @@ def test_format_parse_roundtrip_property(pairs, isolated):
 # ------------------------------------------------ the text boundary, fuzzed
 
 # splitlines breaks on all of these; the ones after \r also split tokens
-BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
-token = st.sampled_from(["a", "b", "c", "d"])
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+# tokens of one word, and of two or three that share their first eight bytes
+TOKENS = ["a", "b", "c", "d", "abcdefgh1", "abcdefgh12345678",
+          "abcdefgh123456789", "abcdefgh" + "y" * 16]
+# a non-ASCII token, and one holding NUL next to the one without
+ODD_TOKENS = ["\u00e9", "a\0"]
 gap = st.sampled_from([" ", "\t", "  ", " \t", "\x1f"])
 
 
@@ -482,7 +486,11 @@ gap = st.sampled_from([" ", "\t", "  ", " \t", "\x1f"])
 def edge_list_texts(draw):
     """Edge-list texts of 0-3 tokens per line, with comments that may hold
     tokens, blank lines, tabs, assorted line breaks, self-loops and
-    repeated edges."""
+    repeated edges.  About half are plain, as the array path reads them:
+    ASCII, with no comment and no NUL."""
+    plain = draw(st.booleans())
+    token = st.sampled_from(TOKENS if plain else TOKENS + ODD_TOKENS)
+    brk = st.sampled_from([b for b in BREAKS if b.isascii()] if plain else BREAKS)
     out = []
     for _ in range(draw(st.integers(0, 12))):
         width = draw(st.sampled_from([0, 1, 2, 2, 2, 2, 2, 3]))
@@ -490,30 +498,42 @@ def edge_list_texts(draw):
         line = draw(st.sampled_from(["", " ", "\t"]))
         for i, tok in enumerate(toks):
             line += (draw(gap) if i else "") + tok
-        if draw(st.booleans()) and draw(st.booleans()):
+        if not plain and draw(st.booleans()) and draw(st.booleans()):
             line += draw(st.sampled_from(["#", " # ", "#a b"]))
             line += " ".join(draw(st.lists(token, max_size=3)))
-        out.append(line + draw(st.sampled_from(BREAKS)))
+        out.append(line + draw(brk))
     text = "".join(out)
     return text[:-1] if text.endswith("\n") and draw(st.booleans()) else text
+
+
+def assert_parsed_as(g, labels, children, parents):
+    assert g.labels == labels
+    assert list(g.edges()) == [(u, v) for u in range(g.n) for v in children[u]]
+    assert tuple(map(g.children, range(g.n))) == children
+    assert tuple(map(g.parents, range(g.n))) == parents
 
 
 @settings(max_examples=300, deadline=None)
 @given(edge_list_texts(), st.integers(1, 6))
 def test_parse_matches_reference(text, size):
+    # the slices of a few characters, one line or more each, that both
+    # readers take in place of 1 MiB ones
     assert list(_lines(text, size)) == text.splitlines()
+    fast = _read_arrays(text, size)
     try:
         labels, children, parents = parse_digraph_reference(text)
     except ParseError as exc:
+        assert fast is None
         with pytest.raises(ParseError) as ei:
             parse_digraph(text)
         assert (str(ei.value), ei.value.line) == (str(exc), exc.line)
         return
+    # the array path takes every plain text the reference accepts
+    plain = text.isascii() and "#" not in text and "\0" not in text
+    assert (fast is not None) == plain
     g = parse_digraph(text)
-    assert g.labels == labels
-    assert list(g.edges()) == [(u, v) for u in range(g.n) for v in children[u]]
-    assert tuple(map(g.children, range(g.n))) == children
-    assert tuple(map(g.parents, range(g.n))) == parents
+    for got in (g, fast) if fast is not None else (g,):
+        assert_parsed_as(got, labels, children, parents)
     want = topological_order_reference(labels, children, parents)
     if isinstance(want, tuple):
         assert g.topological_order() == want
@@ -521,6 +541,43 @@ def test_parse_matches_reference(text, size):
         with pytest.raises(CyclicGraphError) as ei:
             g.topological_order()
         assert ei.value.cycle == want
+
+
+@pytest.mark.parametrize("text", [
+    "a\nb\r\nc\n",
+    "abcdefgh12345678\r\nabcdefgh87654321\nabcdefghabcdefgh\n",
+])
+def test_parse_checks_a_fingerprint_match_word_by_word(monkeypatch, text):
+    # every token given one fingerprint: tokens of one size on lines of
+    # their own, so only the word check can tell them apart; it does, the
+    # array path declines, and the loop reads the text
+    monkeypatch.setattr(_kernels, "fingerprints",
+                        lambda words, first: np.zeros(first.size, dtype=np.uint64))
+    assert _read_arrays(text) is None
+    assert_parsed_as(parse_digraph(text), *parse_digraph_reference(text))
+
+
+def test_plain_text_takes_the_array_path(monkeypatch):
+    def refused(text):
+        raise AssertionError("the line loop read plain text")
+
+    monkeypatch.setattr(digraph, "_read_lines", refused)
+    text = ("vertex-0001-alpha vertex-0002-beta\r\n"
+            "vertex-0002-beta vertex-0003-gamma\r\n"
+            "isolated-vertex-x\r\n\r\n"
+            "\tvertex-0001-alpha  vertex-0003-gamma \r\n"
+            "isolated-vertex-y")
+    g = parse_digraph(text)
+    assert g.n == 5 and g.edge_count == 3
+    assert_parsed_as(g, *parse_digraph_reference(text))
+
+
+def test_text_writers_refuse_a_comment_mark():
+    # the one character a label may hold that the text formats cannot
+    # carry: read back, it would cut the line short without an error
+    with pytest.raises(ValueError, match="^label 'a#b' holds '#', which the text "
+                       "formats read as the start of a comment$"):
+        format_digraph(Digraph(["c", "a#b", "d#"], [(0, 1)]))
 
 
 @settings(max_examples=300, deadline=None)

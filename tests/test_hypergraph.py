@@ -45,6 +45,13 @@ def test_parse_and_format_roundtrip():
     assert parse_hypergraph(format_hypergraph(h)) == h
 
 
+def test_format_refuses_a_comment_mark():
+    # read back, "a#b c" would be the lone vertex a
+    with pytest.raises(ValueError, match="^label 'a#b' holds '#', which the text "
+                       "formats read as the start of a comment$"):
+        format_hypergraph(Hypergraph(["x", "a#b", "c#"], [(1, 2)]))
+
+
 def test_parse_rejects_repeated_member():
     with pytest.raises(ParseError):
         parse_hypergraph("a b a\n")
