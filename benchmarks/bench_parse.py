@@ -46,9 +46,8 @@ parse_peak = peak()
 _, ids = g._down_sets()
 t2 = time.perf_counter()
 layout = "csr" if g._bits_level is None else f"bitsets-merge-stopped-at-level-{g._bits_level}"
-closure_peak = peak()
-print(t1 - t0, closure_peak, g.n, g.edge_count, t2 - t1, ids.size, layout,
-      closure_peak - parse_peak)
+print(t1 - t0, parse_peak, g.n, g.edge_count, t2 - t1, ids.size, layout,
+      peak() - parse_peak)
 t3 = time.perf_counter()
 c = down_coloring(g)
 print(time.perf_counter() - t3, peak())

@@ -27,15 +27,14 @@ graph type holds; its ids are int32, its row pointers int64, and
 :func:`reverse_csr` is their one transpose.  The decode goes through a
 ``uint8`` view, which assumes a little-endian host.
 
-Both array readers of text, the edge-list parser and the compact CSV
-reader, share the word kernels at the end of this module.  A field of
-UTF-8 bytes becomes its 8-byte big-endian words, zero past its end
-(:func:`field_words`), and one 64-bit fingerprint of them
-(:func:`fingerprints`), which is the word itself for a field of at most
-8 bytes; a fingerprint match is checked word by word
-(:func:`same_words`); and only the fields that name labels are decoded
-to ``str``, in blocks, with one decode (:func:`decode_fields`).  With no
-NUL byte in the text, equal words mean equal fields.
+Both readers of text, the edge-list parser and the compact CSV reader,
+share the word kernels at the end of this module.  A field of UTF-8
+bytes becomes its 8-byte big-endian words, zero past its end
+(:func:`field_words`); one exact sort puts fields in byte order and
+marks each run of equal ones (:func:`byte_order`); and only the labels
+are decoded to ``str``, in blocks (:func:`decode_fields`).  Only the
+CSV reader's cell lookup uses a 64-bit fingerprint of a field's words
+(:func:`fingerprints`), checked word by word (:func:`same_words`).
 """
 
 from __future__ import annotations
@@ -431,6 +430,44 @@ def field_words(word_at: np.ndarray, start: np.ndarray,
     return words, np.cumsum(count) - count
 
 
+def byte_order(words: np.ndarray, first: np.ndarray,
+               size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts fields by their UTF-8 bytes, from their words
+    (:func:`field_words`) and sizes, and which sorted places start a run
+    of equal fields.  Round j sorts by word j (0 past a field's end) the
+    runs tied in words 0..j-1 that hold a field of more than j words,
+    keyed by their places; a run tied in every word differs only in
+    trailing NUL bytes, and is sorted by size, as a prefix sorts first."""
+    n = first.size
+    key = words if words.size == n else words[first]
+    order = np.argsort(key)
+    key = key[order]
+    head = np.ones(n, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    if words.size > n:  # some field has more than one word
+        count = np.diff(first, append=words.size)
+        live = np.arange(n)  # sorted places still tied
+        for j in range(1, int(count.max())):
+            h = np.flatnonzero(head[live])  # keep the runs of two or more
+            runs = np.diff(h, append=live.size)  # with a field past word j
+            deep = np.logical_or.reduceat(count[order[live]] > j, h)
+            live = live[np.repeat((runs > 1) & deep, runs)]
+            if not live.size:
+                break
+            f = order[live]
+            key = np.where(count[f] > j, words[first[f] + np.minimum(j, count[f] - 1)], 0)
+            by = np.lexsort((key, np.cumsum(head[live])))
+            order[live], key = f[by], key[by]
+            head[live[1:]] |= key[1:] != key[:-1]
+    del key
+    fsize = size[order]
+    if np.any(~head[1:] & (fsize[1:] != fsize[:-1])):
+        by = np.lexsort((fsize, np.cumsum(head)))
+        order, fsize = order[by], fsize[by]
+        head[1:] |= fsize[1:] != fsize[:-1]
+    return order, head
+
+
 def fingerprints(words: np.ndarray, first: np.ndarray) -> np.ndarray:
     """One 64-bit fingerprint of each field's words: its first word plus
     a bijective mix of each later word with its place, so that a one-word
@@ -461,7 +498,7 @@ def decode_fields(buf: np.ndarray, at: np.ndarray, size: np.ndarray) -> tuple[st
     """The UTF-8 fields of ``size`` bytes at ``at`` in the bytes ``buf``,
     none holding a LF and each followed by a byte of ``buf``, as strings:
     gathered ``_GATHER_BYTES`` at a time, each with the byte after it set
-    to LF, and decoded once."""
+    to LF, and decoded once, lone surrogates passed through."""
     cum = np.zeros(at.size + 1, dtype=np.int64)
     np.cumsum(size + 1, out=cum[1:])
     parts = []
@@ -471,6 +508,6 @@ def decode_fields(buf: np.ndarray, at: np.ndarray, size: np.ndarray) -> tuple[st
         pick = buf[pick]
         pick[cum[a + 1:b + 1] - cum[a] - 1] = 10
         parts.append(pick.tobytes())
-    fields = b"".join(parts).decode().split("\n")
+    fields = b"".join(parts).decode("utf-8", "surrogatepass").split("\n")
     fields.pop()  # the empty string after the last LF
     return tuple(fields)

@@ -12,13 +12,14 @@ column; its fill count is the one rainbow check, and the AC verdict
 compares its rebuild with the table.  The CSV writer quotes each label
 once and joins the records a block of rows at a time.
 The CSV reader reads text with no ``"``, CR or NUL as numpy arrays, so
-that only the labels become ``str``: its fields become words,
-fingerprints and, last, strings through the word kernels in
-``_kernels``, which the edge-list parser shares; any other text, and any
-that path finds irregular, is read again record by record, which alone
-names errors and ``foreign`` cells.  The JSON reader maps each cell to
-its id once.  :func:`is_below` and :func:`is_below_ids` answer reachability
-from a valid table, one cell per query.
+that only the labels become ``str``: its labels are sorted and decoded
+by the word kernels of ``_kernels`` that the edge-list parser shares,
+and each cell finds its row by a fingerprint of its words.  Any other
+text, and any that path finds irregular, is read again record by
+record, which alone names errors and ``foreign`` cells.  The JSON
+reader maps each cell to its id once.  :func:`is_below` and
+:func:`is_below_ids` answer reachability from a valid table, one cell
+per query.
 """
 
 from __future__ import annotations
@@ -381,12 +382,12 @@ def _read_arrays(text: str) -> CompactMatrix | None:
 
     The fields are found ``_CSV_ROWS`` lines at a time, from one numpy
     scan of each block's bytes for commas and LFs; the filled cells are
-    kept as offsets until the labels are known.  A field is compared by
-    its UTF-8 bytes as 8-byte big-endian words, zero past its end: with
-    no NUL in the text, equal words mean equal labels, and UTF-8 byte
-    order is code-point order, so the words sort the labels as ``sorted``
-    does.  Each cell finds its row by a fingerprint of its words, checked
-    word by word.  Only the n labels are decoded to ``str``."""
+    kept as offsets until the labels are known.  The labels sort by one
+    exact sort of their UTF-8 bytes (:func:`_kernels.byte_order`), which
+    is code-point order, as ``sorted``'s.  Each cell finds its row by a
+    fingerprint of its words, checked word by word: with no NUL in the
+    text, equal words mean equal labels.  Only the n labels are decoded
+    to ``str``."""
     header = text.partition("\n")[0]
     k = header.count(",")
     if header != ",".join(_header(k)):
@@ -414,8 +415,8 @@ def _read_arrays(text: str) -> CompactMatrix | None:
     size = np.concatenate([np.empty(0, dtype=np.int64)] + [b[1] for b in blocks])
     n = at.size
     words, first = _kernels.field_words(word_at, at, size)
-    order = _byte_order(words, first, size)
-    if order is None:
+    order, head = _kernels.byte_order(words, first, size)
+    if not head.all():  # a repeated row
         return None
     rank = np.empty(n, dtype=np.int32)
     rank[order] = np.arange(n, dtype=np.int32)
@@ -469,31 +470,6 @@ def _records(buf: np.ndarray, lo: int, hi: int, width: int):
     place = np.flatnonzero(filled)
     return (start[::width].copy(), length[::width].copy(), place,
             start[place], length[place])
-
-
-def _byte_order(words: np.ndarray, first: np.ndarray,
-                size: np.ndarray) -> np.ndarray | None:
-    """The order that sorts fields by their bytes, from their words, or
-    None if two are equal.  Word j sorts the runs of fields equal in words
-    0..j-1 that are at least 8j bytes long; with no NUL byte, a run's
-    shorter fields are equal, and each round touches only the runs left."""
-    n = first.size
-    count = np.diff(first, append=words.size)
-    order = np.arange(n)
-    head = np.zeros(n, dtype=bool)  # sorted places that start a run
-    head[:1] = True
-    live = np.arange(n)  # sorted places in runs of two or more
-    j = 0
-    while live.size:
-        f = order[live]
-        key = np.where(count[f] > j, words[first[f] + np.minimum(j, count[f] - 1)], 0)
-        by = np.lexsort((key, np.cumsum(head[live])))
-        order[live], key = f[by], key[by]
-        head[live[1:]] |= key[1:] != key[:-1]
-        h = head[live]
-        j += 1
-        live = live[~(h & np.append(h[1:], True)) & (size[order[live]] >= 8 * j)]
-    return order if head.all() else None
 
 
 def to_json(m: CompactMatrix) -> str:

@@ -11,18 +11,18 @@ A ``Digraph`` holds its edges as children and parents CSR arrays (the
 parents as the transpose of the children), an ``UndirectedGraph`` as one
 symmetric CSR, and either lists its edges on demand.  They are validated
 once, as arrays: range, self-loops, and repeats found as equal
-neighbours among the sorted ``u*n + v`` keys.  ``parse_digraph`` reads
-ASCII text with no ``#`` and no NUL as arrays, its tokens found by one
-numpy scan per 1 MiB slice and given ids by one sort of their
-fingerprints (the word kernels of ``_kernels``, shared with the compact
-CSV reader); any other text, and any that path declines, goes through
-the line loop, which alone names every ``ParseError`` and its line.
-Either hands its arrays to the digraph without a second check.  The
-text writers refuse a label holding ``#``, which they could not read
-back.  Each acyclic ``Digraph`` caches its closed
-down-sets once, as sorted CSR rows (:meth:`Digraph._down_sets`); every
-stage of the pipeline reads those rows.  They are built from the
-vertices' heights, peeled level by level from the sinks up
+neighbours among the sorted ``u*n + v`` keys.  ``parse_digraph`` has
+one reader, on arrays: per 1 MiB slice, non-ASCII separators and
+comments are blanked and one numpy scan finds the tokens and their
+lines; one exact sort of the tokens' bytes (the word kernels of
+``_kernels``, shared with the CSV reader) gives ids, and the first
+error in line order is named from the same arrays, which the digraph
+takes without a second check.  The text writers refuse a label holding
+``#``, which they could not read back.  Each acyclic ``Digraph`` caches
+its closed down-sets once, as sorted CSR rows
+(:meth:`Digraph._down_sets`); every stage of the pipeline reads those
+rows.  They are built from the vertices' heights, peeled level by
+level from the sinks up
 (:meth:`Digraph._levels`), and merged as CSR rows a level at a time;
 only a dense DAG, whose rows would outgrow its bitset matrix, finishes
 on bitsets, and a closure too large for both raises ``ValueError``.
@@ -42,9 +42,10 @@ validating constructor.
 
 from __future__ import annotations
 
+import re
 from array import array
 from collections import deque
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -349,154 +350,139 @@ class UndirectedGraph(_Graph):
 _SPACE = np.array([not chr(b).split() for b in range(128)] + [False] * 128)
 _BREAK = np.array([len(f"a{chr(b)}a".splitlines()) == 2 for b in range(128)]
                   + [False] * 128)
-
-
-def _slices(text: str, size: int = 1 << 20) -> Iterator[str]:
-    """``text`` in slices of about ``size`` characters; a slice ends just
-    after a newline, which always ends a line."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + size) + 1 or len(text)
-        yield text[start:end]
-        start = end
-
-
-def _lines(text: str, size: int = 1 << 20) -> Iterator[str]:
-    """``text.splitlines()``, one slice (:func:`_slices`) at a time."""
-    for part in _slices(text, size):
-        yield from part.splitlines()
+# the non-ASCII characters str.split() splits at: the three that
+# str.splitlines() breaks at too, the rest, and all of them
+_WIDE_BREAK = re.compile("[\x85\u2028\u2029]")
+_WIDE_GAP = re.compile("[\xa0\u1680\u2000-\u200a\u202f\u205f\u3000]")
+_WIDE = re.compile(f"{_WIDE_BREAK.pattern}|{_WIDE_GAP.pattern}")
 
 
 def parse_digraph(text: str) -> Digraph:
     """Parse the edge-list format: one ``ancestor descendant`` pair per
     line, single-token lines declaring isolated vertices, ``#`` comments.
 
-    ASCII text with no ``#`` and no NUL is read as arrays
-    (:func:`_read_arrays`).  Any other text, and any the array path
-    refuses, is read from the start line by line (:func:`_read_lines`),
-    which alone names every error and its line.  Both give the same
-    digraph, ids in first-mention order, on text both accept.
+    Lines and tokens are those of ``str.splitlines()`` and ``str.split()``,
+    whose non-ASCII separators count too; a comment runs from a line's
+    first ``#`` to its end.  Ids go to labels in first-mention order.  The
+    first error in line order, a line of three or more tokens or a
+    self-loop or repeated edge before it, raises ``ParseError`` with its
+    line.  One reader, on arrays, does all of this (:func:`_read`).
     """
-    g = _read_arrays(text)
-    return _read_lines(text) if g is None else g
+    return _read(text)
 
 
-def _read_lines(text: str) -> Digraph:
-    """The edge-list reader line by line.
-
-    One pass assigns ids in first-mention order to a flat edge buffer,
-    checked once as arrays; the lines are scanned again only to name the
-    line of a failed check.
-    """
-    index: dict[str, int] = {}
-    ids = array("i")
-    bad = None
-    add, push = index.setdefault, ids.append  # looked up once, called per token
-    for lineno, raw in enumerate(_lines(text), 1):
-        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if len(toks) == 2:
-            push(add(toks[0], len(index)))
-            push(add(toks[1], len(index)))
-        elif len(toks) == 1:
-            add(toks[0], len(index))
-        elif toks:
-            bad = ParseError(f"expected 1 or 2 tokens, got {len(toks)}", lineno)
-            break
-    labels = tuple(index)
-    pairs = np.frombuffer(ids, dtype=np.intc)
-    src, dst = pairs[0::2], pairs[1::2]
-    adj = _adjacency(len(labels), src, dst)
-    if adj is None:
-        i, kind = _first_bad_edge(len(labels), src, dst)
-        u, v = labels[src[i]], labels[dst[i]]
-        msg = (f"self-loop at {u!r}" if kind == "self-loop"
-               else f"duplicate edge {u} -> {v}")
-        # the line of the i-th edge
-        raise ParseError(msg, next(islice(
-            (j for j, raw in enumerate(_lines(text), 1)
-             if len(raw.split("#", 1)[0].split()) == 2), i, None)))
-    if bad is not None:
-        raise bad
-    return Digraph.__new__(Digraph)._fill(labels, index, adj)
-
-
-def _read_arrays(text: str, slice_size: int = 1 << 20) -> Digraph | None:
-    """The edge-list reader on arrays, for ASCII text with no ``#`` and no
-    NUL (see :func:`parse_digraph`); None when a line holds three or more
-    tokens, an edge is a self-loop or a repeat, or two tokens share a
-    fingerprint but not their bytes.
-
-    The text is read in slices (:func:`_slices`), each encoded and
-    scanned once: its tokens by the bytes ``str.split()`` splits at, the
-    tokens of each line counted by the bytes ``str.splitlines()`` breaks
-    at.  A token is kept as its bytes in 8-byte big-endian words
-    (:func:`_kernels.field_words`) and a fingerprint of them; one sort of
-    the fingerprints groups equal tokens, and a group's first token,
-    checked against every other by size and word by word, gives the label
-    its id in first-mention order, the loop's.  Only the n labels are
-    decoded to ``str``, after the per-token arrays are freed."""
-    if not text.isascii() or "#" in text or "\0" in text:
-        return None
+def _read(text: str, slice_size: int = 1 << 20) -> Digraph:
+    """The edge-list reader, a slice of about ``slice_size`` characters
+    ending just after a LF at a time: separators made ASCII
+    (:func:`_narrow`), encoded, comments blanked (:func:`_blank_comments`)
+    and scanned once for the tokens and lines of ``str.split()`` and
+    ``str.splitlines()``, CR LF as one break.  Tokens are kept as 8-byte
+    words (:func:`_kernels.field_words`), grouped by one exact sort
+    (:func:`_kernels.byte_order`) and given ids in first-mention order;
+    only the n labels are decoded.  A line of three or more tokens ends
+    the read; the first edge before it that the array check refuses is
+    named at its line, kept for each edge, and else that line is."""
     # grown in place as the slices are read, so no slice's arrays outlive it
-    words, first, size, paired = array("Q"), array("q"), array("i"), array("b")
-    for part in _slices(text, slice_size):
-        raw = part.encode() + bytes(8)  # a word read at any token start stays inside
+    words, first, size = array("Q"), array("q"), array("i")
+    paired, edge_line = array("b"), array("q")
+    pos, lineno, bad = 0, 1, None  # lineno: the line the slice starts on
+    while pos < len(text):
+        end = text.find("\n", pos + slice_size) + 1 or len(text)
+        part, pos = _narrow(text[pos:end]), end
+        raw = part.encode("utf-8", "surrogatepass") + bytes(8)  # room for word reads
+        if "#" in part:
+            raw = _blank_comments(bytearray(raw))
         buf = np.frombuffer(raw, dtype=np.uint8)[:-8]
         gap = np.flatnonzero(buf <= 32)  # every whitespace byte is one of these
         gap = gap[_SPACE.take(buf[gap])]
+        brk = _BREAK.take(buf[gap])
+        if "\r" in part:  # CR LF is one line break
+            brk[1:] &= ~((buf[gap[1:]] == 10) & (buf[gap[:-1]] == 13)
+                         & (np.diff(gap) == 1))
         cut = np.concatenate(([-1], gap, [buf.size]))
         tok = np.flatnonzero(np.diff(cut) > 1)  # a token between two cuts
-        start, end = cut[tok] + 1, cut[tok + 1]
-        # each token's line: the line breaks among the cuts before it
+        # each token's line in the slice: the line breaks among the cuts before it
         line = np.zeros(cut.size - 1, dtype=np.int64)
-        np.cumsum(_BREAK.take(buf[gap]), out=line[1:])
+        np.cumsum(brk, out=line[1:])
+        lines = int(line[-1])
         line = line[tok]
         per_line = np.bincount(line)
         if per_line.max(initial=0) > 2:
-            return None
+            at = int(np.argmax(per_line > 2))
+            bad = ParseError(f"expected 1 or 2 tokens, got {per_line[at]}",
+                             lineno + at)
+            tok, line = tok[line < at], line[line < at]
+        start = cut[tok] + 1
+        length = (cut[tok + 1] - start).astype(np.int32)
         word_at = np.ndarray((buf.size + 1,), dtype=">u8", buffer=raw, strides=(1,))
-        length = (end - start).astype(np.int32)
         w, f = _kernels.field_words(word_at, start, length)
-        f += len(words)
+        first.frombytes((f + len(words)).tobytes())
         words.frombytes(w.astype(np.uint64).tobytes())
-        first.frombytes(f.tobytes())
         size.frombytes(length.tobytes())
-        paired.frombytes((per_line[line] == 2).tobytes())
-    words, first, size, paired = (np.frombuffer(a, dtype=a.typecode)
-                                  for a in (words, first, size, paired))
-    fp = _kernels.fingerprints(words, first)
-    order = np.argsort(fp)
-    fp = fp[order]
-    head = np.ones(order.size, dtype=bool)
-    np.not_equal(fp[1:], fp[:-1], out=head[1:])
-    group = np.flatnonzero(head)  # where each run of equal fingerprints starts
-    del fp, head
+        pair = per_line[line] == 2
+        paired.frombytes(pair.tobytes())
+        edge_line.frombytes((line[pair][0::2] + lineno).tobytes())
+        if bad is not None:
+            break
+        lineno += lines
+    first.append(len(words))  # and the end of the last token's words
+    words, first, size, paired, edge_line = (
+        np.frombuffer(a, dtype=a.typecode)
+        for a in (words, first, size, paired, edge_line))
+    order, head = _kernels.byte_order(words, first[:-1], size)
+    group = np.flatnonzero(head)  # where each run of equal tokens starts
     tops = np.minimum.reduceat(order, group)  # each run's first token
     by = np.argsort(tops)
     lab = tops[by]  # the labels' first tokens, in id order
     gid = np.empty(lab.size, dtype=np.int32)
     gid[by] = np.arange(lab.size, dtype=np.int32)
-    ids = np.empty(order.size, dtype=np.int32)
-    ids[order] = np.repeat(gid, np.diff(group, append=order.size))
-    del order, group, tops, by, gid
-    # every token against its label's first token: by size, then word by word
-    if not (np.array_equal(size[lab][ids], size)
-            and _kernels.same_words(words, first[lab][ids], words, first)):
-        return None
-    pairs = ids[paired.view(bool)]
-    del ids, paired
-    ptr, lw = _kernels.gather_rows(np.append(first, words.size), words, lab)
+    del head, tops, by
+    ptr, lw = _kernels.gather_rows(first, words, lab)
     size = size[lab]
     del words, first, lab
+    ids = np.empty(order.size, dtype=np.int32)
+    ids[order] = np.repeat(gid, np.diff(group, append=order.size))
+    del order, group, gid
+    pairs = ids[paired.view(bool)]
+    del ids, paired
     buf = np.append(lw, np.uint64(0)).astype(">u8").view(np.uint8)  # text order
     labels = _kernels.decode_fields(buf, 8 * ptr[:-1], size)
     del buf, ptr, lw, size
-    adj = _adjacency(len(labels), pairs[0::2], pairs[1::2])
+    src, dst = pairs[0::2], pairs[1::2]
+    adj = _adjacency(len(labels), src, dst)
     if adj is None:
-        return None
-    del pairs
+        i, kind = _first_bad_edge(len(labels), src, dst)
+        u, v = labels[src[i]], labels[dst[i]]
+        raise ParseError(f"self-loop at {u!r}" if kind == "self-loop"
+                         else f"duplicate edge {u} -> {v}", int(edge_line[i]))
+    if bad is not None:
+        raise bad
+    del pairs, src, dst, edge_line
     index = dict(zip(labels, range(len(labels))))
     return Digraph.__new__(Digraph)._fill(labels, index, adj)
+
+
+def _narrow(part: str) -> str:
+    """``part`` with each non-ASCII character ``str.split()`` splits at as a
+    space, or VT for the three ``str.splitlines()`` breaks at, if any."""
+    if part.isascii() or not _WIDE.search(part):
+        return part
+    return _WIDE_GAP.sub(" ", _WIDE_BREAK.sub("\v", part))
+
+
+def _blank_comments(raw: bytearray) -> bytearray:
+    """``raw`` with its bytes from each line's first ``#`` up to the line
+    break after it, or to 8 bytes before the end, set to spaces."""
+    buf = np.frombuffer(raw, dtype=np.uint8)[:-8]
+    mark = np.flatnonzero(buf == 35)
+    low = np.flatnonzero(buf <= 32)
+    ends = np.append(low[_BREAK.take(buf[low])], buf.size)
+    end = ends[np.searchsorted(ends, mark)]  # the end of each mark's line
+    first = np.append(True, end[1:] != end[:-1])  # each line's first mark
+    step = np.zeros(buf.size + 1, dtype=np.int8)
+    step[mark[first]], step[end[first]] = 1, -1
+    buf[np.cumsum(step[:-1], dtype=np.int8).view(bool)] = 32
+    return raw
 
 
 def _check_text_labels(labels: tuple[str, ...]) -> None:

@@ -28,7 +28,7 @@ from downcolor import (
     verify_down_coloring,
 )
 from downcolor import _kernels, digraph
-from downcolor.digraph import _lines, _read_arrays
+from downcolor.digraph import _read
 from conftest import (SCALE_GRAPHS, brute_down_edges, components_reference,
                       condense_reference, digraph_reference, hierarchy,
                       layered_dag, parse_digraph_reference, random_dag,
@@ -473,23 +473,27 @@ def test_format_parse_roundtrip_property(pairs, isolated):
 # ------------------------------------------------ the text boundary, fuzzed
 
 # splitlines breaks on all of these; the ones after \r also split tokens
-BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+          "\x85", "\u2028", "\u2029", "\r\x85", "\r\u2028", "\r\u2029"]
 # tokens of one word, and of two or three that share their first eight bytes
 TOKENS = ["a", "b", "c", "d", "abcdefgh1", "abcdefgh12345678",
           "abcdefgh123456789", "abcdefgh" + "y" * 16]
-# a non-ASCII token, and one holding NUL next to the one without
-ODD_TOKENS = ["\u00e9", "a\0"]
-gap = st.sampled_from([" ", "\t", "  ", " \t", "\x1f"])
+# non-ASCII tokens, a lone surrogate, and tokens holding NUL next to the
+# ones without, of one word and of two or three sharing their first eight bytes
+ODD_TOKENS = ["\u00e9", "\ud800", "a\0", "abcdefgh\0", "abcdefgh\u00e9",
+              "abcdefgh\ud800", "abcdefgh12345678\0", "abcdefgh1234567\u00e9"]
+# split gaps, the last three non-ASCII: NBSP, U+2003 and U+3000
+GAPS = [" ", "\t", "  ", " \t", "\x1f", "\xa0", "\u2003", " \u3000"]
 
 
 @st.composite
 def edge_list_texts(draw):
     """Edge-list texts of 0-3 tokens per line, with comments that may hold
-    tokens, blank lines, tabs, assorted line breaks, self-loops and
-    repeated edges.  About half are plain, as the array path reads them:
-    ASCII, with no comment and no NUL."""
+    tokens, blank lines, assorted gaps and line breaks, self-loops and
+    repeated edges.  About half are ASCII with no comment."""
     plain = draw(st.booleans())
     token = st.sampled_from(TOKENS if plain else TOKENS + ODD_TOKENS)
+    gap = st.sampled_from([g for g in GAPS if g.isascii()] if plain else GAPS)
     brk = st.sampled_from([b for b in BREAKS if b.isascii()] if plain else BREAKS)
     out = []
     for _ in range(draw(st.integers(0, 12))):
@@ -499,7 +503,7 @@ def edge_list_texts(draw):
         for i, tok in enumerate(toks):
             line += (draw(gap) if i else "") + tok
         if not plain and draw(st.booleans()) and draw(st.booleans()):
-            line += draw(st.sampled_from(["#", " # ", "#a b"]))
+            line += draw(st.sampled_from(["#", " # ", "#a b", "#a#"]))
             line += " ".join(draw(st.lists(token, max_size=3)))
         out.append(line + draw(brk))
     text = "".join(out)
@@ -516,24 +520,20 @@ def assert_parsed_as(g, labels, children, parents):
 @settings(max_examples=300, deadline=None)
 @given(edge_list_texts(), st.integers(1, 6))
 def test_parse_matches_reference(text, size):
-    # the slices of a few characters, one line or more each, that both
-    # readers take in place of 1 MiB ones
-    assert list(_lines(text, size)) == text.splitlines()
-    fast = _read_arrays(text, size)
+    # the reader in slices of a few characters, one line or more each,
+    # and in its 1 MiB ones
+    readers = (lambda t: _read(t, size), parse_digraph)
     try:
         labels, children, parents = parse_digraph_reference(text)
     except ParseError as exc:
-        assert fast is None
-        with pytest.raises(ParseError) as ei:
-            parse_digraph(text)
-        assert (str(ei.value), ei.value.line) == (str(exc), exc.line)
+        for read in readers:
+            with pytest.raises(ParseError) as ei:
+                read(text)
+            assert (str(ei.value), ei.value.line) == (str(exc), exc.line)
         return
-    # the array path takes every plain text the reference accepts
-    plain = text.isascii() and "#" not in text and "\0" not in text
-    assert (fast is not None) == plain
-    g = parse_digraph(text)
-    for got in (g, fast) if fast is not None else (g,):
-        assert_parsed_as(got, labels, children, parents)
+    for read in readers:
+        g = read(text)
+        assert_parsed_as(g, labels, children, parents)
     want = topological_order_reference(labels, children, parents)
     if isinstance(want, tuple):
         assert g.topological_order() == want
@@ -543,33 +543,16 @@ def test_parse_matches_reference(text, size):
         assert ei.value.cycle == want
 
 
-@pytest.mark.parametrize("text", [
-    "a\nb\r\nc\n",
-    "abcdefgh12345678\r\nabcdefgh87654321\nabcdefghabcdefgh\n",
-])
-def test_parse_checks_a_fingerprint_match_word_by_word(monkeypatch, text):
-    # every token given one fingerprint: tokens of one size on lines of
-    # their own, so only the word check can tell them apart; it does, the
-    # array path declines, and the loop reads the text
-    monkeypatch.setattr(_kernels, "fingerprints",
-                        lambda words, first: np.zeros(first.size, dtype=np.uint64))
-    assert _read_arrays(text) is None
-    assert_parsed_as(parse_digraph(text), *parse_digraph_reference(text))
-
-
-def test_plain_text_takes_the_array_path(monkeypatch):
-    def refused(text):
-        raise AssertionError("the line loop read plain text")
-
-    monkeypatch.setattr(digraph, "_read_lines", refused)
-    text = ("vertex-0001-alpha vertex-0002-beta\r\n"
-            "vertex-0002-beta vertex-0003-gamma\r\n"
-            "isolated-vertex-x\r\n\r\n"
-            "\tvertex-0001-alpha  vertex-0003-gamma \r\n"
-            "isolated-vertex-y")
-    g = parse_digraph(text)
-    assert g.n == 5 and g.edge_count == 3
-    assert_parsed_as(g, *parse_digraph_reference(text))
+def test_wide_separators_are_those_str_split_splits_at():
+    # every code point: the ones mapped are exactly the non-ASCII ones
+    # str.split() splits at, and the line breaks among them become VT
+    text = "".join(map(chr, range(0x110000)))
+    out = digraph._narrow(text)
+    assert len(out) == len(text)
+    changed = {i for i, (a, b) in enumerate(zip(text, out)) if a != b}
+    assert changed == {c for c in range(128, 0x110000) if chr(c).isspace()}
+    assert {c for c in changed if out[c] == "\v"} == {0x85, 0x2028, 0x2029}
+    assert {out[c] for c in changed} == {" ", "\v"}
 
 
 def test_text_writers_refuse_a_comment_mark():

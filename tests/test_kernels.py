@@ -256,3 +256,30 @@ def test_greedy_color_first_fit():
     assert check(7, {}) == [1] * 7
     complete = {i: [j for j in range(9) if j != i] for i in range(9)}
     assert sorted(check(9, complete)) == list(range(1, 10))
+
+
+def fields_as_words(fields):
+    """``field_words`` of the byte strings ``fields`` laid end to end."""
+    raw = b"".join(fields) + bytes(8)
+    size = np.array([len(f) for f in fields], dtype=np.int64)
+    start = np.cumsum(size) - size
+    word_at = np.ndarray((len(raw) - 7,), dtype=">u8", buffer=raw, strides=(1,))
+    return (*_kernels.field_words(word_at, start, size), size)
+
+
+@pytest.mark.parametrize("fields", [
+    # equal words, sizes told apart only by trailing NUL bytes
+    [b"a\0\0", b"ab", b"a", b"a\0", b"a", b"a\0\0", b"a\0"],
+    # 8-, 9-, 16- and 17-byte fields sharing their first 8 bytes
+    [b"abcdefgh" + t for t in (b"12345678x", b"", b"1", b"12345678", b"\0",
+                               b"12345678\0", b"1", b"12345678", b"0", b"")],
+])
+def test_byte_order_sorts_fields_by_their_bytes(fields):
+    rng, fields = random.Random(7), list(fields)
+    for _ in range(5):
+        order, head = _kernels.byte_order(*fields_as_words(fields))
+        got = [fields[i] for i in order.tolist()]
+        assert got == sorted(fields)
+        assert head.tolist() == [i == 0 or got[i] != got[i - 1]
+                                 for i in range(len(got))]
+        rng.shuffle(fields)
