@@ -60,12 +60,12 @@ def cmd_analyze(args) -> int:
               "acyclic digraph", file=sys.stderr)
         return 0
     out.append("acyclic = true")
-    d = big_d(g)
     if g.edge_count == 0:
+        d = big_d(g)
         ind, cor1 = 0, d
     else:
         rep = bound_report(g)
-        ind, cor1 = rep.ind_h, rep.cor1_bound
+        d, ind, cor1 = rep.big_d, rep.ind_h, rep.cor1_bound
     out += [f"D = {d}", f"sigma = {max(d - 1, 0)}", f"ind = {ind}",
             f"cor1_bound = {cor1}", f"lower_bound = {d}"]
     _write(args.output, "".join(line + "\n" for line in out))

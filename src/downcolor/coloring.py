@@ -5,7 +5,12 @@ hyperedge, i.e. properly colors the clique graph.  A down-coloring of an
 acyclic digraph gives distinct colors to any two vertices that share a
 closed down-set.  The two meet through the down-hypergraph: color it
 strongly, then hand each maximal vertex the smallest color missing from
-its open down-set.
+its open down-set.  That pipeline runs on vertex ids: it colors the
+down-hypergraph's CSR pair, never its labels, and fills the maximal
+vertices' colors into the same array.  A ``Coloring`` keeps the labels
+and that one color array aligned with them; its mapping by label is
+built only when read, and the table build and the checks read the
+array itself when the coloring's labels are the digraph's.
 
 The greedy strong coloring never builds the clique graph.  It peels the
 hypergraph itself smallest-last, through the bucket queue of
@@ -35,7 +40,11 @@ and an exact down-coloring counts D among them.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -43,37 +52,81 @@ import numpy as np
 from . import _kernels
 from .digraph import Digraph, UndirectedGraph, _max_rows, big_d
 from .errors import CapExceededError, ColoringError
-from .hypergraph import Hypergraph, _peel, degeneracy, down_hypergraph
+from .hypergraph import Hypergraph, _down_csr, _peel
 
 DEFAULT_EXACT_CAP = 30
 
 
-@dataclass(frozen=True)
 class Coloring:
-    """Total color assignment by vertex label, colors 1..k, all used."""
+    """Total color assignment by vertex label, colors 1..k, all used.
 
-    colors: dict[str, int]
-    k: int
-    method: str
+    It is held as ``_labels`` and one int64 array ``_color`` aligned with
+    them.  ``colors``, the read-only mapping by label, is built on first
+    read, in label order; a down-coloring lists the vertices with a
+    parent in id order and then, by label, its maximal ones, ``_last``.
+    """
 
-    def __post_init__(self):
-        if not self.colors:
-            if self.k != 0:
-                raise ValueError(f"empty coloring must have k = 0, got {self.k}")
-            return
-        if self.k < 1:
+    def __init__(self, colors: Mapping[str, int], k: int, method: str):
+        colors = dict(colors)
+        if not colors:
+            if k != 0:
+                raise ValueError(f"empty coloring must have k = 0, got {k}")
+        elif k < 1:
             raise ValueError("k must be >= 1 for a nonempty coloring")
         used = set()
-        for lab, c in self.colors.items():
-            if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= self.k:
-                raise ValueError(f"color of {lab!r} must lie in 1..{self.k}, got {c!r}")
+        for lab, c in colors.items():
+            if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= k:
+                raise ValueError(f"color of {lab!r} must lie in 1..{k}, got {c!r}")
             used.add(c)
-        if len(used) < self.k:  # every used color lies in 1..k
-            if self.k > len(self.colors):  # build no range of a huge k
-                raise ValueError(f"k = {self.k} is above the vertex count "
-                                 f"{len(self.colors)}, so some color is never used")
-            missing = sorted(set(range(1, self.k + 1)) - used)
+        if len(used) < k:  # every used color lies in 1..k
+            if k > len(colors):  # build no range of a huge k
+                raise ValueError(f"k = {k} is above the vertex count "
+                                 f"{len(colors)}, so some color is never used")
+            missing = sorted(set(range(1, k + 1)) - used)
             raise ValueError(f"colors {missing} are declared but never used")
+        color = np.fromiter(colors.values(), np.int64, len(colors))
+        color.flags.writeable = False
+        self.__dict__.update(_labels=tuple(colors), _color=color, _last=None,
+                             k=k, method=method, colors=MappingProxyType(colors))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Coloring is read-only")
+
+    @classmethod
+    def _of(cls, labels: tuple[str, ...], color: np.ndarray, k: int,
+            method: str, last: np.ndarray | None = None) -> Coloring:
+        """A coloring from its int64 colors by id, taken as valid and not
+        copied; ``last`` lists the maximal ids of a down-coloring."""
+        color.flags.writeable = False
+        c = cls.__new__(cls)
+        c.__dict__.update(_labels=labels, _color=color, _last=last, k=k,
+                          method=method)
+        return c
+
+    @cached_property
+    def colors(self) -> Mapping[str, int]:
+        labels, color, last = self._labels, self._color.tolist(), self._last
+        order = range(len(labels))
+        if last is not None:
+            head = np.ones(len(labels), dtype=bool)
+            head[last] = False
+            order = chain(np.flatnonzero(head).tolist(),
+                          sorted(last.tolist(), key=labels.__getitem__))
+        return MappingProxyType({labels[u]: color[u] for u in order})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Coloring):
+            return NotImplemented
+        return (self.k, self.method, self.colors) == (other.k, other.method,
+                                                      other.colors)
+
+    def __repr__(self) -> str:
+        return (f"Coloring(colors={dict(self.colors)!r}, k={self.k!r}, "
+                f"method={self.method!r})")
+
+    def __reduce__(self):
+        return Coloring._of, (self._labels, self._color, self.k, self.method,
+                              self._last)
 
 
 class ExactResult(NamedTuple):
@@ -89,9 +142,17 @@ class ExactResult(NamedTuple):
 # ------------------------------------------------------------------ JSON
 
 def coloring_to_json(c: Coloring) -> str:
-    doc = {"k": c.k, "method": c.method,
-           "colors": {lab: int(col) for lab, col in c.colors.items()}}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The coloring as ``json.dumps(doc, indent=2, sort_keys=True)`` would
+    write it, plus a newline; the colors are written from the arrays by
+    label order, one line each, and only ``k`` and ``method`` go through
+    the encoder."""
+    labels, color = c._labels, c._color.tolist()
+    key = json.encoder.encode_basestring_ascii
+    cells = ",\n".join([f"    {key(labels[u])}: {color[u]}" for u in
+                        sorted(range(len(labels)), key=labels.__getitem__)])
+    colors = f"{{\n{cells}\n  }}" if cells else "{}"
+    rest = json.dumps({"k": c.k, "method": c.method}, indent=2, sort_keys=True)
+    return f'{{\n  "colors": {colors},{rest[1:]}\n'
 
 
 def _load_json(text: str):
@@ -116,7 +177,7 @@ def coloring_from_json(text: str) -> Coloring:
         raise ValueError("'method' must be a string")
     if not isinstance(colors, dict):
         raise ValueError("'colors' must be an object")
-    return Coloring(dict(colors), k, method)
+    return Coloring(colors, k, method)
 
 
 # ------------------------------------------------------- greedy coloring
@@ -147,9 +208,8 @@ def greedy_strong_coloring(h: Hypergraph) -> Coloring:
     """First-fit along the reversed peeling order of ``h`` itself, so
     k <= ind(H)*(sigma - 1) + 1: a vertex's colored co-members lie in the
     at most ind(H) edges alive when the peel removed it."""
-    colors = _greedy_strong(h.n, *h._csr)
-    return Coloring({h.label_of(u): colors[u] for u in range(h.n)},
-                    max(colors, default=0), "greedy")
+    colors = np.array(_greedy_strong(h.n, *h._csr), dtype=np.int64)
+    return Coloring._of(h.labels, colors, int(colors.max(initial=0)), "greedy")
 
 
 # -------------------------------------------------------- exact coloring
@@ -308,28 +368,44 @@ def _refuse_above_cap(n: int, cap: int | None) -> None:
             f"exact solver cap exceeded: {n} vertices > cap {limit}")
 
 
-def _exact(labels: tuple[str, ...], indptr: np.ndarray, indices: np.ndarray,
-           cap: int | None, budget: int | None) -> ExactResult:
-    """``exact_chromatic`` of the graph on ``labels`` given by a sorted,
-    symmetric, loop-free CSR adjacency, as ``clique_union_csr`` returns."""
-    n = len(labels)
+def _exact(n: int, indptr: np.ndarray, indices: np.ndarray, cap: int | None,
+           budget: int | None) -> tuple[np.ndarray, int, bool]:
+    """The best colors by id that DSATUR finds for the graph on ``n``
+    vertices given by a sorted, symmetric, loop-free CSR adjacency, as
+    ``clique_union_csr`` returns, its lower bound, and whether the search
+    completed."""
     if indices.size == n * (n - 1):
-        return ExactResult(n, Coloring(dict(zip(labels, range(1, n + 1))), n,
-                                       "exact"), n, True)
+        return np.arange(1, n + 1, dtype=np.int64), n, True
     _refuse_above_cap(n, cap)
 
     a = _dense(indptr, indices)
     best = _greedy_strong(n, *_kernels.csr_edges(indptr, indices))
-    best_k = max(best)
     clique = _greedy_clique(a)
     exact = True
-    if len(clique) < best_k:
-        found, exact = _dsatur(a, clique, best_k, budget)
+    if len(clique) < max(best):
+        found, exact = _dsatur(a, clique, max(best), budget)
         if found is not None:
-            best, best_k = found, max(found)
-    coloring = Coloring(dict(zip(labels, best)), best_k,
-                        "exact" if exact else "greedy")
-    return ExactResult(best_k, coloring, best_k if exact else len(clique), exact)
+            best = found
+    return np.array(best, dtype=np.int64), max(best) if exact else len(clique), exact
+
+
+def _strong_exact(n: int, eptr: np.ndarray, members: np.ndarray,
+                  cap: int | None, budget: int | None) -> tuple[np.ndarray, int, bool]:
+    """``_exact`` on the clique graph of the hyperedges ``members[eptr[i]:
+    eptr[i + 1]]``.  Edges holding fewer than C(n, 2) pairs cannot make
+    that graph complete, so above the cap it is refused before it is
+    built."""
+    size = np.diff(eptr)
+    if int((size * (size - 1)).sum()) < n * (n - 1):
+        _refuse_above_cap(n, cap)
+    return _exact(n, *_kernels.clique_union_csr(n, eptr, members), cap, budget)
+
+
+def _result(labels: tuple[str, ...], found: tuple[np.ndarray, int, bool]) -> ExactResult:
+    colors, lower, exact = found
+    k = int(colors.max(initial=0))
+    return ExactResult(k, Coloring._of(labels, colors, k, "exact" if exact else "greedy"),
+                       lower, exact)
 
 
 def exact_chromatic(g: UndirectedGraph, cap: int | None = None,
@@ -339,38 +415,31 @@ def exact_chromatic(g: UndirectedGraph, cap: int | None = None,
     Complete graphs are answered without search regardless of size;
     otherwise the vertex count must not exceed ``cap`` (default 30).
     """
-    return _exact(g.labels, *g._csr, cap, budget)
+    return _result(g.labels, _exact(g.n, *g._csr, cap, budget))
 
 
 def exact_strong_chromatic(h: Hypergraph, cap: int | None = None,
                            budget: int | None = None) -> ExactResult:
-    """Exact strong chromatic number: exact coloring of the clique graph.
-    Edges holding fewer than C(n, 2) pairs cannot make that graph
-    complete, so above the cap it is refused before it is built."""
-    n, size = h.n, np.diff(h._csr[0])
-    if int((size * (size - 1)).sum()) < n * (n - 1):
-        _refuse_above_cap(n, cap)
-    return _exact(h.labels, *_kernels.clique_union_csr(n, *h._csr), cap, budget)
+    """Exact strong chromatic number: exact coloring of the clique graph."""
+    return _result(h.labels, _strong_exact(h.n, *h._csr, cap, budget))
 
 
 # --------------------------------------------------------- down-coloring
 
-def _extend_to_maximal(g: Digraph, base: list[int], method: str) -> Coloring:
+def _extend_to_maximal(g: Digraph, base: list[int] | np.ndarray,
+                       method: str) -> Coloring:
     """``base`` on the vertices with a parent, in id order, and on each
     maximal vertex the smallest color missing from its open down-set, all
     it conflicts with: no two maximal vertices share a down-set."""
-    keep = np.flatnonzero(np.diff(g._rcsr[0]) > 0)
     color = np.zeros(g.n, dtype=np.int64)
-    color[keep] = base
+    color[np.diff(g._rcsr[0]) > 0] = base
     tops, ptr, ids = _max_rows(g)
     # seen[i, c]: the down-set of top i holds color c; its own entry is 0,
     # and a column past the largest color is never set
     seen = np.zeros((tops.size, int(color.max(initial=0)) + 2), dtype=bool)
     seen[np.repeat(np.arange(tops.size), np.diff(ptr)), color[ids]] = True
-    top_color = zip(map(g.label_of, tops.tolist()), seen.argmin(axis=1).tolist())
-    colors = dict(zip(map(g.label_of, keep.tolist()), base))
-    colors.update(sorted(top_color))  # maximal vertices by label
-    return Coloring(colors, max(colors.values(), default=0), method)
+    color[tops] = seen.argmin(axis=1)
+    return Coloring._of(g.labels, color, int(color.max(initial=0)), method, tops)
 
 
 def down_coloring(g: Digraph, mode: str = "greedy", *, cap: int | None = None,
@@ -385,29 +454,34 @@ def down_coloring(g: Digraph, mode: str = "greedy", *, cap: int | None = None,
     """
     if mode not in ("greedy", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    h = down_hypergraph(g)  # acyclicity gate
+    h = _down_csr(g)  # acyclicity gate
     if mode == "greedy":
-        return _extend_to_maximal(g, _greedy_strong(h.n, *h._csr), mode)
-    res = exact_strong_chromatic(h, cap, budget)
-    c = _extend_to_maximal(g, list(res.coloring.colors.values()), mode)
+        return _extend_to_maximal(g, _greedy_strong(*h), mode)
+    colors, lower, exact = _strong_exact(*h, cap, budget)
+    c = _extend_to_maximal(g, colors, mode)
     # a closed down-set of D vertices is rainbow, so D bounds from below too
-    lower = max(res.lower, big_d(g))
-    if not res.exact and c.k > lower:
+    lower = max(lower, big_d(g))
+    if not exact and c.k > lower:
         raise CapExceededError(
             f"exact search budget exhausted between {lower} and {c.k} colors",
-            partial=Coloring(c.colors, c.k, "greedy"), lower=lower, upper=c.k)
+            partial=Coloring._of(g.labels, c._color, c.k, "greedy", c._last),
+            lower=lower, upper=c.k)
     return c
 
 
 def _columns(g: Digraph, c: Coloring) -> np.ndarray:
-    """Each vertex's 0-based color by id, one lookup per label; refuses a
-    coloring of other vertices, naming the first five sorted labels that
-    it misses, else those ``g`` lacks.  It runs before the acyclicity gate."""
+    """Each vertex's 0-based color by id: the coloring's own array when
+    it holds ``g``'s labels in ``g``'s order, else one lookup per label.
+    Refuses a coloring of other vertices, naming the first five sorted
+    labels that it misses, else those ``g`` lacks.  It runs before the
+    acyclicity gate."""
+    if c._labels == g.labels:  # the same tuple, or an equal one
+        return c._color - 1
     try:
         col = np.fromiter(map(c.colors.__getitem__, g.labels), np.int64, g.n)
     except KeyError:
         col = None
-    if col is None or len(c.colors) != g.n:  # g's labels are distinct
+    if col is None or len(c._labels) != g.n:  # g's labels are distinct
         have, want = set(c.colors), set(g.labels)
         if want - have:
             raise ColoringError(
@@ -480,7 +554,7 @@ def bound_report(g: Digraph) -> BoundReport:
     if g.edge_count == 0:
         raise ValueError("bound_report requires at least one edge")
     d = big_d(g)
-    ind = degeneracy(down_hypergraph(g)).value
+    ind = _peel(*_down_csr(g))[0].value
     cor1 = d if ind <= 1 else ind * (d - 2) + 1
     return BoundReport(big_d=d, sigma_h=d - 1, ind_h=ind,
                        cor1_bound=cor1, lower_bound=d)

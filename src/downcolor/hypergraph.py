@@ -13,9 +13,11 @@ The dictionary with digraphs: ``down_hypergraph`` collects the open (or
 closed) down-sets of the maximal vertices, ``up_digraph`` goes back by
 hanging a fresh top vertex over every hyperedge.  On simple hypergraphs
 and on height-two digraphs with distinct tops these are inverse to each
-other.  ``down_hypergraph`` fills its ``Hypergraph`` from the cached
-down-set rows, deduplicated in the same gather, without a second check,
-and the coloring pipeline colors that object.
+other.  ``_down_csr`` gathers the down-hypergraph's edges from the
+cached down-set rows, deduplicated in the same gather, as a CSR pair on
+ids; the coloring pipeline and ``bound_report`` peel that, and
+``down_hypergraph`` adds labels to it, without a second check, only for
+the public ``Hypergraph``.
 
 Clique and intersection graphs come from the one conflict builder,
 ``_kernels.clique_union_csr``, which takes the cliques as CSR rows and
@@ -192,20 +194,31 @@ def down_hypergraph(g: Digraph, closed: bool = False,
     merges duplicates and drops singletons.  Edges follow the maximal
     vertices in id order, and the vertices keep ``g``'s id order.
     """
-    tops, eptr, members = _max_rows(g)  # acyclicity gate
+    csr = _down_csr(g, closed, simplify)[1:]
     if closed:
         labels, index = g._labels, g._index
-    else:
+    else:  # the vertices with a parent
+        labels = tuple(map(g.label_of, np.flatnonzero(np.diff(g._rcsr[0])).tolist()))
+        index = {lab: i for i, lab in enumerate(labels)}
+    return Hypergraph.__new__(Hypergraph)._fill(labels, index, csr, simplify or None)
+
+
+def _down_csr(g: Digraph, closed: bool = False, simplify: bool = True
+              ) -> tuple[int, np.ndarray, np.ndarray]:
+    """``down_hypergraph(g, closed, simplify)`` without its labels: the
+    vertex count and the edges' CSR pair.  The open variant numbers the
+    vertices with a parent 0, 1, ... in ``g``'s id order."""
+    tops, eptr, members = _max_rows(g)  # acyclicity gate
+    n = g.n
+    if not closed:
         members = members[members != np.repeat(tops, np.diff(eptr))]
         eptr = eptr - np.arange(eptr.size)  # each row loses its own top
         below = np.diff(g._rcsr[0]) > 0  # the vertices with a parent
-        labels = tuple(g.label_of(u) for u in np.flatnonzero(below).tolist())
-        index = {lab: i for i, lab in enumerate(labels)}
+        n -= tops.size
         members = (np.cumsum(below, dtype=np.int32) - 1)[members]
     rows = (_distinct_rows(eptr, members, 2) if simplify
             else np.flatnonzero(np.diff(eptr) >= 1))
-    return Hypergraph.__new__(Hypergraph)._fill(
-        labels, index, _kernels.gather_rows(eptr, members, rows), simplify or None)
+    return (n, *_kernels.gather_rows(eptr, members, rows))
 
 
 def up_digraph(h: Hypergraph) -> Digraph:

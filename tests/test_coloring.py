@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import random
 from itertools import combinations
 
@@ -26,6 +27,7 @@ from downcolor import (
     exact_chromatic,
     exact_strong_chromatic,
     find_down_violation,
+    format_digraph,
     greedy_strong_coloring,
     degeneracy,
     parse_digraph,
@@ -35,8 +37,8 @@ from downcolor import (
     verify_down_coloring,
 )
 from downcolor import _kernels, cli
-from downcolor.coloring import _greedy_clique, _greedy_strong
-from downcolor.hypergraph import _peel
+from downcolor.coloring import _columns, _greedy_clique, _greedy_strong
+from downcolor.hypergraph import _down_csr, _peel
 from conftest import (GROTZSCH_EDGES, SCALE_GRAPHS, brute_chromatic,
                       brute_violation, dsatur_reference,
                       extend_to_maximal_reference, greedy_clique_reference,
@@ -68,6 +70,63 @@ def test_coloring_json_roundtrip():
     c = Coloring({"a": 1, "b": 2, "c": 1}, 2, "exact")
     c2 = coloring_from_json(coloring_to_json(c))
     assert c2.colors == c.colors and c2.k == c.k and c2.method == c.method
+
+
+def test_coloring_repr_is_the_field_repr():
+    c = Coloring({"b": 2, "a": 1}, 2, "greedy")
+    assert repr(c) == "Coloring(colors={'b': 2, 'a': 1}, k=2, method='greedy')"
+
+
+def test_array_coloring_equals_dict_coloring_and_pickles():
+    rng = random.Random(97)
+    for _ in range(40):
+        g = random_dag(rng, rng.randint(0, 14), rng.choice([0.1, 0.3, 0.6]))
+        for c in (down_coloring(g), greedy_strong_coloring(down_hypergraph(g))):
+            twin = Coloring(dict(c.colors), c.k, c.method)
+            assert c == twin and twin == c
+            assert repr(c) == repr(twin)
+            assert list(c.colors.items()) == list(twin.colors.items())
+            back = pickle.loads(pickle.dumps(c))
+            assert back == c and repr(back) == repr(c)
+            assert list(back.colors.items()) == list(c.colors.items())
+            assert coloring_to_json(back) == coloring_to_json(twin)
+            assert c != Coloring(dict(c.colors), c.k, "other")
+
+
+def test_coloring_is_read_only():
+    g = parse_digraph("a c\nb c\nc d\n")
+    c = down_coloring(g)
+    # the vertices with a parent in id order, then the maximal ones by label
+    assert list(c.colors) == ["c", "d", "a", "b"]
+    with pytest.raises(TypeError):
+        c.colors["a"] = 3
+    with pytest.raises(AttributeError):
+        c.k = 5
+    with pytest.raises(ValueError):
+        c._color[0] = 3
+
+
+def test_columns_fast_path_matches_lookup():
+    rng = random.Random(101)
+    for _ in range(40):
+        text = format_digraph(random_dag(rng, rng.randint(2, 14),
+                                         rng.choice([0.1, 0.3, 0.6])))
+        g, fresh = parse_digraph(text), parse_digraph(text)
+        c = down_coloring(g)
+        read = coloring_from_json(coloring_to_json(c))
+        assert c._labels == fresh.labels and c._labels is not fresh.labels
+        if read._labels != fresh.labels:  # JSON keys are sorted
+            assert np.array_equal(_columns(fresh, c), _columns(fresh, read))
+        assert np.array_equal(_columns(g, c), _columns(fresh, read))
+
+
+def test_array_coloring_of_other_labels_is_refused():
+    g = parse_digraph(SIX)
+    other = down_coloring(parse_digraph(SIX.replace("g6", "g7")))
+    with pytest.raises(ColoringError, match=r"misses vertices: \['g6'\]"):
+        verify_down_coloring(g, other)
+    with pytest.raises(ColoringError, match=r"unknown vertices: \['h'\]"):
+        build_compact(g, down_coloring(parse_digraph(SIX + "h\n")))
 
 
 @pytest.mark.parametrize("text", [
@@ -138,6 +197,15 @@ def test_coloring_json_reader_fuzz(text):
         return
     assert isinstance(c, Coloring)
     assert coloring_from_json(coloring_to_json(c)) == c
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), st.integers(1, 4), max_size=8), st.text())
+def test_coloring_json_writer_matches_json_dumps(colors, method):
+    rank = {x: i + 1 for i, x in enumerate(sorted(set(colors.values())))}
+    c = Coloring({lab: rank[x] for lab, x in colors.items()}, len(rank), method)
+    doc = {"colors": dict(c.colors), "k": c.k, "method": method}
+    assert coloring_to_json(c) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ------------------------------------------------------------ exact solver

@@ -28,7 +28,7 @@ from downcolor import (
 )
 from downcolor import _kernels
 from downcolor.coloring import _greedy_strong, greedy_strong_coloring
-from downcolor.hypergraph import _distinct_rows
+from downcolor.hypergraph import _distinct_rows, _down_csr
 from conftest import (SCALE_GRAPHS, brute_degeneracy, distinct_rows_reference,
                       down_hypergraph_reference, first_fit_reference,
                       greedy_down_coloring_reference, hypergraph_reference,
@@ -90,6 +90,21 @@ def test_down_hypergraph_open_and_closed():
     hc = down_hypergraph(g, closed=True)
     assert hc.n == 6
     assert clique_graph(hc) == down_graph(g)
+
+
+def test_down_csr_is_the_public_hypergraph_without_labels():
+    rng = random.Random(103)
+    for _ in range(100):
+        g = random_dag(rng, rng.randint(1, 14), rng.uniform(0.1, 0.6))
+        for closed in (False, True):
+            for simplify in (False, True):
+                h = down_hypergraph(g, closed=closed, simplify=simplify)
+                n, eptr, members = _down_csr(g, closed, simplify)
+                assert n == h.n
+                assert np.array_equal(eptr, h._csr[0])
+                assert np.array_equal(members, h._csr[1])
+        h = down_hypergraph(g)
+        assert _greedy_strong(*_down_csr(g)) == _greedy_strong(h.n, *h._csr)
 
 
 def test_down_hypergraph_and_greedy_path_match_references():
