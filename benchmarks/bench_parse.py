@@ -20,7 +20,9 @@ CSV to a second temporary file.  A second
 fresh interpreter reads that file and times ``parse_compact`` on its
 text; its peak growth is how far the read raised that interpreter's
 peak RSS, which holds nothing but the text, so the coloring's own peak
-does not hide it.
+does not hide it.  Both interpreters import the package from this
+checkout's ``src/``, so no install or ``PYTHONPATH`` is needed; when one
+fails, its stderr is printed and the script exits with status 1.
 
     python3 benchmarks/bench_parse.py --n 1000000 --seed 1
 """
@@ -33,6 +35,9 @@ import tempfile
 import numpy as np
 
 OUT_DEGREE = 3
+
+# the checkout's package, put first on each child's path
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 CHILD = """
 import resource, sys, time
@@ -103,6 +108,19 @@ def write_hierarchy(f, n: int, seed: int) -> None:
                     np.setdiff1d(np.arange(n // 6), kids).tolist()))
 
 
+def run_child(script: str, *args: str) -> str:
+    """The output of ``script`` run with ``args`` in a fresh interpreter
+    that imports this checkout's ``src/``; when it fails, its stderr is
+    printed and this process exits with status 1."""
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {SRC!r})\n{script}",
+         *args], capture_output=True, text=True)
+    if done.returncode:
+        sys.stderr.write(done.stderr)
+        sys.exit(1)
+    return done.stdout
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=1_000_000, help="vertex count")
@@ -118,18 +136,16 @@ def main():
         with os.fdopen(fd, "w") as f:
             write_hierarchy(f, args.n, args.seed)
         size_mb = os.path.getsize(path) / 2**20
-        done = subprocess.run([sys.executable, "-c", CHILD, path, csv_path],
-                              capture_output=True, text=True, check=True)
+        done = run_child(CHILD, path, csv_path)
         csv_mb = os.path.getsize(csv_path) / 2**20
-        read = subprocess.run([sys.executable, "-c", READ_CHILD, csv_path],
-                              capture_output=True, text=True, check=True)
+        read = run_child(READ_CHILD, csv_path)
     finally:
         os.unlink(path)
         os.unlink(csv_path)
     (wall, peak, n, m, closure, sum_d, layout, growth, color, color_peak,
      build, build_peak, audit, audit_peak, to_json, k, cells,
-     filled) = done.stdout.split()
-    read_s, read_growth = read.stdout.split()
+     filled) = done.split()
+    read_s, read_growth = read.split()
     print(f"n={n} edges={m} text={size_mb:.1f} MB")
     print(f"parse_s={float(wall):.3f} child_peak_rss_mb={float(peak):.1f}")
     print(f"closure_s={float(closure):.3f} sum_d={sum_d} layout={layout} "

@@ -34,7 +34,8 @@ bytes becomes its 8-byte big-endian words, zero past its end
 marks each run of equal ones (:func:`byte_order`); and only the labels
 are decoded to ``str``, in blocks (:func:`decode_fields`).  Only the
 CSV reader's cell lookup uses a 64-bit fingerprint of a field's words
-(:func:`fingerprints`), checked word by word (:func:`same_words`).
+(:func:`fingerprints`), found through a hashed bucket index
+(:func:`key_index`) and checked word by word (:func:`same_words`).
 """
 
 from __future__ import annotations
@@ -431,13 +432,14 @@ def field_words(word_at: np.ndarray, start: np.ndarray,
 
 
 def byte_order(words: np.ndarray, first: np.ndarray,
-               size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               size: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The order that sorts fields by their UTF-8 bytes, from their words
-    (:func:`field_words`) and sizes, and which sorted places start a run
-    of equal fields.  Round j sorts by word j (0 past a field's end) the
-    runs tied in words 0..j-1 that hold a field of more than j words,
-    keyed by their places; a run tied in every word differs only in
-    trailing NUL bytes, and is sorted by size, as a prefix sorts first."""
+    (:func:`field_words`), and which sorted places start a run of equal
+    fields.  Round j sorts by word j (0 past a field's end) the runs tied
+    in words 0..j-1 that hold a field of more than j words, keyed by
+    their places.  Given ``size``, as text holding NUL must, a run tied
+    in every word differs only in trailing NUL bytes, and is sorted by
+    size, as a prefix sorts first."""
     n = first.size
     key = words if words.size == n else words[first]
     order = np.argsort(key)
@@ -460,6 +462,8 @@ def byte_order(words: np.ndarray, first: np.ndarray,
             order[live], key = f[by], key[by]
             head[live[1:]] |= key[1:] != key[:-1]
     del key
+    if size is None:
+        return order, head
     fsize = size[order]
     if np.any(~head[1:] & (fsize[1:] != fsize[:-1])):
         by = np.lexsort((fsize, np.cumsum(head)))
@@ -480,6 +484,41 @@ def fingerprints(words: np.ndarray, first: np.ndarray) -> np.ndarray:
     x ^= x >> 31
     x[first] = words[first]
     return np.add.reduceat(x, first)
+
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd, so multiplying permutes the words
+_PROBES = 4  # a lookup's steps before crowded buckets are binary-searched
+
+
+def key_index(keys: np.ndarray):
+    """``find(q)``: for each of the uint64 values ``q``, the place in
+    ``keys`` of an equal key, else of another key, and the probe rounds.
+    The keys times ``_MIX``, whose top bits hang on every bit of a key
+    (Knuth's multiplicative hashing), are sorted once and indexed by their
+    top ceil(log2 n) bits; a value steps forward from its bucket's start
+    while the key there is below it, for at most ``_PROBES`` rounds, and
+    is binary-searched after, so it ends at its ``searchsorted`` place."""
+    n = keys.size
+    shift = 64 - max((n - 1).bit_length(), 1)
+    mixed = keys * _MIX
+    order = np.argsort(mixed)
+    at = np.append(mixed[order], np.uint64(2**64 - 1))  # a sentinel last
+    ptr = np.zeros((1 << (64 - shift)) + 1, dtype=np.int32)  # bucket starts
+    np.cumsum(np.bincount((at[:n] >> shift).view(np.int64),
+                          minlength=ptr.size - 1), out=ptr[1:])
+
+    def find(q: np.ndarray) -> tuple[np.ndarray, int]:
+        q = q * _MIX
+        pos = ptr[(q >> shift).view(np.int64)]
+        live = np.flatnonzero(at[pos] < q)
+        rounds = 0
+        while live.size and rounds < _PROBES:
+            rounds += 1
+            pos[live] += 1
+            live = live[at[pos[live]] < q[live]]
+        pos[live] = np.searchsorted(at[:n], q[live])
+        return order[np.minimum(pos, n - 1)], rounds
+    return find
 
 
 def same_words(words: np.ndarray, at: np.ndarray, cwords: np.ndarray,

@@ -14,10 +14,10 @@ once and joins the records a block of rows at a time.
 The CSV reader reads text with no ``"``, CR or NUL as numpy arrays, so
 that only the labels become ``str``: its labels are sorted and decoded
 by the word kernels of ``_kernels`` that the edge-list parser shares,
-and each cell finds its row by a fingerprint of its words.  Any other
-text, and any that path finds irregular, is read again record by
-record, which alone names errors and ``foreign`` cells.  The JSON
-reader maps each cell to its id once.  :func:`is_below` and
+and each cell finds its row by a fingerprint of its words, in a bucket
+index.  Any other text, and any that path finds irregular, is read
+again record by record, which alone names errors and ``foreign`` cells.
+The JSON reader maps each cell to its id once.  :func:`is_below` and
 :func:`is_below_ids` answer reachability from a valid table, one cell
 per query.
 """
@@ -328,10 +328,13 @@ def from_csv(text: str) -> CompactMatrix:
 
     Text with no ``"``, CR or NUL is plain: its records are its lines and
     its fields the text between commas, of any length.  It is read as
-    arrays (:func:`_read_arrays`); anything that path finds irregular, or
-    any other text, is read again from the start record by record
-    (:func:`_read_records`), the one source of every error and of
-    ``foreign``.  Both give the same table on text both accept."""
+    arrays (:func:`_read_arrays`), each filled cell finding its row by a
+    few probes of a hashed bucket index, capped so that no crowded bucket
+    makes the read quadratic, and a word by word check; anything that
+    path finds irregular, or any other text, is read again from the start
+    record by record (:func:`_read_records`), the one source of every
+    error and of ``foreign``.  Both give the same table on text both
+    accept."""
     plain = not ('"' in text or "\r" in text or "\0" in text)
     m = _read_arrays(text) if plain else None
     return _read_records(text, plain) if m is None else m
@@ -386,9 +389,13 @@ def _read_arrays(text: str) -> CompactMatrix | None:
     exact sort of their UTF-8 bytes (:func:`_kernels.byte_order`), which
     is code-point order, as ``sorted``'s.  Each cell finds its row by a
     fingerprint of its words, checked word by word: with no NUL in the
-    text, equal words mean equal labels.  Only the n labels are decoded
-    to ``str``."""
-    header = text.partition("\n")[0]
+    text, equal words mean equal labels.  The lookup is a bucket index
+    (:func:`_kernels.key_index`): a few vectorized steps per cell, where a
+    binary search of a large table misses the cache at every level; the
+    steps are capped, as a bucket of b labels would take b, and a binary
+    search finishes.
+    Only the n labels are decoded to ``str``."""
+    header = text[:text.find("\n")] if "\n" in text else text  # no copy of the rest
     k = header.count(",")
     if header != ",".join(_header(k)):
         return None
@@ -415,21 +422,17 @@ def _read_arrays(text: str) -> CompactMatrix | None:
     size = np.concatenate([np.empty(0, dtype=np.int64)] + [b[1] for b in blocks])
     n = at.size
     words, first = _kernels.field_words(word_at, at, size)
-    order, head = _kernels.byte_order(words, first, size)
+    order, head = _kernels.byte_order(words, first)
     if not head.all():  # a repeated row
         return None
     rank = np.empty(n, dtype=np.int32)
     rank[order] = np.arange(n, dtype=np.int32)
-    fp = _kernels.fingerprints(words, first)
-    by_fp = np.argsort(fp)
-    fp = fp[by_fp]
+    find = _kernels.key_index(_kernels.fingerprints(words, first))
     ids = np.full(n * width, -1, dtype=np.int32)  # the file-order grid
     row = 0
     for rows_at, _, place, start, length in blocks:
         cw, cfirst = _kernels.field_words(word_at, start, length)
-        cfp = _kernels.fingerprints(cw, cfirst)
-        i = np.minimum(np.searchsorted(fp, cfp), n - 1)
-        lab = by_fp[i]
+        lab = find(_kernels.fingerprints(cw, cfirst))[0]
         # the fingerprint's row, if it has the same bytes: the same size
         # and the same words
         if not (np.array_equal(size[lab], length)
@@ -437,6 +440,7 @@ def _read_arrays(text: str) -> CompactMatrix | None:
             return None
         ids[place + row * width] = rank[lab]
         row += rows_at.size
+    del find  # its index is freed before the table is gathered
     table = ids.reshape(n, width)[order, 1:]
     del ids  # freed before the labels are decoded
     labels = _kernels.decode_fields(buf, at[order], size[order])

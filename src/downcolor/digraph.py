@@ -429,7 +429,8 @@ def _read(text: str, slice_size: int = 1 << 20) -> Digraph:
     words, first, size, paired, edge_line = (
         np.frombuffer(a, dtype=a.typecode)
         for a in (words, first, size, paired, edge_line))
-    order, head = _kernels.byte_order(words, first[:-1], size)
+    order, head = _kernels.byte_order(words, first[:-1],
+                                      size if "\0" in text else None)
     group = np.flatnonzero(head)  # where each run of equal tokens starts
     tops = np.minimum.reduceat(order, group)  # each run's first token
     by = np.argsort(tops)

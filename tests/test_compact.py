@@ -577,6 +577,21 @@ def test_csv_reader_checks_a_fingerprint_match_word_by_word():
     assert parse_compact(text, "csv").foreign == (cell,)
 
 
+@pytest.mark.parametrize("text", [
+    "vertex,c1\na,a\n",
+    "vertex\nonly\n",
+    # labels over 8 bytes that share their first word, some also their second
+    "vertex,c1,c2\nabcdefgh,abcdefgh,\nabcdefgh1,abcdefgh,abcdefgh1\n"
+    "abcdefgh12345678,abcdefgh12345678x,abcdefgh12345678\n"
+    "abcdefgh12345678x,abcdefgh12345678x,\n",
+])
+def test_csv_reader_reads_small_and_shared_word_tables_as_arrays(text):
+    m = compact._read_arrays(text)
+    assert m is not None and m == compact._read_records(text, True)
+    assert (m.k, dict(m.rows)) == compact_csv_reference(text)
+    assert m.foreign == ()
+
+
 def test_csv_reader_reads_lone_surrogates_with_the_csv_module():
     # text that UTF-8 cannot encode leaves the array path for csv.reader
     text = "vertex,c1,c2\n\ud800,\ud800,\nb,\ud800,b\n"

@@ -273,13 +273,71 @@ def fields_as_words(fields):
     # 8-, 9-, 16- and 17-byte fields sharing their first 8 bytes
     [b"abcdefgh" + t for t in (b"12345678x", b"", b"1", b"12345678", b"\0",
                                b"12345678\0", b"1", b"12345678", b"0", b"")],
+    # the same with no NUL, which the words alone sort
+    [b"abcdefgh" + t for t in (b"12345678x", b"", b"1", b"12345678", b"1",
+                               b"12345678", b"0", b"")],
 ])
 def test_byte_order_sorts_fields_by_their_bytes(fields):
     rng, fields = random.Random(7), list(fields)
     for _ in range(5):
-        order, head = _kernels.byte_order(*fields_as_words(fields))
-        got = [fields[i] for i in order.tolist()]
-        assert got == sorted(fields)
-        assert head.tolist() == [i == 0 or got[i] != got[i - 1]
-                                 for i in range(len(got))]
+        words, first, size = fields_as_words(fields)
+        sizes = [size] if any(b"\0" in f for f in fields) else [size, None]
+        for by_size in sizes:
+            order, head = _kernels.byte_order(words, first, by_size)
+            got = [fields[i] for i in order.tolist()]
+            assert got == sorted(fields)
+            assert head.tolist() == [i == 0 or got[i] != got[i - 1]
+                                     for i in range(len(got))]
         rng.shuffle(fields)
+
+
+def searched(keys, q):
+    """The reference lookup: each value's place in ``keys`` by one binary
+    search of the sorted keys, the last key's for a value past them all."""
+    by = np.argsort(keys)
+    return by[np.minimum(np.searchsorted(keys[by], q), keys.size - 1)]
+
+
+def check_key_index(keys, absent):
+    """``key_index`` finds each of the distinct ``keys`` where the binary
+    search does, and lands each ``absent`` value on some other key."""
+    find = _kernels.key_index(keys)
+    place, rounds = find(keys)
+    assert np.array_equal(place, searched(keys, keys))
+    assert 0 <= rounds <= _kernels._PROBES
+    place, rounds = find(absent)
+    assert np.all(keys[place] != absent)
+    assert 0 <= rounds <= _kernels._PROBES
+
+
+def test_key_index_finds_random_keys():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 4, 5, 100, 5000):
+        keys = np.unique(rng.integers(0, 2**64, size=n, dtype=np.uint64))
+        rng.shuffle(keys)
+        absent = rng.integers(0, 2**64, size=2 * n, dtype=np.uint64)
+        check_key_index(keys, absent[~np.isin(absent, keys)])
+
+
+def test_key_index_at_the_ends_of_the_words():
+    top = 2**64 - 1
+    for key, other in ((0, top), (top, 0), (0, 1), (top, top - 1)):
+        check_key_index(np.array([key], dtype=np.uint64),
+                        np.array([other], dtype=np.uint64))
+    check_key_index(np.array([top, 0], dtype=np.uint64),
+                    np.array([1, top - 1], dtype=np.uint64))
+
+
+def test_key_index_caps_the_rounds_of_a_crowded_bucket():
+    # keys that mix to 0..4999 share the lowest bucket: the probe rounds
+    # stop at the cap, and the binary search finds the rest
+    inverse = pow(int(_kernels._MIX), -1, 2**64)
+    keys = np.array([v * inverse % 2**64 for v in range(5000)], dtype=np.uint64)
+    np.random.default_rng(6).shuffle(keys)
+    assert np.array_equal(np.sort(keys * _kernels._MIX), np.arange(5000))
+    place, rounds = _kernels.key_index(keys)(keys)
+    assert np.array_equal(place, searched(keys, keys))
+    assert rounds == _kernels._PROBES
+    absent = np.array([v * inverse % 2**64 for v in range(5000, 5100)],
+                      dtype=np.uint64)
+    check_key_index(keys, absent)
