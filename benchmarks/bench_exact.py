@@ -9,11 +9,15 @@ CSR, then the dense bool matrix), the first-fit upper-bound seed (the
 greedy strong coloring of the graph's ``u < v`` pairs), the greedy
 clique seed, and the DSATUR search.  A search that stops at the
 node budget has expanded exactly ``--budget`` nodes, so its time per
-node is printed too.
+node is printed too.  The last line is one sha256 over every instance's
+colors by id, lower bound and exact flag, as ``_exact`` would return
+them, so a rewrite of the search can show its output unchanged in one
+line.
 
     python3 benchmarks/bench_exact.py --q 11 --seed 1 --budget 5000
 """
 import argparse
+import hashlib
 import random
 import time
 
@@ -56,6 +60,7 @@ def main():
     stages = ("conflict", "ub_seed", "clique_seed", "search")
     total = dict.fromkeys(stages, 0.0)
     stopped_s, stopped = 0.0, 0
+    digest = hashlib.sha256()
     for g in partial_planes(args.q, args.seed, args.count):
         g.topological_order()
         h = dc.down_hypergraph(g)
@@ -72,10 +77,13 @@ def main():
         t["clique_seed"], clique = best_of(args.repeat, lambda: _greedy_clique(a))
         best_k = max(ub)
         exact = True
-        t["search"] = 0.0
+        t["search"], found = 0.0, None
         if len(clique) < best_k:
-            t["search"], (_, exact) = best_of(
+            t["search"], (found, exact) = best_of(
                 args.repeat, lambda: _dsatur(a, clique, best_k, args.budget))
+        colors = ub if found is None else found
+        digest.update(repr((colors, max(colors) if exact else len(clique),
+                            exact)).encode())
         for s in stages:
             total[s] += t[s]
         if not exact:
@@ -90,6 +98,7 @@ def main():
               f"{stopped_s / (stopped * args.budget) * 1e6:.2f} us per node")
     else:
         print("budget stops: 0")
+    print(f"digest: {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -267,33 +267,31 @@ def _dsatur(a: np.ndarray, clique: list[int], best_k: int,
     radj = [int.from_bytes(packed[i:i + w], "little")
             for i in range(0, n * w, w)]
 
-    # col[c]: uncolored vertices that see color c; level[s]: uncolored
-    # vertices of saturation s.  Colors stay below best_k, and so do
-    # saturations.
-    col = [0] * best_k
-    level = [0] * best_k
+    # col[c]: uncolored vertices that see color c.  sat[b]: bit b of every
+    # vertex's saturation, the count of colors it sees (at the root, its
+    # clique neighbors); below best_k, it fits best_k.bit_length() planes.
+    # Stamps touch only uncolored vertices and uncol masks each pick, so
+    # a colored vertex's bits are never read or changed.
     colors = [0] * n
     uncol = (1 << n) - 1
     for i, v in enumerate(clique):
         colors[rank[v]] = i + 1
         uncol ^= 1 << rank[v]
-    level[0] = uncol
-    for i, v in enumerate(clique):
-        touched = radj[rank[v]] & uncol & ~col[i + 1]
-        col[i + 1] |= touched
-        for s in range(i, -1, -1):
-            moved = level[s] & touched
-            level[s] ^= moved
-            level[s + 1] |= moved
+    col = [0] * best_k
+    col[1:len(clique) + 1] = [radj[rank[v]] & uncol for v in clique]
+    seen = a[np.ix_(order, clique)].sum(axis=1)
+    sat = [int.from_bytes(np.packbits(seen >> b & 1, bitorder="little").tobytes(),
+                          "little") for b in range(best_k.bit_length())]
+    top = range(len(sat) - 1, -1, -1)
 
     best = None
     nodes = 0
     exact = True
     k_cur = len(clique)
-    # one frame per open node: pick bit and rank, its level, the node's
-    # color count, the child's color (0 before the first), how many colors
-    # up to that count are still free for the pick, and the child's stamp
-    # (touched mask, level moves)
+    # one frame per open node: pick bit and rank, the node's color count,
+    # the child's color (0 before the first), how many colors up to that
+    # count are still free for the pick, the child's touched mask, and the
+    # node's planes, which undoing a child restores
     stack: list[list] = []
     while True:
         # enter the node the last stamp made (the root first)
@@ -304,25 +302,26 @@ def _dsatur(a: np.ndarray, clique: list[int], best_k: int,
             if budget is not None and nodes > budget:
                 exact = False
                 break
-            s = k_cur
-            while not level[s]:
-                s -= 1
-            m = level[s]
+            # narrow uncol plane by plane from the top to the vertices of
+            # the highest saturation s; the lowest rank among them wins
+            m, s = uncol, 0
+            for b in top:
+                x = m & sat[b]
+                if x:
+                    m = x
+                    s |= 1 << b
             bit = m & -m
-            level[s] = m ^ bit
             uncol ^= bit
-            # a pick from level s sees s of the colors 1..k_cur
-            stack.append([bit, bit.bit_length() - 1, s, k_cur, 0, k_cur - s,
-                          0, ()])
+            # the pick sees s of the colors 1..k_cur
+            stack.append([bit, bit.bit_length() - 1, k_cur, 0, k_cur - s, 0,
+                          tuple(sat)])
         # undo the deepest open node's last child and stamp its next one
         while stack:
             frame = stack[-1]
-            bit, r, s, k0, c, free, touched, moves = frame
+            bit, r, k0, c, free, touched, planes = frame
             if touched:
                 col[c] ^= touched
-                for t, moved in moves:
-                    level[t + 1] ^= moved
-                    level[t] |= moved
+                sat[:] = planes
             # colors above k0 + 1 only permute the new one, and a child
             # with best_k colors or more cannot improve on the incumbent
             if free and k0 < best_k:
@@ -334,36 +333,37 @@ def _dsatur(a: np.ndarray, clique: list[int], best_k: int,
                 c = k0 + 1
             else:
                 stack.pop()
-                level[s] |= bit
                 uncol |= bit
                 continue
             k_cur = k0 if k0 > c else c
-            touched = radj[r] & uncol & ~col[c]
+            # add one to the touched vertices' saturation by ripple carry
+            carry = touched = radj[r] & uncol & ~col[c]
             col[c] |= touched
-            moves = []
-            rest, t = touched, k_cur - 1
-            while rest:
-                moved = level[t] & rest
-                if moved:
-                    level[t] ^= moved
-                    level[t + 1] |= moved
-                    rest ^= moved
-                    moves.append((t, moved))
-                t -= 1
+            b = 0
+            while carry:
+                p = sat[b]
+                sat[b] = p ^ carry
+                carry &= p
+                b += 1
             colors[r] = c
-            frame[4] = c
-            frame[5] = free
-            frame[6] = touched
-            frame[7] = moves
+            frame[3] = c
+            frame[4] = free
+            frame[5] = touched
             break
         else:
             break
     return (None if best is None else [best[rank[v]] for v in range(n)]), exact
 
 
-def _refuse_above_cap(n: int, cap: int | None) -> None:
+def _check_limits(n: int, cap: int | None, budget: int | None,
+                  complete: bool) -> None:
+    """Refuse a negative budget or cap, then more than ``cap`` vertices
+    unless the graph may be complete, which needs no search."""
+    for name, value in (("budget", budget), ("cap", cap)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be >= 0")
     limit = DEFAULT_EXACT_CAP if cap is None else cap
-    if n > limit:
+    if n > limit and not complete:
         raise CapExceededError(
             f"exact solver cap exceeded: {n} vertices > cap {limit}")
 
@@ -374,9 +374,10 @@ def _exact(n: int, indptr: np.ndarray, indices: np.ndarray, cap: int | None,
     vertices given by a sorted, symmetric, loop-free CSR adjacency, as
     ``clique_union_csr`` returns, its lower bound, and whether the search
     completed."""
-    if indices.size == n * (n - 1):
+    complete = indices.size == n * (n - 1)
+    _check_limits(n, cap, budget, complete)
+    if complete:
         return np.arange(1, n + 1, dtype=np.int64), n, True
-    _refuse_above_cap(n, cap)
 
     a = _dense(indptr, indices)
     best = _greedy_strong(n, *_kernels.csr_edges(indptr, indices))
@@ -396,8 +397,7 @@ def _strong_exact(n: int, eptr: np.ndarray, members: np.ndarray,
     that graph complete, so above the cap it is refused before it is
     built."""
     size = np.diff(eptr)
-    if int((size * (size - 1)).sum()) < n * (n - 1):
-        _refuse_above_cap(n, cap)
+    _check_limits(n, cap, budget, int((size * (size - 1)).sum()) >= n * (n - 1))
     return _exact(n, *_kernels.clique_union_csr(n, eptr, members), cap, budget)
 
 

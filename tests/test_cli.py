@@ -132,6 +132,17 @@ def test_exact_cap_exit_code(tmp_path):
     assert main(["color", "--exact", str(p), "--cap", "3"]) == 3
 
 
+@pytest.mark.parametrize("flag", ["--budget", "--cap"])
+@pytest.mark.parametrize("strong", [[], ["--strong"]])
+def test_exact_negative_budget_or_cap_exits_one(tmp_path, capsys, flag, strong):
+    p = tmp_path / "grotzsch.txt"
+    p.write_text(pair_digraph_text(GROTZSCH_EDGES))
+    assert main(["color", "--exact", *strong, flag, "-1", str(p)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"error: {flag[2:]} must be >= 0\n"
+
+
 def test_exact_long_odd_cycle_has_no_recursion_limit(tmp_path, capsys):
     # the conflict graph is the 1501-cycle itself: clique bound 2, chi 3,
     # so the exact search runs about 1500 levels deep

@@ -298,6 +298,38 @@ def test_exact_matches_recursive_reference(budget):
     assert (stops > 0) == (budget is not None)
 
 
+@pytest.mark.parametrize("budget", [0, 7, 300])
+def test_exact_matches_reference_on_dense_graphs(budget):
+    # saturations of 16 and more reach the search's fifth bit plane and its
+    # longest carries, which the small graphs above never do
+    rng = random.Random(89)
+    wide = 0
+    for _ in range(30):
+        n = rng.randint(40, 56)
+        g = random_graph(rng, n, rng.uniform(0.8, 0.9))
+        res = exact_chromatic(g, cap=n, budget=budget)
+        got = (res.k, res.lower, res.exact,
+               [res.coloring.colors[g.label_of(u)] for u in range(n)])
+        assert got == dsatur_reference(g, budget)
+        wide += res.k >= 17 and res.lower < res.k
+    assert wide >= 15
+
+
+@pytest.mark.parametrize("kw, message", [({"budget": -1}, "budget must be >= 0"),
+                                         ({"cap": -1}, "cap must be >= 0")])
+def test_exact_refuses_a_negative_budget_or_cap(kw, message):
+    # refused before the complete-graph shortcut, by every exact entry
+    k4 = UndirectedGraph(list("abcd"), list(combinations(range(4), 2)))
+    g = parse_digraph(SIX)
+    for call in (lambda: exact_chromatic(k4, **kw),
+                 lambda: exact_strong_chromatic(Hypergraph(list("abcd"), [(0, 1, 2, 3)]), **kw),
+                 lambda: down_coloring(g, "exact", **kw)):
+        with pytest.raises(ValueError) as ei:
+            call()
+        assert str(ei.value) == message
+    assert exact_chromatic(k4, budget=0, cap=0).k == 4
+
+
 def test_greedy_clique_matches_reference():
     # random, edgeless, complete-minus-one-edge and circulant graphs; the
     # circulants are regular, so every first pick is a tie
