@@ -535,9 +535,9 @@ def same_words(words: np.ndarray, at: np.ndarray, cwords: np.ndarray,
 
 def decode_fields(buf: np.ndarray, at: np.ndarray, size: np.ndarray) -> tuple[str, ...]:
     """The UTF-8 fields of ``size`` bytes at ``at`` in the bytes ``buf``,
-    none holding a LF and each followed by a byte of ``buf``, as strings:
-    gathered ``_GATHER_BYTES`` at a time, each with the byte after it set
-    to LF, and decoded once, lone surrogates passed through."""
+    each followed by a byte of ``buf``, as strings, lone surrogates passed
+    through: gathered ``_GATHER_BYTES`` at a time, each with the byte
+    after it set to LF, and decoded once; one by one if a field holds LF."""
     cum = np.zeros(at.size + 1, dtype=np.int64)
     np.cumsum(size + 1, out=cum[1:])
     parts = []
@@ -549,4 +549,7 @@ def decode_fields(buf: np.ndarray, at: np.ndarray, size: np.ndarray) -> tuple[st
         parts.append(pick.tobytes())
     fields = b"".join(parts).decode("utf-8", "surrogatepass").split("\n")
     fields.pop()  # the empty string after the last LF
+    if len(fields) > at.size:
+        return tuple(buf[a:a + s].tobytes().decode("utf-8", "surrogatepass")
+                     for a, s in zip(at.tolist(), size.tolist()))
     return tuple(fields)

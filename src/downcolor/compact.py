@@ -11,12 +11,11 @@ are scattered once into that array, by color or by each vertex's own
 column; its fill count is the one rainbow check, and the AC verdict
 compares its rebuild with the table.  The CSV writer quotes each label
 once and joins the records a block of rows at a time.
-The CSV reader reads text with no ``"``, CR or NUL as numpy arrays, so
-that only the labels become ``str``: its labels are sorted and decoded
-by the word kernels of ``_kernels`` that the edge-list parser shares,
-and each cell finds its row by a fingerprint of its words, in a bucket
-index.  Any other text, and any that path finds irregular, is read
-again record by record, which alone names errors and ``foreign`` cells.
+The CSV reader is one scan of numpy arrays that reads text as
+``csv.reader`` does, quoted fields found by the parity of their quotes;
+its labels are sorted and decoded by the word kernels of ``_kernels``
+that the edge-list parser shares, and each cell finds its row by a
+fingerprint of its words, in a bucket index.
 The JSON reader maps each cell to its id once.  :func:`is_below` and
 :func:`is_below_ids` answer reachability from a valid table, one cell
 per query.
@@ -25,7 +24,6 @@ per query.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
@@ -63,8 +61,7 @@ class CompactMatrix:
         for lab, cells in rows.items():
             if len(cells) != k:
                 raise ValueError(f"row {lab!r} has {len(cells)} cells, expected {k}")
-        self._set(k, labels, *_id_table(labels, [rows[lab] for lab in labels],
-                                        k, None))
+        self._set(k, labels, *_id_table(labels, [rows[lab] for lab in labels], k))
 
     def _set(self, k: int, labels: tuple[str, ...], table: np.ndarray,
              foreign: tuple[str, ...]) -> None:
@@ -116,16 +113,16 @@ def _names(m: CompactMatrix) -> np.ndarray:
     return np.array(m.labels + m.foreign + (None,), dtype=object)
 
 
-def _id_table(labels: tuple[str, ...], rows: list[Sequence], width: int,
-              empty) -> tuple[np.ndarray, tuple[str, ...]]:
+def _id_table(labels: tuple[str, ...], rows: list[Sequence],
+              width: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """``rows`` of ``width`` cells each as an int32 id table: ``labels[i]``
-    is i, ``empty`` is -1, and every other value, sorted, takes an id from
+    is i, None is -1, and every other value, sorted, takes an id from
     ``len(labels)`` on; returns the table and those other values.
 
     Each cell costs one dict lookup, streamed into the array: no list or
     buffer of the cells is made on the way."""
     code = dict(zip(labels, range(len(labels))))
-    code[empty] = -1
+    code[None] = -1
     foreign: tuple[str, ...] = ()
     try:
         ids = np.fromiter(map(code.__getitem__, chain.from_iterable(rows)),
@@ -323,157 +320,157 @@ def to_csv(m: CompactMatrix) -> str:
 
 
 def from_csv(text: str) -> CompactMatrix:
-    """Read a table from CSV; a record the reader rejects (a quoted field
-    over ``csv.field_size_limit()``, say) raises a ``ParseError`` with its line.
+    """Read a table from CSV as Python 3.11's ``csv.reader`` reads it in
+    its default dialect, fields of any length: a field opening with ``"``
+    is quoted up to a ``"`` not doubled, and text after that joins it; a
+    ``"`` elsewhere, and NUL, are text; blank records are skipped; a CR
+    outside quotes ends its record, and other text after it on its line
+    raises a ``ParseError`` with the line.  Other errors raise
+    ``ValueError``, each at the first record that fails, in file order.
 
-    Text with no ``"``, CR or NUL is plain: its records are its lines and
-    its fields the text between commas, of any length.  It is read as
-    arrays (:func:`_read_arrays`), each filled cell finding its row by a
-    few probes of a hashed bucket index, capped so that no crowded bucket
-    makes the read quadratic, and a word by word check; anything that
-    path finds irregular, or any other text, is read again from the start
-    record by record (:func:`_read_records`), the one source of every
-    error and of ``foreign``.  Both give the same table on text both
-    accept."""
-    plain = not ('"' in text or "\r" in text or "\0" in text)
-    m = _read_arrays(text) if plain else None
-    return _read_records(text, plain) if m is None else m
-
-
-def _read_records(text: str, plain: bool) -> CompactMatrix:
-    """The CSV reader record by record: plain text split at LFs and
-    commas, any other text by ``csv.reader``."""
-    lines = io.StringIO(text)
-    reader = ((line.rstrip("\n").split(",") if line != "\n" else [] for line in lines)
-              if plain else csv.reader(lines))
-    names: list[str] = []  # row labels in file order
-    recs: list[list[str]] = []
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty CSV document")
-        if not header or header[0] != "vertex":
-            raise ValueError("first CSV column must be 'vertex'")
-        k = len(header) - 1
-        if header[1:] != _header(k)[1:]:
-            raise ValueError("CSV columns must be named c1..ck")
-        seen: set[str] = set()
-        for rec in reader:
-            if not rec:
-                continue
-            if len(rec) != k + 1:
-                raise ValueError(f"row {rec[0]!r} has {len(rec) - 1} cells, expected {k}")
-            if rec[0] in seen:
-                raise ValueError(f"duplicate row {rec[0]!r}")
-            seen.add(rec[0])
-            names.append(rec[0])
-            recs.append(rec)
-    except csv.Error as exc:
-        raise ParseError(str(exc), reader.line_num) from None
-    order = sorted(range(len(names)), key=names.__getitem__)
-    labels = tuple(map(names.__getitem__, order))
-    # the label field is mapped too, cheaper than slicing it off each
-    # record, and dropped with the rows' reordering
-    table, foreign = _id_table(labels, recs, k + 1, "")
-    return CompactMatrix._of(k, labels, table[order, 1:], foreign)
-
-
-def _read_arrays(text: str) -> CompactMatrix | None:
-    """The CSV reader on arrays, for plain text (see :func:`from_csv`);
-    None when the text is irregular: a bad header, a record of other than
-    k + 1 fields, a repeated row, or a cell that names no row.
-
-    The fields are found ``_CSV_ROWS`` lines at a time, from one numpy
-    scan of each block's bytes for commas and LFs; the filled cells are
-    kept as offsets until the labels are known.  The labels sort by one
-    exact sort of their UTF-8 bytes (:func:`_kernels.byte_order`), which
-    is code-point order, as ``sorted``'s.  Each cell finds its row by a
-    fingerprint of its words, checked word by word: with no NUL in the
-    text, equal words mean equal labels.  The lookup is a bucket index
-    (:func:`_kernels.key_index`): a few vectorized steps per cell, where a
-    binary search of a large table misses the cache at every level; the
-    steps are capped, as a bucket of b labels would take b, and a binary
-    search finishes.
-    Only the n labels are decoded to ``str``."""
-    header = text[:text.find("\n")] if "\n" in text else text  # no copy of the rest
-    k = header.count(",")
-    if header != ",".join(_header(k)):
-        return None
-    try:
-        raw = text.encode() + bytes(8)  # a word read at any field start stays inside
-    except UnicodeEncodeError:  # lone surrogates
-        return None
+    One array scan reads all text (:func:`_syntax`, :func:`_records`).  The
+    labels sort by their UTF-8 bytes (:func:`_kernels.byte_order`); each
+    filled cell finds its row by a fingerprint of its words in a bucket
+    index (:func:`_kernels.key_index`), checked word by word, and the
+    cells of a block that fails the check are mapped by name."""
+    if not text:
+        raise ValueError("empty CSV document")
+    raw = text.encode("utf-8", "surrogatepass") + bytes(8)  # word reads stay inside
+    end = len(raw) - 8
     buf = np.frombuffer(raw, dtype=np.uint8)
-    word_at = np.ndarray((buf.size - 7,), dtype=">u8", buffer=raw, strides=(1,))
-    nl = np.flatnonzero(buf == 10)
-    # the records' lines: after each LF up to the next, or to the text's
-    # end unless a LF ends the text
-    begin, end = nl + 1, np.append(nl[1:], buf.size - 8)
-    if begin.size and begin[-1] == end[-1]:
-        begin, end = begin[:-1], end[:-1]
-    width = k + 1
-    blocks = []  # per block of lines, its records' labels and filled cells
-    for a in range(0, begin.size, _CSV_ROWS):
-        got = _records(buf, begin[a], end[min(a + _CSV_ROWS, begin.size) - 1], width)
-        if got is None:
-            return None
-        blocks.append(got)
-    at = np.concatenate([np.empty(0, dtype=np.int64)] + [b[0] for b in blocks])
-    size = np.concatenate([np.empty(0, dtype=np.int64)] + [b[1] for b in blocks])
-    n = at.size
-    words, first = _kernels.field_words(word_at, at, size)
-    order, head = _kernels.byte_order(words, first)
-    if not head.all():  # a repeated row
-        return None
+    sep, drop = _syntax(buf, end) if '"' in text or "\r" in text else (None, None)
+    brk = np.flatnonzero(buf == 10 if sep is None else sep & (buf != 44))  # record breaks
+    cr = brk[(buf[brk] == 13) & (np.append(brk[1:], end) != brk + 1)]  # CRs before other text
+    late = None  # a CR before other text, raised after the records before its line
+    if cr.size:
+        late = ParseError("new-line character seen in unquoted field - do you need to "
+                          "open the file in universal-newline mode?",
+                          raw.count(b"\n", 0, cr[0]) + 1)
+        brk = brk[brk < raw.rfind(b"\n", 0, cr[0]) + 1]
+        if not brk.size:
+            raise late
+    cbuf = buf if drop is None else np.delete(buf, drop)
+    word_at = np.ndarray((cbuf.size - 7,), dtype=">u8", buffer=cbuf, strides=(1,))
+    h = brk[0] if brk.size else end
+    header = (raw[:h].decode("utf-8", "surrogatepass").split(",") if sep is None
+              else _kernels.decode_fields(cbuf, *_records(buf, 0, h, sep, drop)[:2]))
+    if not header or header[0] != "vertex":
+        raise ValueError("first CSV column must be 'vertex'")
+    k, width = len(header) - 1, len(header)
+    if list(header) != _header(k):
+        raise ValueError("CSV columns must be named c1..ck")
+    # the lines after the header: from each break to the next, or to the end
+    bound = brk if late is not None or end - 1 in brk[-1:] else np.append(brk, end)
+    fields = [(np.empty(0, dtype=np.int64),) * 3]  # per block: labels, field counts
+    cells = []  # per block: places in the file-order grid, starts and sizes
+    row = 0
+    for a in range(0, bound.size - 1, _CSV_ROWS):
+        start, length, count = _records(
+            buf, bound[a] + 1, bound[min(a + _CSV_ROWS, bound.size - 1)], sep, drop)
+        first = np.cumsum(count) - count
+        fields.append((start[first], length[first], count))
+        if np.any(count != width):
+            break
+        filled = length != 0
+        filled[::width] = False
+        place = np.flatnonzero(filled)
+        cells.append((place + row * width, start[place], length[place]))
+        row += count.size
+    at, size, count = (np.concatenate(x) for x in zip(*fields))
+    bad = np.flatnonzero(count != width)
+    n = int(bad[0]) if bad.size else at.size  # the records before one of other width
+    words, first = _kernels.field_words(word_at, at[:n], size[:n])
+    order, head = _kernels.byte_order(words, first, size[:n] if "\0" in text else None)
+    name = lambda i: _kernels.decode_fields(cbuf, at[i:i + 1], size[i:i + 1])[0]  # noqa: E731
+    if not head.all():  # the first row, in file order, repeating one before it
+        group = np.flatnonzero(head)
+        lowest = np.repeat(np.minimum.reduceat(order, group), np.diff(group, append=n))
+        raise ValueError(f"duplicate row {name(order[order != lowest].min())!r}")
+    if bad.size:
+        raise ValueError(f"row {name(n)!r} has {count[n] - 1} cells, expected {k}")
+    if late is not None:
+        raise late
     rank = np.empty(n, dtype=np.int32)
     rank[order] = np.arange(n, dtype=np.int32)
     find = _kernels.key_index(_kernels.fingerprints(words, first))
     ids = np.full(n * width, -1, dtype=np.int32)  # the file-order grid
-    row = 0
-    for rows_at, _, place, start, length in blocks:
+    miss = []  # the cells of blocks where a row found fails the check
+    for place, start, length in cells:
         cw, cfirst = _kernels.field_words(word_at, start, length)
         lab = find(_kernels.fingerprints(cw, cfirst))[0]
-        # the fingerprint's row, if it has the same bytes: the same size
-        # and the same words
-        if not (np.array_equal(size[lab], length)
+        # the fingerprint's row, if it has the same bytes: size and words
+        if (np.array_equal(size[lab], length)
                 and _kernels.same_words(words, first[lab], cw, cfirst)):
-            return None
-        ids[place + row * width] = rank[lab]
-        row += rows_at.size
-    del find  # its index is freed before the table is gathered
+            ids[place] = rank[lab]
+        else:
+            miss.append((place, start, length))
+    del find, cells  # freed before the table is gathered
     table = ids.reshape(n, width)[order, 1:]
     del ids  # freed before the labels are decoded
-    labels = _kernels.decode_fields(buf, at[order], size[order])
-    return CompactMatrix._of(k, labels, table)
+    labels = _kernels.decode_fields(cbuf, at[order], size[order])
+    foreign = ()
+    if miss:  # those cells by name, as the constructor maps them
+        place, start, length = (np.concatenate(x) for x in zip(*miss))
+        cell, foreign = _id_table(labels, [_kernels.decode_fields(cbuf, start, length)],
+                                  place.size)
+        table[rank[place // width], place % width - 1] = cell[0]
+    return CompactMatrix._of(k, labels, table, foreign)
 
 
-def _records(buf: np.ndarray, lo: int, hi: int, width: int):
-    """The records on the lines of ``buf[lo:hi]``, blank lines skipped:
-    their labels' starts and sizes, and their filled cells' places in the
-    records' row-major grid of fields, with the cells' starts and sizes.
-    None if a record has other than ``width`` fields."""
-    block = buf[lo:hi + 1]  # with the LF or the padding after it
-    end_of_field = (block == 44) | (block == 10)
+def _syntax(buf: np.ndarray, end: int) -> tuple[np.ndarray, np.ndarray]:
+    """The field ends of text holding a ``"`` or CR as a mask over ``buf``
+    (its ``end`` bytes and the padding): commas, LFs and CRs outside
+    quoted fields; and the sorted places of the ``"`` unquoting drops.
+    A field opening with ``"``, at the text's start or after a comma or
+    LF outside quotes, is quoted until the count of ``"`` since then is
+    even before another byte: the prefix parity of Langdale and Lemire
+    (VLDB J. 2019), per run of ``"``.  Inside, ``""`` is one ``"``;
+    outside, ``"`` is text, as is an opening inside an earlier field."""
+    q = op = close = np.flatnonzero(buf[:end] == 34)
+    inside = np.zeros(buf.size, dtype=np.int8)
+    if q.size:
+        new = np.flatnonzero(np.diff(q, prepend=-2) != 1)  # each run's first quote
+        run, rlen = q[new], np.diff(new, append=q.size)
+        last, odd = run + rlen - 1, rlen % 2 == 1  # each run's last quote
+        can = np.flatnonzero((run == 0) | (buf[run - 1] == 44) | (buf[run - 1] == 10))
+        shut = np.append(last[odd], end)[np.searchsorted(np.flatnonzero(odd), can, "right")]
+        op, close = run[can], np.where(odd[can], shut, last[can])
+        if np.any(op[1:] <= np.maximum.accumulate(close)[:-1]):  # walk the openings
+            nxt, keep = np.searchsorted(op, close, "right").tolist(), [0]
+            while nxt[keep[-1]] < len(nxt):
+                keep.append(nxt[keep[-1]])
+            op, close = op[keep], close[keep]
+        inside[op + 1] += 1
+        inside[close] -= 1
+    quoted = np.cumsum(inside, dtype=np.int8).view(bool)
+    drop = np.sort(np.concatenate((op, close[close < end], q[quoted[q]][1::2])))
+    return ((buf == 44) | (buf == 10) | (buf == 13)) & ~quoted, drop
+
+
+def _records(buf: np.ndarray, lo: int, hi: int, sep: np.ndarray | None,
+             drop: np.ndarray | None):
+    """The fields of the records on the lines of ``buf[lo:hi]``, blank
+    lines skipped: their starts and sizes in the bytes less ``drop``, and
+    each record's count of fields.  Fields end at commas and LFs, or
+    where ``sep`` marks them."""
+    block = buf[lo:hi + 1]  # with the break or the padding after it
+    end_of_field = (block == 44) | (block == 10) if sep is None else sep[lo:hi + 1].copy()
     end_of_field[-1] = True
     stop = np.flatnonzero(end_of_field)
     stop += lo
     start = np.empty_like(stop)
     start[0] = lo
     np.add(stop[:-1], 1, out=start[1:])
-    length = stop - start
     last = np.flatnonzero(buf[stop] != 44)  # each line's last field
     count = np.diff(last, prepend=-1)
-    blank = (count == 1) & (length[last] == 0)
+    blank = (count == 1) & (stop[last] == start[last])
     if blank.any():
         keep = np.repeat(~blank, count)
-        start, length, count = start[keep], length[keep], count[~blank]
-    if np.any(count != width):
-        return None
-    filled = length != 0
-    filled[::width] = False
-    place = np.flatnonzero(filled)
-    return (start[::width].copy(), length[::width].copy(), place,
-            start[place], length[place])
+        start, stop, count = start[keep], stop[keep], count[~blank]
+    if drop is not None:  # less the quotes dropped before each place
+        start -= np.searchsorted(drop, start)
+        stop -= np.searchsorted(drop, stop)
+    return start, stop - start, count
 
 
 def to_json(m: CompactMatrix) -> str:
