@@ -15,8 +15,9 @@ they raised the peak RSS above the parse's.  It goes on to color the
 digraph with the greedy ``down_coloring``, reporting its time and the
 peak RSS after it, then builds the compact table and AC-checks it
 against the digraph, reporting each one's time and the peak RSS after
-it, times ``coloring_to_json`` on the coloring, and writes the table as
-CSV to a second temporary file.  A second
+it, times ``coloring_to_json`` on the coloring, then times writing the
+table as CSV with ``serialize`` and reports the peak RSS after it, and
+saves that text to a second temporary file.  A second
 fresh interpreter reads that file and times ``parse_compact`` on its
 text; its peak growth is how far the read raised that interpreter's
 peak RSS, which holds nothing but the text, so the coloring's own peak
@@ -66,7 +67,10 @@ print(time.perf_counter() - t5, peak())
 t6 = time.perf_counter()
 coloring_to_json(c)
 print(time.perf_counter() - t6)
-Path(sys.argv[2]).write_text(serialize(m, "csv"))
+t7 = time.perf_counter()
+text = serialize(m, "csv")
+print(time.perf_counter() - t7, peak())
+Path(sys.argv[2]).write_text(text)
 print(m.k, m.table.size, int((m.table >= 0).sum()))
 """
 
@@ -143,8 +147,8 @@ def main():
         os.unlink(path)
         os.unlink(csv_path)
     (wall, peak, n, m, closure, sum_d, layout, growth, color, color_peak,
-     build, build_peak, audit, audit_peak, to_json, k, cells,
-     filled) = done.split()
+     build, build_peak, audit, audit_peak, to_json, write, write_peak, k,
+     cells, filled) = done.split()
     read_s, read_growth = read.split()
     print(f"n={n} edges={m} text={size_mb:.1f} MB")
     print(f"parse_s={float(wall):.3f} child_peak_rss_mb={float(peak):.1f}")
@@ -157,6 +161,8 @@ def main():
     print(f"verify_ac_property_s={float(audit):.3f} "
           f"peak_rss_after_ac_check_mb={float(audit_peak):.1f}")
     print(f"coloring_to_json_s={float(to_json):.3f}")
+    print(f"serialize_s={float(write):.3f} "
+          f"peak_rss_after_write_mb={float(write_peak):.1f}")
     print(f"k={k} cells={cells} filled={filled} csv={csv_mb:.1f} MB")
     print(f"parse_compact_s={float(read_s):.3f} "
           f"parse_compact_peak_growth_mb={float(read_growth):.1f}")

@@ -537,7 +537,8 @@ def decode_fields(buf: np.ndarray, at: np.ndarray, size: np.ndarray) -> tuple[st
     """The UTF-8 fields of ``size`` bytes at ``at`` in the bytes ``buf``,
     each followed by a byte of ``buf``, as strings, lone surrogates passed
     through: gathered ``_GATHER_BYTES`` at a time, each with the byte
-    after it set to LF, and decoded once; one by one if a field holds LF."""
+    after it set to LF, decoded once and split at the LFs.  A field that
+    holds a LF is split too, and only such fields are joined back."""
     cum = np.zeros(at.size + 1, dtype=np.int64)
     np.cumsum(size + 1, out=cum[1:])
     parts = []
@@ -549,7 +550,13 @@ def decode_fields(buf: np.ndarray, at: np.ndarray, size: np.ndarray) -> tuple[st
         parts.append(pick.tobytes())
     fields = b"".join(parts).decode("utf-8", "surrogatepass").split("\n")
     fields.pop()  # the empty string after the last LF
-    if len(fields) > at.size:
-        return tuple(buf[a:a + s].tobytes().decode("utf-8", "surrogatepass")
-                     for a, s in zip(at.tolist(), size.tolist()))
-    return tuple(fields)
+    if len(fields) == at.size:
+        return tuple(fields)
+    # each field's pieces: one per LF in its bytes, the one after it included
+    lf = np.flatnonzero(np.frombuffer(b"".join(parts), dtype=np.uint8) == 10)
+    count = np.bincount(np.searchsorted(cum, lf, "right") - 1, minlength=at.size)
+    first = np.cumsum(count) - count
+    out = np.array(fields, dtype=object)[first]
+    for i in np.flatnonzero(count > 1).tolist():
+        out[i] = "\n".join(fields[first[i]:first[i] + count[i]])
+    return tuple(out.tolist())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 
 from . import compact as compact_mod
 from .coloring import (bound_report, coloring_from_json, coloring_to_json,
@@ -36,12 +37,15 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, text: str | Iterable[str]) -> None:
+    """Write ``text``, or its chunks as they are made, to ``path`` or
+    stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _fmt(x: float) -> str:
@@ -103,7 +107,8 @@ def cmd_compact(args) -> int:
     g = parse_digraph(_read(args.graph))
     col = coloring_from_json(_read(args.coloring))
     matrix = compact_mod.build_compact(g, col)
-    _write(args.output, compact_mod.serialize(matrix, args.format))
+    _write(args.output, compact_mod.csv_chunks(matrix) if args.format == "csv"
+           else compact_mod.to_json(matrix))
     st = compact_mod.stats(matrix)
     print(f"stats: n={st.n} k={st.k} dense={st.dense_cells} "
           f"compact={st.compact_cells} fill={st.fill_ratio:.3f}",

@@ -9,8 +9,11 @@ are built only when asked for.  Building and the AC check share one
 layout: the cached down-set rows, gathered in the table's row order,
 are scattered once into that array, by color or by each vertex's own
 column; its fill count is the one rainbow check, and the AC verdict
-compares its rebuild with the table.  The CSV writer quotes each label
-once and joins the records a block of rows at a time.
+compares its rebuild with the table.  The CSV writer works on the id
+table a block of rows at a time and writes only its filled cells and
+the runs of commas between them, each gathered from one object table
+of the labels, quoted once; the CLI writes its blocks as they are made.
+The build reads the rows' label order that the digraph keeps.
 The CSV reader is one scan of numpy arrays that reads text as
 ``csv.reader`` does, quoted fields found by the parity of their quotes;
 its labels are sorted and decoded by the word kernels of ``_kernels``
@@ -26,7 +29,7 @@ from __future__ import annotations
 import csv
 import json
 from bisect import bisect_left
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -139,7 +142,7 @@ def build_compact(g: Digraph, c: Coloring) -> CompactMatrix:
     """Lay the closed down-sets out by color; rejects invalid colorings
     with the offending pair and witness ancestor."""
     col = _columns(g, c)
-    order = np.array(sorted(range(g.n), key=g.labels.__getitem__), dtype=np.int64)
+    order = g._label_order()
     table, short = _layout(g, col, c.k, order)
     if short.size:
         u, v, w = violation = find_down_violation(g, c)
@@ -300,23 +303,50 @@ def _header(k: int) -> list[str]:
 
 def to_csv(m: CompactMatrix) -> str:
     """The table as CSV: a header ``vertex,c1..ck``, then one record per
-    row, empty fields for empty cells.  Each label is quoted once; the
-    records are joined ``_CSV_ROWS`` rows at a time, from one object
-    gather of the quoted labels per block."""
-    n = len(m.labels)
+    row, empty fields for empty cells; the join of :func:`csv_chunks`."""
+    return "".join(csv_chunks(m))
+
+
+def csv_chunks(m: CompactMatrix) -> Iterator[str]:
+    """:func:`to_csv`'s text in pieces: the header line, then the records
+    of ``_CSV_ROWS`` rows at a time.
+
+    A block is an id grid of k+2 columns: the row's own field, its cells,
+    and a last column that holds the line's LF.  Each filled field is one
+    piece, and each run of empty fields one more, found at its first
+    field: ``j`` commas for a run of ``j``.  All are gathered from one
+    object table built once per table: the runs' slots, each name quoted
+    once with its comma, each row's own field and the LF.  A run's slot
+    is filled when a block first holds it, so the commas never cost more
+    than the blocks' own text."""
+    n, k = len(m.labels), m.k
+    yield ",".join(_header(k)) + "\n"
     quoted = _quoted(m.labels + m.foreign)
-    if m.k == 0:  # one-field records, where the csv module quotes a lone ""
-        quoted = [x or '""' for x in quoted]
-    quoted = np.array(quoted + [""], dtype=object)
-    parts = [",".join(_header(m.k))]
-    ids = np.empty((min(n, _CSV_ROWS), m.k + 1), dtype=np.int32)
+    names = len(quoted)
+    # ids: the slot of a run of j empty fields at j, for j = 1..k, then
+    # a cell's id + k + 1 (so an empty cell is k), a row's own field, the LF
+    lf = k + 1 + names + n
+    pieces = np.empty(lf + 1, dtype=object)
+    pieces[k + 1:k + 1 + names] = [f",{x}" for x in quoted]
+    pieces[k + 1 + names:lf] = quoted[:n] if k else [x or '""' for x in quoted[:n]]
+    pieces[lf] = "\n"
+    grid = np.full((min(n, _CSV_ROWS), k + 2), lf, dtype=np.int32)
     for a in range(0, n, _CSV_ROWS):
         b = min(a + _CSV_ROWS, n)
-        ids[:b - a, 0] = np.arange(a, b)
-        ids[:b - a, 1:] = m.table[a:b]
-        parts.extend(map(",".join, quoted[ids[:b - a]].tolist()))
-    parts.append("")
-    return "\n".join(parts)
+        grid[:b - a, 0] = np.arange(lf - n + a, lf - n + b)
+        np.add(m.table[a:b], k + 1, out=grid[:b - a, 1:-1])
+        flat = grid[:b - a].ravel()
+        mark = flat > k  # filled, or the first empty field after a filled one
+        mark[1:] |= mark[:-1]
+        at = np.flatnonzero(mark)
+        piece = flat[at]
+        run = np.flatnonzero(piece <= k)  # never last: a LF ends the block
+        size = at[run + 1] - at[run]
+        piece[run] = size
+        for j in np.flatnonzero(np.bincount(size)).tolist():
+            if pieces[j] is None:
+                pieces[j] = "," * j
+        yield "".join(pieces[piece].tolist())
 
 
 def from_csv(text: str) -> CompactMatrix:

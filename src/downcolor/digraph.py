@@ -17,7 +17,8 @@ comments are blanked and one numpy scan finds the tokens and their
 lines; one exact sort of the tokens' bytes (the word kernels of
 ``_kernels``, shared with the CSV reader) gives ids, and the first
 error in line order is named from the same arrays, which the digraph
-takes without a second check.  The text writers refuse a label holding
+takes without a second check, with its labels' order from the same sort
+(:meth:`Digraph._label_order`).  The text writers refuse a label holding
 ``#``, which they could not read back.  Each acyclic ``Digraph`` caches
 its closed down-sets once, as sorted CSR rows
 (:meth:`Digraph._down_sets`); every stage of the pipeline reads those
@@ -166,7 +167,8 @@ class Digraph(_Graph):
     parents are CSR arrays (int64 row pointers, int32 ids, rows
     ascending); ``children``/``parents`` slice them into tuples."""
 
-    __slots__ = ("_labels", "_index", "_csr", "_rcsr", "_down", "_bits_level")
+    __slots__ = ("_labels", "_index", "_csr", "_rcsr", "_down", "_bits_level",
+                 "_order")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[int, int]]):
         labels, index, src, dst = _labeled_pairs(labels, edges)
@@ -176,14 +178,17 @@ class Digraph(_Graph):
         self._fill(labels, index, adj)
 
     def _fill(self, labels: tuple[str, ...], index: dict[str, int],
-              csr: tuple[np.ndarray, np.ndarray]) -> Digraph:
+              csr: tuple[np.ndarray, np.ndarray],
+              order: np.ndarray | None = None) -> Digraph:
         """Set every field from validated labels and the ``_adjacency``
-        arrays, with the parents CSR as their transpose; ``parse_digraph``
+        arrays, with the parents CSR as their transpose, and the labels'
+        order (:meth:`_label_order`) when it is known; ``parse_digraph``
         fills a bare instance with it."""
         self._labels, self._index, self._csr = labels, index, csr
         self._rcsr = _kernels.reverse_csr(len(labels), *csr)
         self._down: tuple[np.ndarray, np.ndarray] | None = None
         self._bits_level: int | None = None
+        self._order = order
         return self
 
     @classmethod
@@ -252,6 +257,17 @@ class Digraph(_Graph):
                 return [self._labels[v] for v in cyc]
             pos[p] = len(path)
             path.append(p)
+
+    def _label_order(self) -> np.ndarray:
+        """The ids sorted by their labels, read-only: kept from the sort
+        ``parse_digraph`` makes of the labels' UTF-8 bytes, which orders
+        them as Python orders strings, lone surrogates included; a digraph
+        built any other way sorts its labels on first use."""
+        if self._order is None:
+            self._order = np.array(sorted(range(self.n), key=self._labels.__getitem__),
+                                   dtype=np.int32)
+            self._order.flags.writeable = False
+        return self._order
 
     def _levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Vertices grouped by height, peeled from the sinks up on the CSR
@@ -437,13 +453,14 @@ def _read(text: str, slice_size: int = 1 << 20) -> Digraph:
     lab = tops[by]  # the labels' first tokens, in id order
     gid = np.empty(lab.size, dtype=np.int32)
     gid[by] = np.arange(lab.size, dtype=np.int32)
+    gid.flags.writeable = False  # the ids in label order
     del head, tops, by
     ptr, lw = _kernels.gather_rows(first, words, lab)
     size = size[lab]
     del words, first, lab
     ids = np.empty(order.size, dtype=np.int32)
     ids[order] = np.repeat(gid, np.diff(group, append=order.size))
-    del order, group, gid
+    del order, group
     pairs = ids[paired.view(bool)]
     del ids, paired
     buf = np.append(lw, np.uint64(0)).astype(">u8").view(np.uint8)  # text order
@@ -460,7 +477,7 @@ def _read(text: str, slice_size: int = 1 << 20) -> Digraph:
         raise bad
     del pairs, src, dst, edge_line
     index = dict(zip(labels, range(len(labels))))
-    return Digraph.__new__(Digraph)._fill(labels, index, adj)
+    return Digraph.__new__(Digraph)._fill(labels, index, adj, gid)
 
 
 def _narrow(part: str) -> str:
@@ -597,10 +614,11 @@ def _sweep(n: int, roots: Iterable[int], csr: tuple[np.ndarray, np.ndarray]) -> 
 
 def _filled(g: Digraph, src: np.ndarray, dst: np.ndarray) -> Digraph:
     """Digraph on ``g``'s labels with the edges ``src[i] -> dst[i]``, in
-    range and loop-free, repeats merged; filled without a second check."""
+    range and loop-free, repeats merged; filled without a second check,
+    and sharing ``g``'s label order if it is known."""
     keys = _kernels._distinct(src.astype(np.int64) * g.n + dst)
     return Digraph.__new__(Digraph)._fill(g._labels, g._index,
-                                          _kernels.keys_csr(g.n, keys))
+                                          _kernels.keys_csr(g.n, keys), g._order)
 
 
 def condense_to_acyclic(g: Digraph) -> Digraph:
@@ -616,7 +634,7 @@ def condense_to_acyclic(g: Digraph) -> Digraph:
     # Kosaraju: sweep the parents from the latest-finished vertex first
     comp = np.array(_sweep(n, reversed(_finish_order(n, g._csr)), g._rcsr),
                     dtype=np.int64)
-    by_label = np.array(sorted(range(n), key=g.label_of), dtype=np.int64)
+    by_label = g._label_order()
     first = np.full(n, n)  # per component, its smallest label's rank
     np.minimum.at(first, comp, np.argsort(by_label))
     rep = by_label[first[comp]]

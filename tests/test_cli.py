@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from downcolor import (Hypergraph, _kernels, cli, coloring_from_json,
-                       format_digraph, is_acyclic, parse_digraph, up_digraph,
+from downcolor import (Hypergraph, _kernels, build_compact, cli,
+                       coloring_from_json, compact, format_digraph, is_acyclic,
+                       parse_digraph, serialize, up_digraph,
                        verify_down_coloring)
 from downcolor.cli import main
 from conftest import GROTZSCH_EDGES, brute_down_edges, pair_digraph_text
@@ -75,6 +76,25 @@ def test_color_exact_verify_compact_pipeline(six, tmp_path, capsys):
     assert main(["compact", six, "--coloring", str(col), "--format", "json"]) == 0
     parsed = json.loads(capsys.readouterr().out)
     assert parsed["k"] == 3 and len(parsed["rows"]) == 6
+
+
+def test_compact_streams_the_csv_blocks(tmp_path, monkeypatch):
+    # the CLI writes the writer's blocks as they are made, never the
+    # joined text, and the file equals the library's CSV
+    g = parse_digraph("".join(f"t{i} b{i % 7}\n" for i in range(40)))
+    graph, col, out = (tmp_path / f for f in ("g.txt", "col.json", "t.csv"))
+    graph.write_text(format_digraph(g))
+    assert main(["color", str(graph), "-o", str(col)]) == 0
+    want = serialize(build_compact(g, coloring_from_json(col.read_text())), "csv")
+    monkeypatch.setattr(compact, "_CSV_ROWS", 8)
+
+    def joined(m):
+        raise AssertionError("the CSV text was joined")
+    monkeypatch.setattr(compact, "to_csv", joined)
+    monkeypatch.setattr(compact, "serialize", joined)
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["compact", str(graph), "--coloring", str(col), "-o", str(out)]) == 0
+    assert out.read_text() == want
 
 
 def test_color_greedy_is_default(six, capsys):

@@ -195,6 +195,47 @@ def test_csv_roundtrip_and_header():
         assert parse_compact(serialize(m, "json"), "json") == m
 
 
+# the names random tables draw their rows and cells from: plain, quoted
+# for a comma, quote, CR or LF, with outer spaces, non-ASCII, and empty
+WRITER_NAMES = ["a", "b,c", 'd"e', "f\rg", "h\ni", "j\r\nk", " l ", "é",
+                "", '"', ",", "m" * 20] + [f"v{i}" for i in range(30)]
+
+
+def random_table(rng):
+    """A table with 0 to 14 rows and 0 to 9 columns, each row empty, full
+    or filled at random, its cells naming rows or names of no row."""
+    labels = tuple(sorted(rng.sample(WRITER_NAMES, rng.randint(0, 14))))
+    k = rng.choice([0, 1, 2, 5, 9])
+    names = labels + ("x,y", "z\n", "w")
+    rows = {}
+    for lab in labels:
+        fill = rng.choice([0.0, 1.0, rng.random()])
+        rows[lab] = tuple(rng.choice(names) if rng.random() < fill else None
+                          for _ in range(k))
+    return CompactMatrix(k, labels, rows)
+
+
+def test_csv_writer_matches_reference_on_random_tables(monkeypatch):
+    # blocks of 3 rows: tables span several, and a run's commas, made in
+    # one block, are reused in the next
+    monkeypatch.setattr(compact, "_CSV_ROWS", 3)
+    rng = random.Random(131)
+    for _ in range(400):
+        m = random_table(rng)
+        chunks = list(compact.csv_chunks(m))
+        assert "".join(chunks) == serialize(m, "csv") == csv_reference(m)
+        assert len(chunks) == 1 + -(-len(m.labels) // 3)  # the header, then each block
+
+
+def test_csv_reads_back_one_label_holding_a_lf_among_plain_ones():
+    g = parse_digraph("".join(f"t{i} b{i % 97}\n" for i in range(3000)))
+    m = build_compact(g, down_coloring(g))
+    m = relabeled(m, [lab if lab != "t5" else "a\nb" for lab in m.labels])
+    text = serialize(m, "csv")
+    assert '"a\nb"' in text
+    assert parse_compact(text, "csv") == m
+
+
 def test_json_roundtrip():
     g = parse_digraph(SIX)
     m = build_compact(g, WITNESS)

@@ -534,6 +534,7 @@ def test_parse_matches_reference(text, size):
     for read in readers:
         g = read(text)
         assert_parsed_as(g, labels, children, parents)
+        assert g._label_order().tolist() == by_label(g)
     want = topological_order_reference(labels, children, parents)
     if isinstance(want, tuple):
         assert g.topological_order() == want
@@ -541,6 +542,38 @@ def test_parse_matches_reference(text, size):
         with pytest.raises(CyclicGraphError) as ei:
             g.topological_order()
         assert ei.value.cycle == want
+
+
+def by_label(g):
+    """The reference label order: ``g``'s ids sorted by label."""
+    return sorted(range(g.n), key=g.labels.__getitem__)
+
+
+def test_label_order_is_the_parsers_byte_sort():
+    # prefixes, NUL, non-ASCII and lone surrogates, kept from the parser's
+    # sort; built any other way, a digraph sorts once, on first use
+    names = ["a", "a\0", "ab", "é", "\udc80", "a\0\0", "b", "\ud7ff", "\ue000",
+             "abcdefgh", "abcdefgh\0", "abcdefghi", "日本"]
+    rng = random.Random(5)
+    for _ in range(20):
+        rng.shuffle(names)
+        g = parse_digraph("".join(f"{u} {v}\n" for u, v in zip(names, names[1:])))
+        assert g._order is not None
+        assert g._label_order().tolist() == by_label(g)
+    built = [Digraph(names, [(0, 1), (2, 3)]),
+             Digraph.from_label_pairs(zip(names, names[1:]), ["z", "\0"]),
+             up_digraph(random_hypergraph(rng, 12, 6).simplify())]
+    for g in built:
+        assert g._order is None
+        assert g._label_order().tolist() == by_label(g)
+        assert g._label_order() is g._label_order()
+    # digraphs on the same labels share it, and no one can edit it
+    for g in (parse_digraph(SIX), built[1]):
+        for h in (condense_to_acyclic(g), transitive_closure(g),
+                  height_two_reduction(g)):
+            assert h._label_order() is g._label_order()
+        with pytest.raises(ValueError):
+            g._label_order()[0] = 1
 
 
 def test_wide_separators_are_those_str_split_splits_at():

@@ -291,6 +291,30 @@ def test_byte_order_sorts_fields_by_their_bytes(fields):
         rng.shuffle(fields)
 
 
+@pytest.mark.parametrize("fields", [
+    ["a\nb"] + [f"v{i}" for i in range(50)],
+    ["\n", "", "x\n", "\ny", "a\n\nb", "", "plain", "\n\n"],
+    ["é\n日本", "\udc80\n", "z"],
+])
+def test_decode_fields_joins_back_only_the_fields_holding_a_lf(fields):
+    # fields laid out with a byte between them, in shuffled places, and
+    # gathered in steps of a few bytes: those holding a LF come back whole
+    rng = random.Random(3)
+    raw = [f.encode("utf-8", "surrogatepass") for f in fields]
+    place = list(range(len(raw)))
+    rng.shuffle(place)
+    buf = b"".join(raw[i] + b"," for i in place)
+    step = np.array([len(raw[i]) + 1 for i in place])
+    at = np.empty(len(raw), dtype=np.int64)
+    at[place] = np.cumsum(step) - step
+    size = np.array([len(x) for x in raw], dtype=np.int64)
+    for step in (1 << 18, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_GATHER_BYTES", step)
+            got = _kernels.decode_fields(np.frombuffer(buf, dtype=np.uint8), at, size)
+        assert got == tuple(fields)
+
+
 def searched(keys, q):
     """The reference lookup: each value's place in ``keys`` by one binary
     search of the sorted keys, the last key's for a value past them all."""
