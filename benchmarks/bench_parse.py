@@ -15,9 +15,11 @@ they raised the peak RSS above the parse's.  It goes on to color the
 digraph with the greedy ``down_coloring``, reporting its time and the
 peak RSS after it, then builds the compact table and AC-checks it
 against the digraph, reporting each one's time and the peak RSS after
-it, times ``coloring_to_json`` on the coloring, then times writing the
-table as CSV with ``serialize`` and reports the peak RSS after it, and
-saves that text to a second temporary file.  A second
+it, and how far the AC check raised the peak above the build's
+(``ac_check_peak_growth_mb``), times ``coloring_to_json`` on the
+coloring, then times writing the table as CSV with ``serialize`` and
+reports the peak RSS after it, and saves that text to a second
+temporary file.  A second
 fresh interpreter reads that file and times ``parse_compact`` on its
 text; its peak growth is how far the read raised that interpreter's
 peak RSS, which holds nothing but the text, so the coloring's own peak
@@ -159,7 +161,8 @@ def main():
     print(f"build_compact_s={float(build):.3f} "
           f"peak_rss_after_build_mb={float(build_peak):.1f}")
     print(f"verify_ac_property_s={float(audit):.3f} "
-          f"peak_rss_after_ac_check_mb={float(audit_peak):.1f}")
+          f"peak_rss_after_ac_check_mb={float(audit_peak):.1f} "
+          f"ac_check_peak_growth_mb={float(audit_peak) - float(build_peak):.1f}")
     print(f"coloring_to_json_s={float(to_json):.3f}")
     print(f"serialize_s={float(write):.3f} "
           f"peak_rss_after_write_mb={float(write_peak):.1f}")

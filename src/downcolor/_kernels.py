@@ -17,7 +17,7 @@ closure is built again as bitset rows from the sinks up
 (:func:`closure_levels`), decoded at the end.
 Either layout is held to ``_CLOSURE_BYTES``; a closure that fits
 neither raises ``ValueError``, which the command line reports with exit
-code 1.  So is the conflict builder, its bitsets and then its CSR ids.
+code 1.  So are the conflict builder and the compact table's cells.
 
 Vertex ``u`` maps to bit ``u & 63`` of word ``u >> 6``.  Bitsets stay
 inside this module and ``digraph``: :func:`rows_csr` decodes a bitset
@@ -56,7 +56,7 @@ _GATHER_BYTES = 1 << 18
 _IDS_PER_WORD = 1
 _IDS_PER_LEVEL = 1024
 
-# bytes either closure layout may take
+# bytes a closure layout, the conflict graph or the compact table may take
 _CLOSURE_BYTES = 1 << 30
 
 
@@ -348,13 +348,12 @@ def _clique_union(n, members, indptr, ids):
     return adj
 
 
-def _check_conflict(n: int, what: str, size: int) -> None:
-    """Refuse a conflict graph of ``n`` vertices whose ``what`` would take
-    ``size`` bytes, over the closure's budget."""
+def check_bytes(thing: str, what: str, size: int) -> None:
+    """Refuse ``thing`` whose ``what`` would take ``size`` bytes, over the
+    byte budget the closure's layouts are held to."""
     if size > _CLOSURE_BYTES:
-        raise ValueError(
-            f"the conflict graph of {n} vertices is too large: its {what} "
-            f"take {size:,} bytes, over the {_CLOSURE_BYTES:,}-byte budget")
+        raise ValueError(f"{thing} is too large: its {what} take {size:,} bytes, "
+                         f"over the {_CLOSURE_BYTES:,}-byte budget")
 
 
 def clique_union_csr(n: int, indptr: np.ndarray,
@@ -363,9 +362,10 @@ def clique_union_csr(n: int, indptr: np.ndarray,
     cliques on ``n`` ids; clique ``i`` is ``ids[indptr[i]:indptr[i + 1]]``.
     Its bitsets, then its CSR ids, are held to ``_CLOSURE_BYTES`` before
     they are built, or a ``ValueError`` names n and the bytes."""
-    _check_conflict(n, "bitsets", 8 * (indptr.size - 1 + n) * words_for(n))
+    graph = f"the conflict graph of {n} vertices"
+    check_bytes(graph, "bitsets", 8 * (indptr.size - 1 + n) * words_for(n))
     adj = _clique_union(n, pack_rows(n, indptr, ids), indptr, ids)
-    _check_conflict(n, "adjacency lists", 4 * int(popcounts(adj).sum()))
+    check_bytes(graph, "adjacency lists", 4 * int(popcounts(adj).sum()))
     return rows_csr(adj)
 
 
@@ -377,9 +377,10 @@ def clique_union_bits(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
     The bytes are held to ``_CLOSURE_BYTES`` as in :func:`clique_union_csr`.
     """
     n = bits.shape[0]
-    _check_conflict(n, "bitsets", 8 * (rows.size + n) * bits.shape[1])
+    graph = f"the conflict graph of {n} vertices"
+    check_bytes(graph, "bitsets", 8 * (rows.size + n) * bits.shape[1])
     members = bits[rows]
-    _check_conflict(n, "clique lists", 4 * int(popcounts(members).sum()))
+    check_bytes(graph, "clique lists", 4 * int(popcounts(members).sum()))
     return _clique_union(n, members, *rows_csr(members))
 
 

@@ -5,11 +5,11 @@ a valid down-coloring backs the table.  The full transitive closure is
 recoverable from the non-empty cells, at n*k cells instead of n^2.
 A table is one n-by-k int32 array of vertex ids, -1 for an empty cell;
 the labels appear only at its text boundaries, and its rows by label
-are built only when asked for.  Building and the AC check share one
-layout: the cached down-set rows, gathered in the table's row order,
-are scattered once into that array, by color or by each vertex's own
-column; its fill count is the one rainbow check, and the AC verdict
-compares its rebuild with the table.  The CSV writer works on the id
+are built only when asked for.  The build, refused first past the
+byte budget, gathers the cached down-set rows in the table's row order
+and scatters them once into that array by color, its fill count the
+one rainbow check.  The AC check counts the filled cells and reads each
+u of D[v] as a query does.  The CSV writer works on the id
 table a block of rows at a time and writes only its filled cells and
 the runs of commas between them, each gathered from one object table
 of the labels, quoted once; the CLI writes its blocks as they are made.
@@ -93,9 +93,9 @@ class CompactMatrix:
         where none does."""
         n, k = self.table.shape
         if k == 0:
-            return np.full(n, -1, dtype=np.int64)
+            return np.full(n, -1, dtype=np.int32)
         hit = self.table == np.arange(n, dtype=np.int32)[:, None]
-        col = hit.argmax(axis=1)
+        col = hit.argmax(axis=1).astype(np.int32)
         col[~hit[np.arange(n), col]] = -1
         return col
 
@@ -140,10 +140,15 @@ def _id_table(labels: tuple[str, ...], rows: list[Sequence],
 
 def build_compact(g: Digraph, c: Coloring) -> CompactMatrix:
     """Lay the closed down-sets out by color; rejects invalid colorings
-    with the offending pair and witness ancestor."""
+    with the offending pair and witness ancestor, and over-budget tables."""
     col = _columns(g, c)
+    _kernels.check_bytes(f"the compact table of {g.n} vertices and {c.k} colors",
+                         "cells", 4 * g.n * c.k)
     order = g._label_order()
-    table, short = _layout(g, col, c.k, order)
+    indptr, ids = _kernels.gather_rows(*g._down_sets(), order)
+    rank = np.empty(g.n, dtype=np.int32)
+    rank[order] = np.arange(g.n, dtype=np.int32)
+    table, short = _rainbow(indptr, col[ids], rank[ids], c.k)
     if short.size:
         u, v, w = violation = find_down_violation(g, c)
         raise ColoringError(
@@ -151,17 +156,6 @@ def build_compact(g: Digraph, c: Coloring) -> CompactMatrix:
             f"closed down-set of {w}", witness=violation)
     return CompactMatrix._of(c.k, tuple(map(g.labels.__getitem__, order.tolist())),
                              table)
-
-
-def _layout(g: Digraph, col: np.ndarray, k: int,
-            order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The table of ``g``'s closed down-sets, row i that of ``order[i]``,
-    and its short rows: the cached rows gathered in that order, each
-    member renamed to its place in ``order`` and scattered by ``col``."""
-    indptr, ids = _kernels.gather_rows(*g._down_sets(), order)
-    rank = np.empty(g.n, dtype=np.int32)
-    rank[order] = np.arange(g.n, dtype=np.int32)
-    return _rainbow(indptr, col[ids], rank[ids], k)
 
 
 # ------------------------------------------------------------ validation
@@ -186,13 +180,13 @@ def verify_ac_property(m: CompactMatrix, g: Digraph) -> AcCheck:
     a common ancestor ``a`` of two vertices of one column would hold both
     in row ``a`` (2), in that column's single cell (1).
 
-    The verdict rebuilds the table from its own columns, each vertex's
-    position in its own row, and compares: clauses 1 and 2 hold exactly
-    when the two are equal.  Given both, row u holds each v of D[u] in
-    v's column and nothing else, which is the rebuild; given equality, v
-    sits only in v's column and row u holds D[u] and nothing else, none
-    of it lost to a shared column by the fill count.  The clause scans
-    run only on failure, to name a witness.
+    The verdict is the query's own read: for each u of D[v], row v at
+    u's own column must hold u, and the filled cells must number sum |D|.
+    Clauses 1 and 2 give both, each u in its own column only and row v
+    holding D[v] once.  Both give the clauses: the cells read in row v
+    are distinct, one value to a cell, and the count leaves none other
+    filled, so row v holds just D[v], each u in its own column.  The
+    clause scans run only on failure, to name a witness.
     """
     n = len(m.labels)
     if n != g.n:
@@ -201,13 +195,13 @@ def verify_ac_property(m: CompactMatrix, g: Digraph) -> AcCheck:
         gid = np.fromiter(map(g._index.__getitem__, m.labels), np.int64, n)
     except KeyError:
         return _violated_clause(m, g)
-    own = m._own_columns
-    if np.any(own < 0):  # a vertex missing from its own row
+    if np.any(m._own_columns < 0):  # a vertex missing from its own row
         return _violated_clause(m, g)
-    col = np.empty(n, dtype=np.int64)
-    col[gid] = own
-    table, short = _layout(g, col, m.k, gid)
-    if short.size == 0 and np.array_equal(table, m.table):
+    row = np.empty(n, dtype=np.int32)  # the row of each id of g
+    row[gid] = np.arange(n, dtype=np.int32)
+    indptr, ids = g._down_sets()
+    if (np.count_nonzero(m.table >= 0) == ids.size
+            and _reads(m, row[ids], np.repeat(row, np.diff(indptr))).all()):
         return AcCheck(True)
     return _violated_clause(m, g)
 
@@ -267,9 +261,14 @@ def is_below_ids(m: CompactMatrix, u, v) -> np.ndarray:
     n = len(m.labels)
     if any(x.size and (x.min() < 0 or x.max() >= n) for x in (u, v)):
         raise ValueError(f"row ids must lie in 0..{n - 1}")
-    col = m._own_columns[u]
     if m.k == 0:
         return np.zeros(np.broadcast(u, v).shape, dtype=bool)
+    return _reads(m, u, v)
+
+
+def _reads(m: CompactMatrix, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether row ``v`` holds ``u`` at ``u``'s own column, pair by pair."""
+    col = m._own_columns[u]
     return (col >= 0) & (m.table[v, col] == u)
 
 

@@ -328,6 +328,18 @@ def test_conflict_graph_over_budget_exits_one(tmp_path, monkeypatch, capsys):
         "take 48 bytes, over the 20-byte budget\n")
 
 
+def test_compact_table_over_budget_exits_one(six, tmp_path, monkeypatch, capsys):
+    assert main(["color", six, "-o", str(tmp_path / "c.json")]) == 0
+    monkeypatch.setattr(_kernels, "_CLOSURE_BYTES", 71)
+    out = tmp_path / "t.csv"
+    assert main(["compact", six, "--coloring", str(tmp_path / "c.json"),
+                 "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the compact table of 6 vertices and 3 colors is too large: "
+        "its cells take 72 bytes, over the 71-byte budget\n")
+    assert not out.exists()
+
+
 def test_parse_error_reports_line(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("a b\nx y z\n")

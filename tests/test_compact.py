@@ -312,12 +312,13 @@ def test_csv_reader_names_irregular_plain_records_past_the_field_limit():
 
 def mutate(rng, m, labels):
     """One random edit of a table: swap two cells of a row, move a cell
-    to another column, write a foreign or other-vertex label, or drop a
-    row."""
+    to another column, write a foreign or other-vertex label, drop a
+    row, or write an extra vertex into an empty cell of its own column
+    (where it sits in its own row), which a valid table's row lacks."""
     rows = dict(m.rows)
     lab = rng.choice(m.labels)
     cells = list(rows[lab])
-    kind = rng.choice(("swap", "move", "foreign", "drop"))
+    kind = rng.choice(("swap", "move", "foreign", "drop", "extra"))
     if kind == "drop":
         del rows[lab]
         return CompactMatrix(m.k, tuple(sorted(rows)), rows)
@@ -326,6 +327,12 @@ def mutate(rng, m, labels):
         cells[i], cells[j] = cells[j], cells[i]
     elif kind == "move":
         cells[i], cells[j] = None, cells[i]
+    elif kind == "extra":  # every read still succeeds: only the fill count sees it
+        spots = [(x, c) for x in m.labels if x in rows[x]
+                 for c in [rows[x].index(x)] if cells[c] is None]
+        if spots:
+            x, c = rng.choice(spots)
+            cells[c] = x
     else:
         cells[i] = rng.choice(["zz"] + list(labels))
     rows[lab] = tuple(cells)
@@ -404,8 +411,9 @@ def test_table_refusals():
 
 def test_build_and_ac_check_hold_one_table():
     # the build gathers the down-set rows in final row order and scatters
-    # them once into the table it returns, and the AC check rebuilds it
-    # the same way, so neither holds a second n-by-k array
+    # them once into the table it returns, and the AC check only reads
+    # it, one cell per pair of the closure, so neither holds a second
+    # n-by-k array
     g = hierarchy(random.Random(0), 20000)
     c = down_coloring(g)
     tracemalloc.start()
@@ -420,17 +428,41 @@ def test_build_and_ac_check_hold_one_table():
         tracemalloc.stop()
     assert m.k == 42
     assert build < 2.75 * m.table.nbytes
-    assert check < 2.75 * m.table.nbytes
+    assert check < 1.25 * m.table.nbytes
 
 
 def test_verify_ac_property_counts_each_rows_fill():
-    # a and b share column 1 in row a; rebuilt from those columns, row a
-    # loses one of them, so only the fill count tells it from the table
+    # a and b share column 1, and row a holds a there: the fill count
+    # matches sum |D|, but reading b in row a at its column returns a
     g = parse_digraph("b\na b\n")
     m = CompactMatrix(2, ("a", "b"), {"a": ("a", None), "b": ("b", None)})
     chk = verify_ac_property(m, g)
     assert (chk.ok, chk.clause) == (False, 2)
     assert (chk.ok, chk.clause, chk.detail) == ac_check_reference(m, g)
+
+
+def test_build_compact_refuses_a_table_over_the_byte_budget(monkeypatch):
+    # a wide star: T over h leaves, and h pendant tops, each over one
+    # leaf; sum |D| is linear in n, but k = h + 1, so the table is not
+    h = 1000
+    g = parse_digraph("".join(f"T l{i}\np{i} l{i}\n" for i in range(h)))
+    c = down_coloring(g)
+    n, k = g.n, c.k
+    assert (n, k) == (2 * h + 1, h + 1)
+    monkeypatch.setattr(_kernels, "_CLOSURE_BYTES", 4 * n * k - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as ei:
+            build_compact(g, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(ei.value) == (
+        "the compact table of 2001 vertices and 1001 colors is too large: "
+        "its cells take 8,012,004 bytes, over the 8,012,003-byte budget")
+    assert peak < 0.05 * 4 * n * k
+    monkeypatch.setattr(_kernels, "_CLOSURE_BYTES", 4 * n * k)
+    assert verify_ac_property(build_compact(g, c), g)
 
 
 def test_compact_matrix_validation():
