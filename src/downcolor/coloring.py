@@ -64,6 +64,8 @@ class Coloring:
     them.  ``colors``, the read-only mapping by label, is built on first
     read, in label order; a down-coloring lists the vertices with a
     parent in id order and then, by label, its maximal ones, ``_last``.
+    A down-coloring also keeps its digraph's ids in label order,
+    ``_order``, which the JSON writer reads in place of a sort.
     """
 
     def __init__(self, colors: Mapping[str, int], k: int, method: str):
@@ -87,20 +89,23 @@ class Coloring:
         color = np.fromiter(colors.values(), np.int64, len(colors))
         color.flags.writeable = False
         self.__dict__.update(_labels=tuple(colors), _color=color, _last=None,
-                             k=k, method=method, colors=MappingProxyType(colors))
+                             _order=None, k=k, method=method,
+                             colors=MappingProxyType(colors))
 
     def __setattr__(self, name, value):
         raise AttributeError("a Coloring is read-only")
 
     @classmethod
     def _of(cls, labels: tuple[str, ...], color: np.ndarray, k: int,
-            method: str, last: np.ndarray | None = None) -> Coloring:
+            method: str, last: np.ndarray | None = None,
+            order: np.ndarray | None = None) -> Coloring:
         """A coloring from its int64 colors by id, taken as valid and not
-        copied; ``last`` lists the maximal ids of a down-coloring."""
+        copied; ``last`` lists the maximal ids of a down-coloring and
+        ``order`` its ids sorted by label."""
         color.flags.writeable = False
         c = cls.__new__(cls)
-        c.__dict__.update(_labels=labels, _color=color, _last=last, k=k,
-                          method=method)
+        c.__dict__.update(_labels=labels, _color=color, _last=last,
+                          _order=order, k=k, method=method)
         return c
 
     @cached_property
@@ -126,7 +131,7 @@ class Coloring:
 
     def __reduce__(self):
         return Coloring._of, (self._labels, self._color, self.k, self.method,
-                              self._last)
+                              self._last, self._order)
 
 
 class ExactResult(NamedTuple):
@@ -145,11 +150,13 @@ def coloring_to_json(c: Coloring) -> str:
     """The coloring as ``json.dumps(doc, indent=2, sort_keys=True)`` would
     write it, plus a newline; the colors are written from the arrays by
     label order, one line each, and only ``k`` and ``method`` go through
-    the encoder."""
+    the encoder.  That order is the coloring's own when it keeps one,
+    else a sort of the labels."""
     labels, color = c._labels, c._color.tolist()
+    order = (c._order.tolist() if c._order is not None
+             else sorted(range(len(labels)), key=labels.__getitem__))
     key = json.encoder.encode_basestring_ascii
-    cells = ",\n".join([f"    {key(labels[u])}: {color[u]}" for u in
-                        sorted(range(len(labels)), key=labels.__getitem__)])
+    cells = ",\n".join([f"    {key(labels[u])}: {color[u]}" for u in order])
     colors = f"{{\n{cells}\n  }}" if cells else "{}"
     rest = json.dumps({"k": c.k, "method": c.method}, indent=2, sort_keys=True)
     return f'{{\n  "colors": {colors},{rest[1:]}\n'
@@ -436,10 +443,12 @@ def _extend_to_maximal(g: Digraph, base: list[int] | np.ndarray,
     tops, ptr, ids = _max_rows(g)
     # seen[i, c]: the down-set of top i holds color c; its own entry is 0,
     # and a column past the largest color is never set
-    seen = np.zeros((tops.size, int(color.max(initial=0)) + 2), dtype=bool)
-    seen[np.repeat(np.arange(tops.size), np.diff(ptr)), color[ids]] = True
-    color[tops] = seen.argmin(axis=1)
-    return Coloring._of(g.labels, color, int(color.max(initial=0)), method, tops)
+    width = int(color.max(initial=0)) + 2
+    seen = np.zeros(tops.size * width, dtype=bool)
+    seen[_cells(np.arange(tops.size), ptr, color[ids], width)] = True
+    color[tops] = seen.reshape(tops.size, width).argmin(axis=1)
+    return Coloring._of(g.labels, color, int(color.max(initial=0)), method, tops,
+                        g._label_order())
 
 
 def down_coloring(g: Digraph, mode: str = "greedy", *, cap: int | None = None,
@@ -464,7 +473,8 @@ def down_coloring(g: Digraph, mode: str = "greedy", *, cap: int | None = None,
     if not exact and c.k > lower:
         raise CapExceededError(
             f"exact search budget exhausted between {lower} and {c.k} colors",
-            partial=Coloring._of(g.labels, c._color, c.k, "greedy", c._last),
+            partial=Coloring._of(g.labels, c._color, c.k, "greedy", c._last,
+                                 c._order),
             lower=lower, upper=c.k)
     return c
 
@@ -491,27 +501,31 @@ def _columns(g: Digraph, c: Coloring) -> np.ndarray:
     return col - 1
 
 
-def _rainbow(indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-             k: int) -> tuple[np.ndarray, np.ndarray]:
-    """One scatter of each CSR entry's value ``vals`` (>= 0) into its
-    0-based column ``cols`` of a rows-by-k table, -1 where empty; and the
-    rows that fill fewer cells than they have entries: two share a column."""
-    size = np.diff(indptr)
-    cells = np.full((size.size, k), -1, dtype=vals.dtype)
-    cells[np.repeat(np.arange(size.size), size), cols] = vals
-    return cells, np.flatnonzero((cells >= 0).sum(axis=1) != size)
+def _cells(rows: np.ndarray, indptr: np.ndarray, cols: np.ndarray,
+           width: int) -> np.ndarray:
+    """The flat cell ``rows[i] * width + cols[j]`` of each entry j of CSR
+    row i in a table ``width`` cells wide, in ``rows``' dtype."""
+    cell = np.repeat(rows * width, np.diff(indptr))
+    cell += cols
+    return cell
 
 
 def find_down_violation(g: Digraph, c: Coloring) -> tuple[str, str, str] | None:
     """Smallest same-colored id pair inside a closed down-set, with the
     smallest-id maximal witness whose down-set holds both, or None when
     every maximal vertex's down-set is rainbow (a valid down-coloring).
-    Only the rows that ``_rainbow`` finds short are sorted."""
+
+    Each maximal row's colors are marked in one flat bool table, a row
+    to a vertex; rows never share a cell, so fewer marks than entries
+    means a clash.  Only then are the rows found short sorted."""
     color = _columns(g, c)
     tops, eptr, ids = _max_rows(g)  # acyclicity gate
-    short = _rainbow(eptr, color[ids], ids, c.k)[1]
-    if short.size == 0:
+    seen = np.zeros(tops.size * c.k, dtype=bool)
+    seen[_cells(np.arange(tops.size), eptr, color[ids], c.k)] = True
+    if np.count_nonzero(seen) == ids.size:
         return None
+    short = np.flatnonzero(np.count_nonzero(seen.reshape(tops.size, c.k), axis=1)
+                           != np.diff(eptr))
     eptr, ids = _kernels.gather_rows(eptr, ids, short)
     row = np.repeat(tops[short], np.diff(eptr))  # the vertex id
     color = color[ids]

@@ -6,13 +6,14 @@ recoverable from the non-empty cells, at n*k cells instead of n^2.
 A table is one n-by-k int32 array of vertex ids, -1 for an empty cell;
 the labels appear only at its text boundaries, and its rows by label
 are built only when asked for.  The build, refused first past the
-byte budget, gathers the cached down-set rows in the table's row order
-and scatters them once into that array by color, its fill count the
-one rainbow check.  The AC check counts the filled cells and reads each
+byte budget, scatters the cached down-set rows in id order once into
+that array, addressed by flat cell index, its fill count the one
+rainbow check.  The AC check counts the filled cells and reads each
 u of D[v] as a query does.  The CSV writer works on the id
 table a block of rows at a time and writes only its filled cells and
 the runs of commas between them, each gathered from one object table
-of the labels, quoted once; the CLI writes its blocks as they are made.
+of the labels, quoted once, by one string test when none needs quotes;
+the CLI writes its blocks as they are made.
 The build reads the rows' label order that the digraph keeps.
 The CSV reader is one scan of numpy arrays that reads text as
 ``csv.reader`` does, quoted fields found by the parity of their quotes;
@@ -33,12 +34,13 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
+from operator import itemgetter
 from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
 from . import _kernels
-from .coloring import (Coloring, _columns, _load_json, _rainbow,
+from .coloring import (Coloring, _cells, _columns, _load_json,
                        find_down_violation)
 from .digraph import Digraph
 from .errors import ColoringError, ParseError
@@ -140,22 +142,31 @@ def _id_table(labels: tuple[str, ...], rows: list[Sequence],
 
 def build_compact(g: Digraph, c: Coloring) -> CompactMatrix:
     """Lay the closed down-sets out by color; rejects invalid colorings
-    with the offending pair and witness ancestor, and over-budget tables."""
+    with the offending pair and witness ancestor, and over-budget tables.
+
+    The cached down-sets are scattered once, in id order, into the flat
+    table: u of D[v] goes to cell ``rank[v] * k + col[u]`` as ``rank[u]``,
+    ranks being rows in label order.  Rows never share a cell, so the
+    table holds fewer filled cells than sum |D| just when two members of
+    one down-set share a color."""
     col = _columns(g, c)
-    _kernels.check_bytes(f"the compact table of {g.n} vertices and {c.k} colors",
-                         "cells", 4 * g.n * c.k)
+    n, k = g.n, c.k
+    _kernels.check_bytes(f"the compact table of {n} vertices and {k} colors",
+                         "cells", 4 * n * k)
     order = g._label_order()
-    indptr, ids = _kernels.gather_rows(*g._down_sets(), order)
-    rank = np.empty(g.n, dtype=np.int32)
-    rank[order] = np.arange(g.n, dtype=np.int32)
-    table, short = _rainbow(indptr, col[ids], rank[ids], c.k)
-    if short.size:
+    indptr, ids = g._down_sets()
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    table = np.full(n * k, -1, dtype=np.int32)
+    # int32 cell indices: the byte check refused 4*n*k > 2**30, so n*k <= 2**28
+    table[_cells(rank, indptr, col[ids], k)] = rank[ids]
+    if np.count_nonzero(table >= 0) != ids.size:
         u, v, w = violation = find_down_violation(g, c)
         raise ColoringError(
             f"not a down-coloring: {u} and {v} share a color inside the "
             f"closed down-set of {w}", witness=violation)
-    return CompactMatrix._of(c.k, tuple(map(g.labels.__getitem__, order.tolist())),
-                             table)
+    labels = g.labels if n <= 1 else itemgetter(*order.tolist())(g.labels)
+    return CompactMatrix._of(k, labels, table.reshape(n, k))
 
 
 # ------------------------------------------------------------ validation
@@ -283,14 +294,16 @@ _CSV_ROWS = 4096
 def _quoted(names: tuple[str, ...]) -> list[str]:
     """Each name as a CSV field of a longer record, quoted by the csv
     module's own rules for records that end in CR LF, so that a CR in a
-    name is quoted on every Python version, as a LF is.  All names are
-    written as one record first: when it comes out as their plain join,
-    none was quoted."""
+    name is quoted on every Python version, as a LF is.  One string test
+    clears the common case: when the names' join holds no ``"``, CR, LF
+    or NUL and only the joining commas, and no name is empty, none is
+    quoted.  Otherwise the csv module writes each name."""
+    text = ",".join(names)
+    if (text.count(",") == len(names) - 1 and all(names)
+            and not ('"' in text or "\r" in text or "\n" in text or "\0" in text)):
+        return list(names)
     out: list[str] = []
     writer = csv.writer(SimpleNamespace(write=out.append), lineterminator="\r\n")
-    writer.writerow(names)
-    if out.pop() == ",".join(names) + "\r\n":
-        return list(names)
     writer.writerows(zip(names, repeat("")))
     return [x[:-3] for x in out]  # less the "," and the CR LF
 

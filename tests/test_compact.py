@@ -4,6 +4,7 @@ import json
 import random
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from downcolor import (
 )
 from downcolor import _kernels, compact
 from conftest import (SCALE_GRAPHS, ac_check_reference, brute_ac_ok,
-                      compact_csv_reference, csv_reference, hierarchy,
-                      json_reference, random_dag, reach_closed)
+                      brute_violation, compact_csv_reference, csv_reference,
+                      hierarchy, json_reference, layered_dag, random_dag,
+                      reach_closed)
 
 SIX = "g1 g4\ng1 g5\ng2 g4\ng2 g6\ng3 g5\ng3 g6\n"
 WITNESS = Coloring({"g1": 1, "g2": 3, "g3": 2, "g4": 2, "g5": 3, "g6": 1}, 3,
@@ -79,6 +81,47 @@ def test_build_compact_raises_exactly_on_violation_with_its_witness():
         assert exc.value.witness == violation
         raised += 1
     assert 0 < raised < 300
+
+
+def closure_table(g, c) -> dict[str, tuple]:
+    """The compact rows of a rainbow coloring, laid out from the closed
+    reachability sets: row v holds each u below v at u's color."""
+    rows = {}
+    for v, below in reach_closed(g).items():
+        cells = [None] * c.k
+        for u in below:
+            cells[c.colors[u] - 1] = u
+        rows[v] = tuple(cells)
+    return rows
+
+
+@pytest.mark.parametrize("family", [
+    lambda rng: random_dag(rng, rng.randint(1, 16), rng.choice([0.1, 0.3, 0.6])),
+    lambda rng: layered_dag(rng, rng.randint(1, 30), rng.choice([0.2, 0.5])),
+    lambda rng: hierarchy(rng, rng.randint(12, 36), rng.randint(1, 2)),
+], ids=["random_dag", "layered_dag", "hierarchy"])
+def test_build_compact_matches_the_closure_oracle(family):
+    rng = random.Random(71)
+    raised = 0
+    for _ in range(60):
+        g = family(rng)
+        c = down_coloring(g)
+        m = build_compact(g, c)
+        assert m.labels == tuple(sorted(g.labels))
+        assert m.rows == closure_table(g, c)
+        # a random coloring, its colors renumbered 1..k
+        colors = {lab: rng.randint(1, rng.randint(1, g.n)) for lab in g.labels}
+        rank = {x: i + 1 for i, x in enumerate(sorted(set(colors.values())))}
+        c = Coloring({lab: rank[x] for lab, x in colors.items()}, len(rank), "greedy")
+        witness = brute_violation(g, c)
+        if witness is None:
+            assert build_compact(g, c).rows == closure_table(g, c)
+            continue
+        with pytest.raises(ColoringError) as exc:
+            build_compact(g, c)
+        assert exc.value.witness == witness
+        raised += 1
+    assert 0 < raised < 60
 
 
 def test_build_compact_rejects_partial_coloring():
@@ -196,9 +239,10 @@ def test_csv_roundtrip_and_header():
 
 
 # the names random tables draw their rows and cells from: plain, quoted
-# for a comma, quote, CR or LF, with outer spaces, non-ASCII, and empty
+# for a comma, quote, CR or LF, with outer spaces, non-ASCII, empty, and
+# holding a NUL, which sends the writer's quoting to the csv module
 WRITER_NAMES = ["a", "b,c", 'd"e', "f\rg", "h\ni", "j\r\nk", " l ", "é",
-                "", '"', ",", "m" * 20] + [f"v{i}" for i in range(30)]
+                "", '"', ",", "m" * 20, "\0", "a\x00b"] + [f"v{i}" for i in range(30)]
 
 
 def random_table(rng):
@@ -225,6 +269,25 @@ def test_csv_writer_matches_reference_on_random_tables(monkeypatch):
         chunks = list(compact.csv_chunks(m))
         assert "".join(chunks) == serialize(m, "csv") == csv_reference(m)
         assert len(chunks) == 1 + -(-len(m.labels) // 3)  # the header, then each block
+
+
+def quoted_reference(name: str) -> str:
+    """``name`` as the csv module writes it as the first field of a
+    two-field record that ends in CR LF."""
+    out: list[str] = []
+    csv.writer(SimpleNamespace(write=out.append), lineterminator="\r\n").writerow([name, ""])
+    return out[0][:-3]
+
+
+# the characters the writer's quoting test decides on, blanks the csv
+# module leaves bare, non-ASCII text and a lone surrogate, then any
+NAME_CHARS = st.sampled_from(list(',"\r\n\0 \t\x0b\x85\xa0é\ud800a')) | st.characters()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(NAME_CHARS, max_size=5), max_size=6))
+def test_quoted_matches_the_csv_module(names):
+    assert compact._quoted(tuple(names)) == [quoted_reference(x) for x in names]
 
 
 def test_csv_reads_back_one_label_holding_a_lf_among_plain_ones():
